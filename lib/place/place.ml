@@ -29,7 +29,8 @@ type t = {
   roles : role array;
   xs : float array;
   ys : float array;
-  nets : (int * int list) array; (* driver, sinks; |pins| >= 2 *)
+  nets : int array array; (* pins, driver first; |pins| >= 2 *)
+  net_of_driver : int array; (* cell id -> index into [nets], -1 if none *)
   cell_area : float;
 }
 
@@ -44,7 +45,9 @@ let cell_width_um t id =
   | Movable w -> w
   | Pad_in _ | Pad_out _ | Ghost -> 0.0
 
-let nets t = Array.to_list t.nets
+let nets t =
+  Array.to_list
+    (Array.map (fun p -> (p.(0), List.tl (Array.to_list p))) t.nets)
 
 let cell_footprint node (c : Netlist.cell) =
   let h = node.Pdk.row_height_um in
@@ -67,9 +70,31 @@ let build_nets netlist =
   for id = 0 to n - 1 do
     match sinks.(id) with
     | [] -> ()
-    | pins -> nets := (id, List.rev pins) :: !nets
+    | pins -> nets := Array.of_list (id :: List.rev pins) :: !nets
   done;
   Array.of_list (List.rev !nets)
+
+let index_nets n nets =
+  let index = Array.make n (-1) in
+  Array.iteri (fun i p -> index.(p.(0)) <- i) nets;
+  index
+
+(* Stores the HPWL of the net with pins [p] at coordinates [xs]/[ys] in
+   [dst.(k)]. The one HPWL loop of the module: the anneal's cost cache
+   and {!net_hpwl_um} both go through it, and storing into a float array
+   keeps the anneal's inner loop free of boxed floats. *)
+let hpwl_into (xs : float array) (ys : float array) (p : int array) (dst : float array) k =
+  let d = p.(0) in
+  let min_x = ref xs.(d) and max_x = ref xs.(d) in
+  let min_y = ref ys.(d) and max_y = ref ys.(d) in
+  for i = 1 to Array.length p - 1 do
+    let x = xs.(p.(i)) and y = ys.(p.(i)) in
+    if x < !min_x then min_x := x;
+    if x > !max_x then max_x := x;
+    if y < !min_y then min_y := y;
+    if y > !max_y then max_y := y
+  done;
+  dst.(k) <- !max_x -. !min_x +. (!max_y -. !min_y)
 
 (* Roles and total movable area are a pure function of (netlist, node):
    shared by {!place} and {!restore}, so artifact snapshots only need to
@@ -151,12 +176,13 @@ let place netlist ~node ?(utilization = 0.65) effort =
   (* adjacency for the force-directed pass *)
   let neighbors = Array.make n [] in
   Array.iter
-    (fun (driver, sinks) ->
-      List.iter
-        (fun s ->
-          neighbors.(driver) <- s :: neighbors.(driver);
-          neighbors.(s) <- driver :: neighbors.(s))
-        sinks)
+    (fun p ->
+      let driver = p.(0) in
+      for i = 1 to Array.length p - 1 do
+        let s = p.(i) in
+        neighbors.(driver) <- s :: neighbors.(driver);
+        neighbors.(s) <- driver :: neighbors.(s)
+      done)
     nets;
   (* {2 Global placement: barycentric relaxation} *)
   Obs.with_span "place.global"
@@ -282,6 +308,7 @@ let place netlist ~node ?(utilization = 0.65) effort =
       xs;
       ys;
       nets;
+      net_of_driver = index_nets n nets;
       cell_area = !total_area;
     }
   in
@@ -300,37 +327,42 @@ let place netlist ~node ?(utilization = 0.65) effort =
       Obs.with_span "place.anneal"
         ~attrs:[ ("moves", Obs.Int effort.annealing_moves) ]
       @@ fun () -> begin
-      (* nets touching each cell *)
-      let touching = Array.make n [] in
-      Array.iteri
-        (fun net_idx (driver, sinks) ->
-          touching.(driver) <- net_idx :: touching.(driver);
-          List.iter (fun s -> touching.(s) <- net_idx :: touching.(s)) sinks)
-        nets;
-      let net_cost idx =
-        let driver, sinks = nets.(idx) in
-        let min_x = ref xs.(driver) and max_x = ref xs.(driver) in
-        let min_y = ref ys.(driver) and max_y = ref ys.(driver) in
-        List.iter
-          (fun s ->
-            if xs.(s) < !min_x then min_x := xs.(s);
-            if xs.(s) > !max_x then max_x := xs.(s);
-            if ys.(s) < !min_y then min_y := ys.(s);
-            if ys.(s) > !max_y then max_y := ys.(s))
-          sinks;
-        !max_x -. !min_x +. (!max_y -. !min_y)
+      (* A move builds no lists or tables. Each cell has an array of
+         the nets touching it, and [cost] caches every net's HPWL at the
+         current coordinates. HPWL is a pure function of the
+         coordinates, so a move reads its "before" sum from the cache
+         and computes only the "after" sum, which is written back if the
+         move is accepted. *)
+      let touching =
+        let lists = Array.make n [] in
+        Array.iteri
+          (fun net_idx p -> Array.iter (fun c -> lists.(c) <- net_idx :: lists.(c)) p)
+          nets;
+        Array.map Array.of_list lists
       in
-      let local_cost a b =
-        let seen = Hashtbl.create 8 in
-        let sum = ref 0.0 in
-        List.iter
-          (fun idx ->
-            if not (Hashtbl.mem seen idx) then begin
-              Hashtbl.replace seen idx ();
-              sum := !sum +. net_cost idx
-            end)
-          (touching.(a) @ touching.(b));
-        !sum
+      let cost = Array.make (Array.length nets) 0.0 in
+      Array.iteri (fun idx p -> hpwl_into xs ys p cost idx) nets;
+      (* The nets touching a or b, each once: [touching.(a)] then
+         [touching.(b)], in first-occurrence order. Sums run in this
+         order, so they are bit-identical to summing over the list
+         [touching.(a) @ touching.(b)] with duplicates dropped. [stamp]
+         holds the last move that visited each net. *)
+      let widest_union =
+        2 * Array.fold_left (fun acc ns -> max acc (Array.length ns)) 0 touching
+      in
+      let union = Array.make widest_union 0 and union_len = ref 0 in
+      let fresh = Array.make widest_union 0.0 in
+      let stamp = Array.make (Array.length nets) 0 in
+      let collect move cell =
+        let ns = touching.(cell) in
+        for i = 0 to Array.length ns - 1 do
+          let idx = ns.(i) in
+          if stamp.(idx) <> move then begin
+            stamp.(idx) <- move;
+            union.(!union_len) <- idx;
+            incr union_len
+          end
+        done
       in
       let temperature = ref (!die_w /. 4.0) in
       let cooling = 0.999 ** (20_000.0 /. float_of_int effort.annealing_moves) in
@@ -342,19 +374,34 @@ let place netlist ~node ?(utilization = 0.65) effort =
         let a = movable_arr.(Rng.int rng m) in
         let b = movable_arr.(Rng.int rng m) in
         if a <> b then begin
-          let before = local_cost a b in
+          union_len := 0;
+          collect move a;
+          collect move b;
+          let before = ref 0.0 in
+          for k = 0 to !union_len - 1 do
+            before := !before +. cost.(union.(k))
+          done;
           let ax = xs.(a) and ay = ys.(a) and bx = xs.(b) and by = ys.(b) in
           xs.(a) <- bx;
           ys.(a) <- by;
           xs.(b) <- ax;
           ys.(b) <- ay;
-          let after = local_cost a b in
-          let delta = after -. before in
+          let after = ref 0.0 in
+          for k = 0 to !union_len - 1 do
+            hpwl_into xs ys nets.(union.(k)) fresh k;
+            after := !after +. fresh.(k)
+          done;
+          let delta = !after -. !before in
           let accept =
             delta <= 0.0
             || Rng.float rng 1.0 < exp (-.delta /. Float.max 1e-6 !temperature)
           in
-          if accept then incr accepted
+          if accept then begin
+            incr accepted;
+            for k = 0 to !union_len - 1 do
+              cost.(union.(k)) <- fresh.(k)
+            done
+          end
           else begin
             rejected := !rejected + 1;
             xs.(a) <- ax;
@@ -381,28 +428,17 @@ let place netlist ~node ?(utilization = 0.65) effort =
   end;
   t
 
-let net_hpwl_of t (driver, sinks) =
-  let min_x = ref t.xs.(driver) and max_x = ref t.xs.(driver) in
-  let min_y = ref t.ys.(driver) and max_y = ref t.ys.(driver) in
-  List.iter
-    (fun s ->
-      if t.xs.(s) < !min_x then min_x := t.xs.(s);
-      if t.xs.(s) > !max_x then max_x := t.xs.(s);
-      if t.ys.(s) < !min_y then min_y := t.ys.(s);
-      if t.ys.(s) > !max_y then max_y := t.ys.(s))
-    sinks;
-  !max_x -. !min_x +. (!max_y -. !min_y)
+let net_hpwl_of t p =
+  let r = [| 0.0 |] in
+  hpwl_into t.xs t.ys p r 0;
+  r.(0)
 
 let hpwl_um t = Array.fold_left (fun acc net -> acc +. net_hpwl_of t net) 0.0 t.nets
 
 let net_hpwl_um t driver =
-  let rec find i =
-    if i >= Array.length t.nets then 0.0
-    else
-      let d, sinks = t.nets.(i) in
-      if d = driver then net_hpwl_of t (d, sinks) else find (i + 1)
-  in
-  find 0
+  if driver < 0 || driver >= Array.length t.net_of_driver then 0.0
+  else
+    match t.net_of_driver.(driver) with -1 -> 0.0 | i -> net_hpwl_of t t.nets.(i)
 
 let check_legal t =
   let problems = ref [] in
@@ -470,6 +506,7 @@ let restore netlist ~node s =
          (Array.length s.snap_xs) n);
   if s.snap_rows < 1 then invalid_arg "Place.restore: rows must be >= 1";
   let roles, cell_area = roles_of netlist ~node in
+  let nets = build_nets netlist in
   {
     netlist;
     node;
@@ -479,6 +516,7 @@ let restore netlist ~node s =
     roles;
     xs = Array.copy s.snap_xs;
     ys = Array.copy s.snap_ys;
-    nets = build_nets netlist;
+    nets;
+    net_of_driver = index_nets n nets;
     cell_area;
   }

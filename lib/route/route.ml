@@ -166,11 +166,10 @@ let route placement effort =
   let nets =
     Place.nets placement
     |> List.map (fun (driver, sinks) ->
-           { driver; sink_cells = sinks; edges = []; tiles = []; vias = 0 })
-    |> List.sort (fun a b ->
-           compare
-             (Place.net_hpwl_um placement a.driver)
-             (Place.net_hpwl_um placement b.driver))
+           ( Place.net_hpwl_um placement driver,
+             { driver; sink_cells = sinks; edges = []; tiles = []; vias = 0 } ))
+    |> List.stable_sort (fun ((ha : float), _) (hb, _) -> compare ha hb)
+    |> List.map snd
   in
   Obs.with_span "route.initial"
     ~attrs:[ ("nets", Obs.Int (List.length nets)) ]

@@ -76,9 +76,27 @@ let test_determinism () =
   let p3 =
     Place.place mapped ~node { Place.default_effort with Place.seed = 99 }
   in
-  (* a different seed shifts the anneal; placements should differ *)
-  check Alcotest.bool "seed matters" true
-    (Place.hpwl_um p3 <> Place.hpwl_um p1 || Place.hpwl_um p3 = Place.hpwl_um p1)
+  (* a different seed shifts the anneal: the coordinates must differ *)
+  let s1 = Place.snapshot p1 and s3 = Place.snapshot p3 in
+  check Alcotest.bool "seed moves cells" true
+    (s1.Place.snap_xs <> s3.Place.snap_xs || s1.Place.snap_ys <> s3.Place.snap_ys)
+
+(* Exact HPWL of the annealed commercial-preset placement, printed with
+   %.17g. A placer change that claims to be bit-identical must leave
+   these untouched; a deliberate QoR change updates them. *)
+let test_golden_hpwl () =
+  List.iter
+    (fun (name, expected) ->
+      let nl = Designs.netlist (Designs.find name) in
+      let mapped = fst (Synth.synthesize nl ~node Synth.high_effort_options) in
+      let placement = Place.place mapped ~node Place.high_effort in
+      check Alcotest.string (name ^ " hpwl") expected
+        (Printf.sprintf "%.17g" (Place.hpwl_um placement)))
+    [
+      ("alu8", "2908.7698309596349");
+      ("fir4x8", "4097.5722782743524");
+      ("xbar4x8", "3723.6068998710762");
+    ]
 
 let test_die_scales_with_area () =
   let small = mapped_design "adder8" in
@@ -122,6 +140,7 @@ let suite =
     Alcotest.test_case "annealing does not hurt" `Quick test_annealing_does_not_hurt;
     Alcotest.test_case "hpwl consistency" `Quick test_hpwl_positive_and_consistent;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    Alcotest.test_case "golden hpwl" `Quick test_golden_hpwl;
     Alcotest.test_case "die scales with area" `Quick test_die_scales_with_area;
     Alcotest.test_case "nets cover fanout" `Quick test_nets_cover_fanout;
     Alcotest.test_case "empty netlist rejected" `Quick test_empty_netlist_rejected;
