@@ -1,9 +1,7 @@
 module Flow = Educhip_flow.Flow
 module Jsonout = Educhip_obs.Jsonout
-module Obs = Educhip_obs.Obs
-module Crc32 = Educhip_util.Crc32
 
-type t = { dir : string; max_entries : int; mutex : Mutex.t }
+type t = Kv.t
 
 let default_dir = ".educhip-artifacts"
 
@@ -11,13 +9,12 @@ let default_dir = ".educhip-artifacts"
    distinct (design, config) chains — sized for a campaign, not a demo. *)
 let default_max_entries = 2048
 
-let create ?(max_entries = default_max_entries) ~dir () =
-  if max_entries < 1 then
-    invalid_arg
-      (Printf.sprintf "Store.create: max_entries must be >= 1, got %d" max_entries);
-  { dir; max_entries; mutex = Mutex.create () }
+let family = "artifact"
 
-let dir t = t.dir
+let create ?(max_entries = default_max_entries) ~dir () =
+  Kv.create ~family ~max_entries ~dir ()
+
+let dir = Kv.dir
 
 type entry = {
   key : string;
@@ -31,7 +28,6 @@ type entry = {
 }
 
 let schema = 1
-let entry_path t key = Filename.concat t.dir (key ^ ".json")
 
 let entry_to_json e =
   Jsonout.Obj
@@ -44,28 +40,6 @@ let entry_to_json e =
       ("report", Codec.report_to_json e.report);
       ("exec", Codec.exec_to_json e.exec);
     ]
-
-(* Same on-disk discipline as [Educhip_sched.Cache]: the entry object
-   with a trailing [crc] member holding the CRC-32 of the serialized
-   object without that member. [Jsonout] round-trips exactly, so
-   stripping [crc] from the parse and re-serializing reproduces the
-   checksummed bytes iff the payload is intact. Unlike the job cache
-   there is no legacy era here — an artifact without a [crc] is corrupt. *)
-let entry_to_disk_string e =
-  let payload = Jsonout.to_string (entry_to_json e) in
-  let crc = Crc32.to_hex (Crc32.digest payload) in
-  String.sub payload 0 (String.length payload - 1)
-  ^ Printf.sprintf ",\"crc\":\"%s\"}" crc
-
-let checksum_ok j =
-  match Jsonout.member "crc" j with
-  | Some (Jsonout.String hex) -> (
-    match (Crc32.of_hex hex, j) with
-    | Some crc, Jsonout.Obj fields ->
-      let stripped = Jsonout.Obj (List.filter (fun (k, _) -> k <> "crc") fields) in
-      Crc32.digest (Jsonout.to_string stripped) = crc
-    | _ -> false)
-  | Some _ | None -> false
 
 let entry_of_json j =
   (match Jsonout.member "schema" j with
@@ -90,158 +64,11 @@ let entry_of_json j =
     exec = Codec.exec_of_json (field "exec");
   }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let entry_files t =
-  match Sys.readdir t.dir with
-  | exception Sys_error _ -> []
-  | names ->
-    Array.to_list names |> List.filter (fun n -> Filename.check_suffix n ".json")
-
-(* oldest mtime first; name breaks ties so eviction order is stable *)
-let evict_locked t =
-  let files = entry_files t in
-  let excess = List.length files - t.max_entries in
-  if excess > 0 then
-    files
-    |> List.filter_map (fun n ->
-           let path = Filename.concat t.dir n in
-           match Unix.stat path with
-           | st -> Some (st.Unix.st_mtime, n, path)
-           | exception Unix.Unix_error _ -> None)
-    |> List.sort compare
-    |> List.filteri (fun i _ -> i < excess)
-    |> List.iter (fun (_, _, path) ->
-           match Sys.remove path with
-           | () -> Obs.incr_counter "artifact.evicted"
-           | exception Sys_error _ -> ())
-
-(* The store locks internally — unlike the job cache, whose callers hold
-   [Sched.cache_mutex], memo closures run deep inside worker domains
-   where no scheduler-level lock is in scope. *)
-let store t e =
-  Mutex.protect t.mutex (fun () ->
-      mkdir_p t.dir;
-      let path = entry_path t e.key in
-      let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-      let text = entry_to_disk_string e ^ "\n" in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc text);
-      Sys.rename tmp path;
-      Obs.incr_counter "artifact.stores";
-      Obs.add_counter "artifact.bytes_written" (String.length text);
-      evict_locked t)
-
-let quarantine_dir t = Filename.concat t.dir "quarantine"
-
-(* Corrupt artifacts are evidence, not garbage: moved aside for
-   inspection, invisible to [entry_files], recomputed live. *)
-let quarantine_locked t path =
-  let qdir = quarantine_dir t in
-  mkdir_p qdir;
-  (try Sys.rename path (Filename.concat qdir (Filename.basename path))
-   with Sys_error _ -> ());
-  Obs.incr_counter "artifact.quarantined"
-
-let quarantine_key t key =
-  Mutex.protect t.mutex (fun () ->
-      let path = entry_path t key in
-      if Sys.file_exists path then quarantine_locked t path)
-
-let quarantined t =
-  Mutex.protect t.mutex (fun () ->
-      match Sys.readdir (quarantine_dir t) with
-      | exception Sys_error _ -> 0
-      | names ->
-        Array.fold_left
-          (fun n name -> if Filename.check_suffix name ".json" then n + 1 else n)
-          0 names)
-
-let read_entry_locked t path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error _ -> None
-  | text -> (
-    match
-      let j = Jsonout.of_string text in
-      if checksum_ok j then entry_of_json j
-      else failwith "artifact entry: checksum mismatch"
-    with
-    | e ->
-      Obs.add_counter "artifact.bytes_read" (String.length text);
-      Some e
-    | exception Failure _ ->
-      quarantine_locked t path;
-      None)
-
-let lookup t key =
-  Mutex.protect t.mutex (fun () ->
-      let path = entry_path t key in
-      if not (Sys.file_exists path) then begin
-        Obs.incr_counter "artifact.misses";
-        None
-      end
-      else
-        match read_entry_locked t path with
-        | Some e ->
-          (* touch for LRU: eviction is oldest-mtime-first *)
-          (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
-          Obs.incr_counter "artifact.hits";
-          Some e
-        | None ->
-          Obs.incr_counter "artifact.misses";
-          None)
-
-(* Dry-run prediction: no counters, no LRU touch, no quarantine — a
-   prediction must not mutate the store it is predicting against. *)
-let probe t key =
-  Mutex.protect t.mutex (fun () ->
-      let path = entry_path t key in
-      if not (Sys.file_exists path) then false
-      else
-        match
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with
-        | exception Sys_error _ -> false
-        | text -> (
-          match
-            let j = Jsonout.of_string text in
-            if checksum_ok j then (
-              ignore (entry_of_json j);
-              true)
-            else false
-          with
-          | ok -> ok
-          | exception Failure _ -> false))
-
-let entries t = Mutex.protect t.mutex (fun () -> List.length (entry_files t))
-
-let clear t =
-  Mutex.protect t.mutex (fun () ->
-      List.iter
-        (fun n -> try Sys.remove (Filename.concat t.dir n) with Sys_error _ -> ())
-        (entry_files t))
-
-let metric_names =
-  [
-    "artifact.hits";
-    "artifact.misses";
-    "artifact.stores";
-    "artifact.evicted";
-    "artifact.quarantined";
-    "artifact.bytes_written";
-    "artifact.bytes_read";
-  ]
+let store t e = Kv.put t e.key (entry_to_json e)
+let lookup t key = Kv.get t key ~decode:entry_of_json
+let probe t key = Kv.probe t key ~decode:entry_of_json
+let quarantine_key = Kv.quarantine
+let entries = Kv.entries
+let quarantined = Kv.quarantined
+let clear = Kv.clear
+let metric_names = Kv.metric_names ~family

@@ -1,15 +1,11 @@
 (** Content-addressed on-disk artifact store.
 
-    One JSON file per step artifact, named by the step's chained content
-    key ({!Stepkey}), CRC-32-guarded like the job cache, with
-    oldest-mtime-first eviction above a configurable cap. Writes are
-    temp-file + rename, so concurrent readers — worker domains in one
-    process, or several [eduserved] replicas sharing the directory —
-    never observe a torn entry, and two writers racing on one key both
-    land a complete (identical, content-addressed) file.
-
-    All operations take an internal per-store lock: memo closures run
-    inside worker domains where no scheduler-level mutex is in scope.
+    One entry per step artifact, named by the step's chained content key
+    ({!Stepkey}), kept in a {!Kv} store — the same CRC-guarded,
+    internally locked, oldest-mtime-LRU directory format as the job
+    cache. Several [eduserved] replicas may share the directory: two
+    writers racing on one key both land a complete (identical,
+    content-addressed) file.
 
     Telemetry (when an [Educhip_obs.Obs] collector is installed):
     [artifact.hits], [artifact.misses], [artifact.stores],
@@ -42,7 +38,7 @@ type entry = {
 }
 
 val store : t -> entry -> unit
-(** Write (temp + rename), touch telemetry, evict down to the cap. *)
+(** Write (temp + rename), evict down to the cap. *)
 
 val lookup : t -> string -> entry option
 (** Verified read. A hit refreshes the entry's mtime (LRU). A file that

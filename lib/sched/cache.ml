@@ -3,18 +3,15 @@ module Fault = Educhip_fault.Fault
 module Netlist = Educhip_netlist.Netlist
 module Jsonout = Educhip_obs.Jsonout
 module Runlog = Educhip_obs.Runlog
-module Obs = Educhip_obs.Obs
-module Crc32 = Educhip_util.Crc32
+module Kv = Educhip_artifact.Kv
 
-type t = { dir : string; max_entries : int }
+type t = Kv.t
 
 let default_dir = ".educhip-cache"
 let default_max_entries = 512
 
 let create ?(max_entries = default_max_entries) ~dir () =
-  if max_entries < 1 then
-    invalid_arg (Printf.sprintf "Cache.create: max_entries must be >= 1, got %d" max_entries);
-  { dir; max_entries }
+  Kv.create ~family:"cache" ~max_entries ~dir ()
 
 let flow_code_version = "educhip-flow/1:" ^ String.concat "," Flow.step_names
 
@@ -40,7 +37,6 @@ type entry = {
 }
 
 let schema = 1
-let entry_path t key = Filename.concat t.dir (key ^ ".json")
 
 let ppa_to_json (p : Flow.ppa) =
   Jsonout.Obj
@@ -84,33 +80,6 @@ let entry_to_json e =
       ("record", Runlog.to_json e.record);
     ]
 
-(* On-disk form: the entry object with a trailing [crc] member — the
-   CRC-32 of the serialized object {e without} that member. Verification
-   strips [crc] from the parsed object and re-serializes; [Jsonout]'s
-   output is parse/print round-trip exact (order-preserving objects,
-   shortest-exact floats), so the bytes match iff the payload does.
-   Entries written before the checksum existed carry no [crc] member
-   and are accepted as-is. *)
-let entry_to_disk_string e =
-  let payload = Jsonout.to_string (entry_to_json e) in
-  let crc = Crc32.to_hex (Crc32.digest payload) in
-  (* splice the crc member in front of the closing brace *)
-  String.sub payload 0 (String.length payload - 1)
-  ^ Printf.sprintf ",\"crc\":\"%s\"}" crc
-
-let checksum_ok j =
-  match Jsonout.member "crc" j with
-  | None -> true (* legacy entry, pre-checksum *)
-  | Some (Jsonout.String hex) -> (
-    match (Crc32.of_hex hex, j) with
-    | Some crc, Jsonout.Obj fields ->
-      let stripped =
-        Jsonout.Obj (List.filter (fun (k, _) -> k <> "crc") fields)
-      in
-      Crc32.digest (Jsonout.to_string stripped) = crc
-    | _ -> false)
-  | Some _ -> false
-
 let entry_of_json j =
   (match Jsonout.member "schema" j with
   | Some (Jsonout.Int v) when v = schema -> ()
@@ -132,112 +101,9 @@ let entry_of_json j =
       | None -> failwith "cache entry: missing record");
   }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let entry_files t =
-  match Sys.readdir t.dir with
-  | exception Sys_error _ -> []
-  | names ->
-    Array.to_list names
-    |> List.filter (fun n -> Filename.check_suffix n ".json")
-
-let entries t = List.length (entry_files t)
-
-(* oldest mtime first; name breaks ties so eviction order is stable *)
-let evict t =
-  let files = entry_files t in
-  let excess = List.length files - t.max_entries in
-  if excess > 0 then
-    files
-    |> List.filter_map (fun n ->
-           let path = Filename.concat t.dir n in
-           match Unix.stat path with
-           | st -> Some (st.Unix.st_mtime, n, path)
-           | exception Unix.Unix_error _ -> None)
-    |> List.sort compare
-    |> List.filteri (fun i _ -> i < excess)
-    |> List.iter (fun (_, _, path) -> try Sys.remove path with Sys_error _ -> ())
-
-let store t e =
-  mkdir_p t.dir;
-  let path = entry_path t e.key in
-  let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (entry_to_disk_string e ^ "\n"));
-  Sys.rename tmp path;
-  evict t
-
-let quarantine_dir t = Filename.concat t.dir "quarantine"
-
-(* A corrupt entry is a miss — but it is also evidence (bit rot, a torn
-   copy, a bad deploy), so it is moved aside for inspection instead of
-   silently deleted. The quarantine subdirectory is invisible to
-   [entry_files], so quarantined files neither hit nor count against
-   the eviction cap. *)
-let quarantine t path =
-  let qdir = quarantine_dir t in
-  mkdir_p qdir;
-  (try Sys.rename path (Filename.concat qdir (Filename.basename path))
-   with Sys_error _ -> ());
-  Obs.incr_counter "sched.cache_quarantined"
-
-let quarantined t =
-  match Sys.readdir (quarantine_dir t) with
-  | exception Sys_error _ -> 0
-  | names ->
-    Array.fold_left
-      (fun n name -> if Filename.check_suffix name ".json" then n + 1 else n)
-      0 names
-
-(* the second component flags a legacy entry: well-formed but written
-   before the checksum existed (no [crc] member) *)
-let read_entry t path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error _ -> None
-  | text -> (
-    match
-      let j = Jsonout.of_string text in
-      if checksum_ok j then (entry_of_json j, Jsonout.member "crc" j = None)
-      else failwith "cache entry: checksum mismatch"
-    with
-    | e -> Some e
-    | exception Failure _ ->
-      quarantine t path;
-      None)
-
-let lookup t key =
-  let path = entry_path t key in
-  if not (Sys.file_exists path) then None
-  else
-    match read_entry t path with
-    | Some (e, legacy) ->
-      if legacy then begin
-        (* first hit on a pre-checksum entry upgrades it in place: count
-           it, rewrite it with a crc (store also refreshes its mtime) —
-           the unguarded population shrinks as it is actually used *)
-        Obs.incr_counter "sched.cache_legacy_entries";
-        store t e
-      end
-      else (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
-      Some e
-    | None -> None
-
-let probe t key =
-  let path = entry_path t key in
-  Sys.file_exists path && read_entry t path <> None
-
-let clear t =
-  List.iter
-    (fun n -> try Sys.remove (Filename.concat t.dir n) with Sys_error _ -> ())
-    (entry_files t)
+let store t e = Kv.put t e.key (entry_to_json e)
+let lookup t key = Kv.get t key ~decode:entry_of_json
+let probe t key = Kv.probe t key ~decode:entry_of_json
+let entries = Kv.entries
+let quarantined = Kv.quarantined
+let clear = Kv.clear

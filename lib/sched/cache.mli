@@ -10,17 +10,16 @@
     (design display name, wall-clock, worker count) is excluded, so a
     hit is bit-identical to a fresh run's QoR.
 
-    Entries are one JSON file per key under the cache directory, evicted
-    LRU by file mtime ({!lookup} touches on hit) once the entry count
-    exceeds the cap. Each entry carries a CRC-32 of its own payload
-    ([crc] member; entries written before the checksum existed are
-    accepted without one). The store is tolerant: an unreadable,
-    unparsable, or checksum-failing entry behaves as a miss — and is
-    moved to the [quarantine/] subdirectory for inspection (counted by
-    the [sched.cache_quarantined] telemetry counter) rather than
-    silently deleted, since a corrupt entry is evidence of bit rot or a
-    torn copy, not just dead weight. Quarantined files neither hit nor
-    count against the eviction cap. *)
+    Storage is an {!Educhip_artifact.Kv} store (counter family
+    [cache.*]): one CRC-guarded JSON file per key under the cache
+    directory, evicted LRU by file mtime ({!lookup} touches on hit) once
+    the entry count exceeds the cap, with internal locking. An
+    unreadable, unparsable, checksum-failing or crc-less entry behaves
+    as a miss and is moved to the [quarantine/] subdirectory for
+    inspection (counted by [cache.quarantined]) rather than silently
+    deleted, since a corrupt entry is evidence of bit rot or a torn
+    copy, not just dead weight. Quarantined files neither hit nor count
+    against the eviction cap. *)
 
 type t
 
@@ -62,13 +61,11 @@ val store : t -> entry -> unit
     partial entry), then evict oldest-mtime entries beyond the cap. *)
 
 val lookup : t -> string -> entry option
-(** Hit refreshes the entry's mtime (LRU touch). A hit on a legacy
-    pre-checksum entry (no [crc] member) additionally bumps the
-    [sched.cache_legacy_entries] counter and rewrites the entry with a
-    checksum, so the unguarded population shrinks as it is used. *)
+(** Verified read; a hit refreshes the entry's mtime (LRU touch). *)
 
 val probe : t -> string -> bool
-(** Would {!lookup} hit? No mtime touch — used by dry-run predictions. *)
+(** Would {!lookup} hit? Read-only — no counters, no mtime touch, no
+    quarantine — used by dry-run predictions. *)
 
 val entries : t -> int
 (** Entry files currently in the cache directory (quarantined files

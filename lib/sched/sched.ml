@@ -20,7 +20,6 @@ let metric_names =
     "sched.jobs_failed";
     "sched.cache_hits";
     "sched.cache_misses";
-    "sched.cache_legacy_entries";
     "sched.requeues";
   ]
 
@@ -79,11 +78,6 @@ type shared = {
   stop : unit -> bool;
 }
 
-(* Cache operations are serialized process-wide, not per-campaign: the
-   service daemon and a batch run may share one cache directory, and LRU
-   eviction racing a store could delete a file mid-read. *)
-let cache_mutex = Mutex.create ()
-
 (* Live scheduling state published to the worker domain's collector:
    admission controllers and batch summaries read these as gauges. *)
 let publish_load ~depth ~tenant ~tenant_inflight =
@@ -135,8 +129,7 @@ let exec_flow ?cache ?artifacts ~crashes_left (job : Manifest.job) =
       Fault.check fault_site;
       let cached =
         match (cache, key) with
-        | Some cache, Some key ->
-          Mutex.protect cache_mutex (fun () -> Cache.lookup cache key)
+        | Some cache, Some key -> Cache.lookup cache key
         | _ -> None
       in
       match cached with
@@ -170,10 +163,9 @@ let exec_flow ?cache ?artifacts ~crashes_left (job : Manifest.job) =
             ~design:job.design ~node:job.node
             ~preset:(Flow.preset_name job.preset) outcome
         in
-        Mutex.protect cache_mutex (fun () ->
-            match (cache, key) with
-            | Some cache, Some key -> Cache.store cache { Cache.key; verdict; ppa; record }
-            | _ -> ());
+        (match (cache, key) with
+        | Some cache, Some key -> Cache.store cache { Cache.key; verdict; ppa; record }
+        | _ -> ());
         (verdict, ppa, record, false))
 
 let execute s (job : Manifest.job) =

@@ -138,8 +138,7 @@ val run_one :
 val metric_names : string list
 (** Counter families the scheduler reports: [sched.jobs_completed],
     [sched.jobs_failed], [sched.cache_hits], [sched.cache_misses],
-    [sched.cache_legacy_entries] (pre-checksum cache entries counted —
-    and rewritten with a checksum — on first hit), [sched.requeues].
+    [sched.requeues]; the cache itself counts under [cache.*].
     When {!run} is given an artifact store, the [artifact.*] families
     are declared as well. It also sets the [sched.workers] gauge and the
     [sched.queue_wait_ms] / [sched.queue_depth_samples] histograms.

@@ -516,7 +516,7 @@ let cached_result t (job : Manifest.job) =
           wait_ms = 0.0;
           trace_events = [];
         })
-      (Mutex.protect t.mutex (fun () -> Cache.lookup cache key))
+      (Cache.lookup cache key)
 
 let handle_submit t (spec : Wire.submit_spec) =
   match validate_spec spec with

@@ -114,6 +114,10 @@ let stop_daemon d =
 let reap d = try ignore (Unix.waitpid [] d.pid) with Unix.Unix_error _ -> ()
 
 let () =
+  (* a drained replica closes its socket under the in-process router;
+     the write that follows must surface as EPIPE (a failover), not a
+     SIGPIPE that kills the harness without a message *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let exe =
     if Array.length Sys.argv > 1 then Sys.argv.(1)
     else begin

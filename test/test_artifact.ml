@@ -9,6 +9,9 @@ module Fault = Educhip_fault.Fault
 module Stepkey = Educhip_artifact.Stepkey
 module Artifact = Educhip_artifact.Artifact
 module Astore = Educhip_artifact.Store
+module Kv = Educhip_artifact.Kv
+module Jsonout = Educhip_obs.Jsonout
+module Crc32 = Educhip_util.Crc32
 module Obs = Educhip_obs.Obs
 module Runlog = Educhip_obs.Runlog
 
@@ -246,6 +249,60 @@ let test_corrupt_artifact_quarantined () =
   check Alcotest.bool "corruption-tolerant rerun bit-identical" true
     (cold.Flow.ppa = warm.Flow.ppa && cold.Flow.execs = warm.Flow.execs)
 
+(* {2 Kv} *)
+
+let kv_payload key v = Jsonout.Obj [ ("key", Jsonout.String key); ("v", Jsonout.Int v) ]
+
+let kv_decode j =
+  match (Jsonout.member "key" j, Jsonout.member "v" j) with
+  | Some (Jsonout.String k), Some (Jsonout.Int v) -> (k, v)
+  | _ -> failwith "kv test entry"
+
+(* the byte format both stores have always written: payload object,
+   then a trailing crc member over the payload bytes, then a newline *)
+let test_kv_disk_format () =
+  with_store_dir @@ fun dir ->
+  let kv = Kv.create ~family:"t" ~dir () in
+  Kv.put kv "a" (kv_payload "a" 1);
+  let payload = {|{"key":"a","v":1}|} in
+  let expected =
+    Printf.sprintf {|{"key":"a","v":1,"crc":"%s"}|} (Crc32.to_hex (Crc32.digest payload)) ^ "\n"
+  in
+  check Alcotest.string "on-disk bytes" expected
+    (In_channel.with_open_bin (Filename.concat dir "a.json") In_channel.input_all);
+  check Alcotest.(option (pair string int)) "round trip" (Some ("a", 1))
+    (Kv.get kv "a" ~decode:kv_decode)
+
+(* four domains hammer an overlapping key set on a store capped at 3:
+   the internal lock must keep every read whole and the cap held *)
+let test_kv_concurrent_domains () =
+  with_store_dir @@ fun dir ->
+  let kv = Kv.create ~family:"t" ~max_entries:3 ~dir () in
+  let keys = Array.init 5 (Printf.sprintf "k%d") in
+  let worker d () =
+    let rng = Random.State.make [| d |] in
+    let bad = ref 0 and max_entries = ref 0 in
+    for i = 1 to 150 do
+      let key = keys.(Random.State.int rng (Array.length keys)) in
+      if Random.State.bool rng then begin
+        Kv.put kv key (kv_payload key ((d * 1000) + i));
+        max_entries := max !max_entries (Kv.entries kv)
+      end
+      else
+        match Kv.get kv key ~decode:kv_decode with
+        | Some (k, _) when k <> key -> incr bad
+        | Some _ | None -> ()
+    done;
+    (!bad, !max_entries)
+  in
+  let results = List.init 4 (fun d -> Domain.spawn (worker d)) |> List.map Domain.join in
+  check Alcotest.int "every hit decodes to its own key" 0
+    (List.fold_left (fun n (bad, _) -> n + bad) 0 results);
+  check Alcotest.bool "cap held after every put" true
+    (List.for_all (fun (_, m) -> m <= 3) results);
+  check Alcotest.bool "cap held at the end" true (Kv.entries kv <= 3);
+  check Alcotest.int "nothing quarantined" 0 (Kv.quarantined kv)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest [ prop_knob_splits_chain ]
   @ [
@@ -255,4 +312,6 @@ let suite =
       ("warm rerun bit-identical", `Quick, test_warm_rerun_bit_identical);
       ("full replay and LRU cap", `Quick, test_full_replay_and_lru_cap);
       ("corrupt artifact quarantined", `Quick, test_corrupt_artifact_quarantined);
+      ("kv on-disk format", `Quick, test_kv_disk_format);
+      ("kv concurrent domains under a cap", `Quick, test_kv_concurrent_domains);
     ]

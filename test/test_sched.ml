@@ -219,69 +219,62 @@ let test_cache_corrupt_entry_is_miss () =
       check Alcotest.bool "file kept in quarantine/" true
         (Sys.file_exists (Filename.concat (Filename.concat dir "quarantine") (k ^ ".json"))))
 
-(* a stored entry whose bytes were silently flipped (bit rot, partial
-   write) fails its embedded checksum and is quarantined the same way *)
-let test_cache_checksum_guard () =
-  with_cache_dir (fun dir ->
-      let cache = Cache.create ~dir () in
-      let k = key () in
-      Cache.store cache (sample_entry k);
-      let path = Filename.concat dir (k ^ ".json") in
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      (* flip one digit inside the verdict/ppa region: still valid JSON,
-         wrong bytes *)
-      let i =
-        let rec find i =
-          if i >= String.length text then Alcotest.fail "no digit to flip"
-          else
-            match text.[i] with '1' .. '8' -> i | _ -> find (i + 1)
-        in
-        find 0
-      in
-      let bytes = Bytes.of_string text in
-      Bytes.set bytes i (Char.chr (Char.code text.[i] + 1));
-      let oc = open_out_bin path in
-      output_bytes oc bytes;
-      close_out oc;
-      check Alcotest.bool "tampered entry misses" true (Cache.lookup cache k = None);
-      check Alcotest.int "tampered entry quarantined" 1 (Cache.quarantined cache))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
-(* an entry written before the checksum existed (no [crc] member) still
-   hits, is counted by sched.cache_legacy_entries, and is rewritten
-   with a checksum on that first hit *)
-let test_cache_legacy_entry_upgraded () =
+(* a stored entry whose bytes were silently flipped (bit rot, partial
+   write) fails its embedded checksum and is quarantined the same way;
+   so is one with no [crc] member at all *)
+let test_cache_checksum_guard () =
+  let flip_digit text =
+    (* flip one digit inside the verdict/ppa region: still valid JSON,
+       wrong bytes *)
+    let i =
+      let rec find i =
+        if i >= String.length text then Alcotest.fail "no digit to flip"
+        else
+          match text.[i] with '1' .. '8' -> i | _ -> find (i + 1)
+      in
+      find 0
+    in
+    let bytes = Bytes.of_string text in
+    Bytes.set bytes i (Char.chr (Char.code text.[i] + 1));
+    Bytes.to_string bytes
+  in
+  let strip_crc text =
+    match Jsonout.of_string text with
+    | Jsonout.Obj fields ->
+      Jsonout.to_string (Jsonout.Obj (List.filter (fun (name, _) -> name <> "crc") fields))
+    | _ -> Alcotest.fail "entry is not an object"
+  in
+  List.iter
+    (fun (label, tamper) ->
+      with_cache_dir (fun dir ->
+          let cache = Cache.create ~dir () in
+          let k = key () in
+          Cache.store cache (sample_entry k);
+          let path = Filename.concat dir (k ^ ".json") in
+          write_file path (tamper (read_file path));
+          check Alcotest.bool (label ^ " entry misses") true (Cache.lookup cache k = None);
+          check Alcotest.int (label ^ " entry quarantined") 1 (Cache.quarantined cache)))
+    [ ("tampered", flip_digit); ("crc-less", strip_crc) ]
+
+(* a dry-run prediction must not mutate the store: a corrupt entry
+   probes as a miss but stays where it is, unquarantined and uncounted *)
+let test_cache_probe_read_only () =
   with_cache_dir (fun dir ->
       let cache = Cache.create ~dir () in
       let k = key () in
       Cache.store cache (sample_entry k);
       let path = Filename.concat dir (k ^ ".json") in
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let stripped =
-        match Jsonout.of_string text with
-        | Jsonout.Obj fields ->
-          Jsonout.Obj (List.filter (fun (name, _) -> name <> "crc") fields)
-        | _ -> Alcotest.fail "entry is not an object"
-      in
-      let oc = open_out_bin path in
-      output_string oc (Jsonout.to_string stripped);
-      close_out oc;
+      write_file path "{ not json";
       let c = Obs.create () in
       Obs.with_collector c (fun () ->
-          check Alcotest.bool "legacy entry hits" true (Cache.lookup cache k <> None);
-          check Alcotest.bool "second hit sees the upgraded entry" true
-            (Cache.lookup cache k <> None));
-      check Alcotest.int "counted once, not on the rewritten hit" 1
-        (Obs.counter_value c "sched.cache_legacy_entries");
-      let ic = open_in_bin path in
-      let rewritten = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      check Alcotest.bool "rewritten with a checksum" true
-        (Jsonout.member "crc" (Jsonout.of_string rewritten) <> None);
-      check Alcotest.int "nothing quarantined" 0 (Cache.quarantined cache))
+          check Alcotest.bool "corrupt entry probes false" false (Cache.probe cache k));
+      check Alcotest.bool "file still in place" true (Sys.file_exists path);
+      check Alcotest.int "nothing quarantined" 0 (Cache.quarantined cache);
+      check Alcotest.int "no quarantine counted" 0
+        (Obs.counter_value c "cache.quarantined"))
 
 (* {2 Scheduler} *)
 
@@ -429,8 +422,8 @@ let suite =
       test_cache_corrupt_entry_is_miss;
     Alcotest.test_case "cache: checksum guards against bit rot" `Quick
       test_cache_checksum_guard;
-    Alcotest.test_case "cache: pre-checksum entries counted and upgraded" `Quick
-      test_cache_legacy_entry_upgraded;
+    Alcotest.test_case "cache: probe is read-only on corrupt entries" `Quick
+      test_cache_probe_read_only;
     Alcotest.test_case "sched: results invariant under worker count" `Quick
       test_sched_worker_count_invariance;
     Alcotest.test_case "sched: manifest-ordered results and totals" `Quick
