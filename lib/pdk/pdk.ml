@@ -327,7 +327,7 @@ let instantiate node template drive =
     leakage_nw = template.t_leak *. leakage_factor node *. df;
   }
 
-let library node =
+let build_library node =
   let combinational =
     List.concat_map
       (fun t -> List.map (fun drive -> instantiate node t drive) t.t_drives)
@@ -335,10 +335,30 @@ let library node =
   in
   combinational @ [ instantiate node dff_template 1 ]
 
+(* Cell tables of the [nodes] constants, built once at module initialisation
+   and never mutated afterwards, so every domain can read them without a
+   lock. A node a caller builds itself is not in here: it is rebuilt per call. *)
+type tables = { cells : cell list; by_name : (string, cell) Hashtbl.t }
+
+let tables =
+  List.map
+    (fun node ->
+      let cells = build_library node in
+      let by_name = Hashtbl.create 64 in
+      List.iter (fun c -> Hashtbl.replace by_name c.cell_name c) cells;
+      (node, { cells; by_name }))
+    nodes
+
+(* [List.assq] rather than [List.assq_opt]: the hit path must not allocate. *)
+let library node =
+  match List.assq node tables with
+  | t -> t.cells
+  | exception Not_found -> build_library node
+
 let find_cell node name =
-  match List.find_opt (fun c -> c.cell_name = name) (library node) with
-  | Some c -> c
-  | None -> raise Not_found
+  match List.assq node tables with
+  | t -> Hashtbl.find t.by_name name
+  | exception Not_found -> List.find (fun c -> c.cell_name = name) (build_library node)
 
 let inverter node = find_cell node "INV_X1"
 

@@ -63,10 +63,19 @@ val open_nodes : unit -> node list
 val library : node -> cell list
 (** The standard-cell library scaled to the node: inverter/buffer and the
     2-input gates in X1/X2/X4 drive strengths, 3-input and complex cells
-    (AOI21, OAI21, MAJ3, MUX2) in X1, plus the flip-flop [DFF_X1]. *)
+    (AOI21, OAI21, MAJ3, MUX2) in X1, plus the flip-flop [DFF_X1].
+
+    For the {!nodes} constants (what {!find_node} returns) the library is
+    built once at module initialisation and shared read-only by every
+    domain, so this is a lookup by physical equality over the eleven nodes.
+    Any other node value, even a structurally equal copy, is rebuilt on
+    every call. *)
 
 val find_cell : node -> string -> cell
-(** @raise Not_found for an unknown cell name. *)
+(** O(1) and allocation-free for the {!nodes} constants (a hash lookup in
+    the shared table); a full library rebuild and linear scan for any other
+    node value. Same cells either way.
+    @raise Not_found for an unknown cell name. *)
 
 val inverter : node -> cell
 (** The X1 inverter (mapping inserts it for complemented literals). *)

@@ -130,6 +130,32 @@ let test_single_cell_design_completes () =
   check Alcotest.int "all steps ran" (List.length Flow.step_names)
     (List.length r.Flow.steps)
 
+(* Exact PPA of three designs through the full flow on edu130, printed with
+   %.17g. Sizing, STA and power must reproduce these bit for bit; a
+   deliberate QoR change updates them. *)
+let test_golden_ppa () =
+  List.iter
+    (fun (name, preset, (fmax, wns, power, area)) ->
+      let r = Flow.run_design (Designs.find name) (Flow.config ~node preset) in
+      let g label expected v =
+        check Alcotest.string (name ^ " " ^ label) expected (Printf.sprintf "%.17g" v)
+      in
+      g "fmax_mhz" fmax r.Flow.ppa.Flow.fmax_mhz;
+      g "wns_ps" wns r.Flow.ppa.Flow.wns_ps;
+      g "total_power_uw" power r.Flow.ppa.Flow.total_power_uw;
+      g "area_um2" area r.Flow.ppa.Flow.area_um2)
+    [
+      ( "alu8",
+        Flow.Commercial_flow,
+        ("885.52059776779834", "1145.7207912263375", "348.27930149058705", "1564.214969135802") );
+      ( "fir4x8",
+        Flow.Commercial_flow,
+        ("532.79631445285668", "398.11014007871336", "726.70756270068819", "2581.8401234567782") );
+      ( "xbar4x8",
+        Flow.Teaching_flow,
+        ("1351.6110825976923", "6085.1422014992086", "261.94047967160463", "1792.2345679012244") );
+    ]
+
 let suite =
   [
     Alcotest.test_case "open flow end to end" `Slow test_open_flow_end_to_end;
@@ -146,4 +172,5 @@ let suite =
     Alcotest.test_case "rejects mapped netlist" `Quick test_rejects_mapped_netlist;
     Alcotest.test_case "single-cell design completes" `Quick
       test_single_cell_design_completes;
+    Alcotest.test_case "golden ppa" `Slow test_golden_ppa;
   ]

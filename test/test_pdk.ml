@@ -134,6 +134,63 @@ let test_all_two_input_functions_coverable () =
       check Alcotest.bool (Printf.sprintf "table %d" t) true (Hashtbl.mem achievable t))
     [ 0b1000; 0b0100; 0b0010; 0b0001; 0b0111; 0b1011; 0b1101; 0b1110; 0b0110; 0b1001 ]
 
+(* A copy of a node is not one of the [Pdk.nodes] constants, so it takes the
+   build-per-call path: the shared tables must match it cell for cell. *)
+let test_tables_match_rebuild () =
+  List.iter
+    (fun n ->
+      let copy = { n with Pdk.node_name = n.Pdk.node_name } in
+      let lib = Pdk.library n in
+      check Alcotest.bool (n.Pdk.node_name ^ " library") true (lib = Pdk.library copy);
+      check Alcotest.bool (n.Pdk.node_name ^ " combinational") true
+        (Pdk.combinational_cells n = Pdk.combinational_cells copy);
+      List.iter
+        (fun c ->
+          let name = c.Pdk.cell_name in
+          check Alcotest.bool (n.Pdk.node_name ^ " " ^ name) true
+            (Pdk.find_cell n name = Pdk.find_cell copy name))
+        lib;
+      Alcotest.check_raises "unknown cell" Not_found (fun () ->
+          ignore (Pdk.find_cell n "NAND9_X1"));
+      Alcotest.check_raises "unknown cell, copy" Not_found (fun () ->
+          ignore (Pdk.find_cell copy "NAND9_X1")))
+    Pdk.nodes
+
+let test_find_cell_shared () =
+  let n = Pdk.find_node "edu28" in
+  check Alcotest.bool "same cell twice" true
+    (Pdk.find_cell n "NAND2_X2" == Pdk.find_cell n "NAND2_X2");
+  check Alcotest.bool "same library twice" true (Pdk.library n == Pdk.library n)
+
+(* Guards against the per-call rebuild coming back: a lookup on a constant
+   node is a hash probe and allocates nothing. *)
+let test_find_cell_allocation_free () =
+  let n = Pdk.find_node "edu130" in
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Pdk.find_cell n "DFF_X1"))
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words for %d calls" words calls)
+    true
+    (words < float_of_int calls)
+
+let test_tables_across_domains () =
+  let resolve () =
+    List.map
+      (fun n -> List.map (fun c -> Pdk.find_cell n c.Pdk.cell_name) (Pdk.library n))
+      Pdk.nodes
+  in
+  let expected = resolve () in
+  let domains = List.init 4 (fun _ -> Domain.spawn resolve) in
+  List.iter
+    (fun d ->
+      check Alcotest.bool "same shared cells as main domain" true
+        (List.for_all2 (List.for_all2 ( == )) (Domain.join d) expected))
+    domains
+
 let suite =
   [
     Alcotest.test_case "node inventory" `Quick test_node_inventory;
@@ -148,4 +205,8 @@ let suite =
     Alcotest.test_case "dff" `Quick test_dff;
     Alcotest.test_case "wire model" `Quick test_wire_model;
     Alcotest.test_case "2-input completeness" `Quick test_all_two_input_functions_coverable;
+    Alcotest.test_case "tables match rebuild" `Quick test_tables_match_rebuild;
+    Alcotest.test_case "find_cell shares cells" `Quick test_find_cell_shared;
+    Alcotest.test_case "find_cell allocation-free" `Quick test_find_cell_allocation_free;
+    Alcotest.test_case "tables across domains" `Quick test_tables_across_domains;
   ]
