@@ -2,7 +2,6 @@ module Netlist = Educhip_netlist.Netlist
 module Pdk = Educhip_pdk.Pdk
 module Place = Educhip_place.Place
 module Route = Educhip_route.Route
-module Union_find = Educhip_util.Union_find
 
 type violation =
   | Placement_illegal of string

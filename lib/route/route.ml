@@ -2,7 +2,6 @@ module Netlist = Educhip_netlist.Netlist
 module Pdk = Educhip_pdk.Pdk
 module Place = Educhip_place.Place
 module Pqueue = Educhip_util.Pqueue
-module Union_find = Educhip_util.Union_find
 module Obs = Educhip_obs.Obs
 module Fault = Educhip_fault.Fault
 
@@ -22,7 +21,7 @@ type net_route = {
   driver : int;
   sink_cells : int list;
   mutable edges : int list; (* edge ids, deduplicated *)
-  mutable tiles : (int * int) list;
+  mutable tiles : int list; (* tile ids [y * nx + x], newest first *)
   mutable vias : int;
 }
 
@@ -47,6 +46,21 @@ let v_edge nx x y = (2 * ((y * nx) + x)) + 1
 
 let edge_count nx ny = 2 * nx * ny
 
+(* Tile (x, y) is id [y * nx + x]; an edge id's low bit is its direction
+   and the rest is the id of its lower-left tile. *)
+let xy_of_tile nx id = (id mod nx, id / nx)
+
+let edge_ends nx eid =
+  let a = eid / 2 in
+  (a, if eid land 1 = 0 then a + 1 else a + nx)
+
+(* The tile under a cell's placed location, clamped to the grid. *)
+let tile_of_cell placement ~nx ~ny ~tile id =
+  let x, y = Place.location placement id in
+  let tx = max 0 (min (nx - 1) (int_of_float (x /. tile))) in
+  let ty = max 0 (min (ny - 1) (int_of_float (y /. tile))) in
+  (ty * nx) + tx
+
 let route placement effort =
   if effort.rrr_rounds < 0 then invalid_arg "Route.route: rrr_rounds must be >= 0";
   let node = Place.node placement in
@@ -65,89 +79,112 @@ let route placement effort =
   let capacity =
     max 1 (int_of_float (tracks_per_tile *. float_of_int signal_layers))
   in
+  let tiles = nx * ny in
   let usage = Array.make (edge_count nx ny) 0 in
   let history = Array.make (edge_count nx ny) 0.0 in
-  let tile_of id =
-    let x, y = Place.location placement id in
-    let tx = max 0 (min (nx - 1) (int_of_float (x /. tile))) in
-    let ty = max 0 (min (ny - 1) (int_of_float (y /. tile))) in
-    (tx, ty)
-  in
+  let tile_of = tile_of_cell placement ~nx ~ny ~tile in
+  (* {2 The tile graph's search state}
+
+     Allocated once per call and indexed by tile id. A tile's [dist] and
+     parent are valid only while its [seen] stamp equals the current
+     search; [owned] marks the tiles of the net being routed the same way,
+     so neither needs clearing between searches or nets. *)
+  let dist = Array.make tiles 0.0 in
+  let parent_tile = Array.make tiles (-1) in
+  let parent_edge = Array.make tiles (-1) in
+  let seen = Array.make tiles 0 in
+  let search = ref 0 in
+  let owned = Array.make tiles 0 in
+  let net_stamp = ref 0 in
+  let frontier = Pqueue.create () in
   (* {2 One driver-to-sink connection via congestion-aware A*}
 
-     Sources are all tiles already owned by the net (cost 0), target is the
-     sink tile; the result appends new edges/tiles to the net. *)
+     Sources are all tiles already owned by the net (cost 0), in the
+     order of [net_tiles]; the target is the sink tile. Returns the path's
+     edges and tiles from a source tile to the target, or [None] when the
+     target is unreachable. *)
   let penalty = ref 2.0 in
   let astar net_tiles target =
-    let tx, ty = target in
-    let dist = Hashtbl.create 64 in
-    let parent = Hashtbl.create 64 in
-    let frontier = Pqueue.create () in
-    let heuristic (x, y) = float_of_int (abs (x - tx) + abs (y - ty)) in
+    incr search;
+    let stamp = !search in
+    let penalty = !penalty in
+    let tx = target mod nx and ty = target / nx in
+    (* Manhattan distance to the target; an int, so that no float is boxed
+       on its way back from a call *)
+    let heuristic t = abs ((t mod nx) - tx) + abs ((t / nx) - ty) in
+    Pqueue.clear frontier;
     List.iter
-      (fun xy ->
-        Hashtbl.replace dist xy 0.0;
-        Pqueue.push frontier ~priority:(heuristic xy) xy)
+      (fun t ->
+        seen.(t) <- stamp;
+        dist.(t) <- 0.0;
+        parent_tile.(t) <- -1;
+        Pqueue.push frontier ~priority:(float_of_int (heuristic t)) t)
       net_tiles;
-    let edge_cost eid =
-      1.0
-      +. history.(eid)
-      +. (!penalty *. float_of_int (max 0 (usage.(eid) + 1 - capacity)))
-    in
-    let rec search () =
-      match Pqueue.pop frontier with
-      | None -> None
-      | Some ((x, y) as xy) ->
-        if xy = target then Some xy
-        else begin
-          let d = Hashtbl.find dist xy in
-          let relax nxy eid =
-            let nd = d +. edge_cost eid in
-            let better =
-              match Hashtbl.find_opt dist nxy with Some old -> nd < old | None -> true
-            in
-            if better then begin
-              Hashtbl.replace dist nxy nd;
-              Hashtbl.replace parent nxy (xy, eid);
-              Pqueue.push frontier ~priority:(nd +. heuristic nxy) nxy
-            end
-          in
-          if x + 1 < nx then relax (x + 1, y) (h_edge nx x y);
-          if x - 1 >= 0 then relax (x - 1, y) (h_edge nx (x - 1) y);
-          if y + 1 < ny then relax (x, y + 1) (v_edge nx x y);
-          if y - 1 >= 0 then relax (x, y - 1) (v_edge nx x (y - 1));
-          search ()
-        end
-    in
-    match search () with
-    | None -> None
-    | Some _ ->
-      (* walk parents back to a source tile *)
-      let rec backtrack xy acc_edges acc_tiles =
-        match Hashtbl.find_opt parent xy with
-        | None -> (acc_edges, acc_tiles)
-        | Some (prev, eid) -> backtrack prev (eid :: acc_edges) (prev :: acc_tiles)
+    (* [t]'s distance is read here rather than passed in, which would box it *)
+    let relax t n eid =
+      let nd =
+        dist.(t)
+        +. (1.0
+           +. history.(eid)
+           +. (penalty *. float_of_int (max 0 (usage.(eid) + 1 - capacity))))
       in
-      let edges, tiles = backtrack target [] [ target ] in
-      Some (edges, tiles)
+      if seen.(n) <> stamp || nd < dist.(n) then begin
+        seen.(n) <- stamp;
+        dist.(n) <- nd;
+        parent_tile.(n) <- t;
+        parent_edge.(n) <- eid;
+        Pqueue.push frontier ~priority:(nd +. float_of_int (heuristic n)) n
+      end
+    in
+    let rec run () =
+      if Pqueue.is_empty frontier then false
+      else begin
+        let t = Pqueue.pop_exn frontier in
+        if t = target then true
+        else begin
+          let x = t mod nx and y = t / nx in
+          if x + 1 < nx then relax t (t + 1) (h_edge nx x y);
+          if x - 1 >= 0 then relax t (t - 1) (h_edge nx (x - 1) y);
+          if y + 1 < ny then relax t (t + nx) (v_edge nx x y);
+          if y - 1 >= 0 then relax t (t - nx) (v_edge nx x (y - 1));
+          run ()
+        end
+      end
+    in
+    if not (run ()) then None
+    else begin
+      (* walk parents back to a source tile *)
+      let rec backtrack t acc_edges acc_tiles =
+        let prev = parent_tile.(t) in
+        if prev < 0 then (acc_edges, acc_tiles)
+        else backtrack prev (parent_edge.(t) :: acc_edges) (prev :: acc_tiles)
+      in
+      Some (backtrack target [] [ target ])
+    end
   in
   let route_net net =
+    incr net_stamp;
     let driver_tile = tile_of net.driver in
+    owned.(driver_tile) <- !net_stamp;
     net.tiles <- [ driver_tile ];
     net.edges <- [];
     net.vias <- 0;
     List.iter
       (fun sink ->
         let target = tile_of sink in
-        if not (List.mem target net.tiles) then
+        if owned.(target) <> !net_stamp then
           match astar net.tiles target with
           | None -> () (* unreachable only on a degenerate grid *)
-          | Some (edges, tiles) ->
-            let fresh = List.filter (fun e -> not (List.mem e net.edges)) edges in
-            List.iter (fun e -> usage.(e) <- usage.(e) + 1) fresh;
-            net.edges <- fresh @ net.edges;
-            net.tiles <- List.filter (fun t -> not (List.mem t net.tiles)) tiles @ net.tiles;
-            (* direction changes along the fresh path are vias *)
+          | Some (edges, path) ->
+            (* Only the path's first tile is already owned: every later
+               tile was reached at a positive cost, so none is a source.
+               Each edge thus has an unowned end and is new to the net. *)
+            List.iter (fun e -> usage.(e) <- usage.(e) + 1) edges;
+            net.edges <- edges @ net.edges;
+            let fresh = List.tl path in
+            List.iter (fun t -> owned.(t) <- !net_stamp) fresh;
+            net.tiles <- fresh @ net.tiles;
+            (* direction changes along the path are vias *)
             let rec count_bends = function
               | a :: (b :: _ as rest) ->
                 (if a land 1 <> b land 1 then 1 else 0) + count_bends rest
@@ -180,11 +217,6 @@ let route placement effort =
      them under increased history/penalty costs. Negotiation can move
      congestion around before it resolves it, so the best solution seen
      (fewest overflows, then shortest wirelength) is kept. *)
-  let overflowed_edges () =
-    let acc = ref [] in
-    Array.iteri (fun e u -> if u > capacity then acc := e :: !acc) usage;
-    !acc
-  in
   let total_overflow () =
     Array.fold_left (fun acc u -> acc + max 0 (u - capacity)) 0 usage
   in
@@ -207,17 +239,24 @@ let route placement effort =
   let best_score = ref (total_overflow (), total_edges ()) in
   let obs_on = Obs.enabled () in
   if obs_on then Obs.observe "route.overflow" (float_of_int (total_overflow ()));
+  (* the edges over capacity at the start of the current round *)
+  let bad = Array.make (edge_count nx ny) false in
   let rec negotiate round =
     if round < effort.rrr_rounds then begin
-      match overflowed_edges () with
-      | [] -> ()
-      | bad ->
-        List.iter (fun e -> history.(e) <- history.(e) +. 0.5) bad;
+      let any_bad = ref false in
+      Array.iteri
+        (fun e u ->
+          let over = u > capacity in
+          bad.(e) <- over;
+          if over then begin
+            any_bad := true;
+            history.(e) <- history.(e) +. 0.5
+          end)
+        usage;
+      if !any_bad then begin
         penalty := !penalty *. 1.3;
-        let bad_set = Hashtbl.create 64 in
-        List.iter (fun e -> Hashtbl.replace bad_set e ()) bad;
         let victims =
-          List.filter (fun net -> List.exists (Hashtbl.mem bad_set) net.edges) nets
+          List.filter (fun net -> List.exists (fun e -> bad.(e)) net.edges) nets
         in
         List.iter rip_up victims;
         List.iter route_net victims;
@@ -232,6 +271,7 @@ let route placement effort =
           best := snapshot ()
         end;
         negotiate (round + 1)
+      end
     end
   in
   (* A corrupt negotiation skips rip-up-and-reroute: the initial greedy
@@ -283,9 +323,8 @@ let congestion t =
 
 (* Decode an edge id back into its two tiles. *)
 let edge_tiles nx eid =
-  let cell = eid / 2 in
-  let x = cell mod nx and y = cell / nx in
-  if eid land 1 = 0 then ((x, y), (x + 1, y)) else ((x, y), (x, y + 1))
+  let a, b = edge_ends nx eid in
+  (xy_of_tile nx a, xy_of_tile nx b)
 
 let net_segments t driver =
   match Hashtbl.find_opt t.by_driver driver with
@@ -336,7 +375,7 @@ let snapshot t =
             rs_driver = net.driver;
             rs_sinks = net.sink_cells;
             rs_edges = net.edges;
-            rs_tiles = net.tiles;
+            rs_tiles = List.map (xy_of_tile t.nx) net.tiles;
             rs_vias = net.vias;
           })
         t.routes;
@@ -347,6 +386,27 @@ let restore placement s =
     invalid_arg "Route.restore: degenerate grid";
   if Array.length s.rs_usage <> edge_count s.rs_nx s.rs_ny then
     invalid_arg "Route.restore: usage array does not match the grid";
+  let nx = s.rs_nx and ny = s.rs_ny in
+  (* the grid has no horizontal edge out of its last column and no
+     vertical edge out of its last row, though their ids exist *)
+  let check_edge eid =
+    let cell = eid / 2 in
+    if
+      eid < 0
+      || eid >= edge_count nx ny
+      || (eid land 1 = 0 && cell mod nx = nx - 1)
+      || (eid land 1 = 1 && cell / nx = ny - 1)
+    then invalid_arg (Printf.sprintf "Route.restore: edge %d is not in the grid" eid)
+  in
+  let check_tile (x, y) =
+    if x < 0 || x >= nx || y < 0 || y >= ny then
+      invalid_arg (Printf.sprintf "Route.restore: tile (%d, %d) is not in the grid" x y)
+  in
+  List.iter
+    (fun ns ->
+      List.iter check_edge ns.rs_edges;
+      List.iter check_tile ns.rs_tiles)
+    s.rs_nets;
   let routes =
     List.map
       (fun ns ->
@@ -354,7 +414,7 @@ let restore placement s =
           driver = ns.rs_driver;
           sink_cells = ns.rs_sinks;
           edges = ns.rs_edges;
-          tiles = ns.rs_tiles;
+          tiles = List.map (fun (x, y) -> (y * nx) + x) ns.rs_tiles;
           vias = ns.rs_vias;
         })
       s.rs_nets
@@ -372,23 +432,36 @@ let restore placement s =
     by_driver;
   }
 
+(* One union-find parent array for the whole check, indexed by tile id.
+   Only a net's edge ends ever leave their own set, so resetting them
+   after each net leaves the array as fresh for the next one. *)
 let fully_connected t =
-  let tile_index (x, y) = (y * t.nx) + x in
-  let placement = t.placement in
-  let tile_of id =
-    let x, y = Place.location placement id in
-    let tx = max 0 (min (t.nx - 1) (int_of_float (x /. t.tile))) in
-    let ty = max 0 (min (t.ny - 1) (int_of_float (y /. t.tile))) in
-    (tx, ty)
+  let parent = Array.init (t.nx * t.ny) Fun.id in
+  let rec find i =
+    let p = parent.(i) in
+    if p = i then i
+    else begin
+      let root = find p in
+      parent.(i) <- root;
+      root
+    end
   in
+  let tile_of = tile_of_cell t.placement ~nx:t.nx ~ny:t.ny ~tile:t.tile in
   List.for_all
     (fun net ->
-      let uf = Union_find.create (t.nx * t.ny) in
       List.iter
         (fun eid ->
-          let a, b = edge_tiles t.nx eid in
-          Union_find.union uf (tile_index a) (tile_index b))
+          let a, b = edge_ends t.nx eid in
+          let ra = find a and rb = find b in
+          if ra <> rb then parent.(ra) <- rb)
         net.edges;
-      let dt = tile_index (tile_of net.driver) in
-      List.for_all (fun s -> Union_find.same uf dt (tile_index (tile_of s))) net.sink_cells)
+      let root = find (tile_of net.driver) in
+      let connected = List.for_all (fun s -> find (tile_of s) = root) net.sink_cells in
+      List.iter
+        (fun eid ->
+          let a, b = edge_ends t.nx eid in
+          parent.(a) <- a;
+          parent.(b) <- b)
+        net.edges;
+      connected)
     t.routes

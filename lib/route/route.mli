@@ -8,6 +8,14 @@
     (history cost, as in PathFinder) resolve overflows. Effort presets
     control the number of negotiation rounds — the E6/A3 knob.
 
+    The router keeps its own tile graph: tile [(x, y)] is the integer id
+    [y * nx + x], and edge ids index the boundaries between tiles. One
+    call to {!route} allocates its search state once, as arrays indexed
+    by tile id (distance, parent tile and edge, a search stamp that
+    invalidates them between searches, a stamp marking the tiles of the
+    net being routed) plus one priority queue of tile ids, and reuses
+    them for every connection of every net and negotiation round.
+
     Results expose per-net routed wirelength (feeding STA wire delays),
     via counts, the congestion map, and remaining overflow (fed to DRC). *)
 
@@ -60,8 +68,9 @@ val net_segments : t -> Educhip_netlist.Netlist.cell_id -> segment list
 (** Routed segments of a net (empty when absent). *)
 
 val fully_connected : t -> bool
-(** Every net's pins are connected through its routed tiles — checked with
-    a union-find over tile adjacency; the invariant DRC re-verifies. *)
+(** Every net's pins are connected through its routed edges — checked
+    with a union-find over tile ids that is reset after each net; the
+    invariant DRC re-verifies. *)
 
 type net_snapshot = {
   rs_driver : int;
@@ -87,8 +96,10 @@ val snapshot : t -> snapshot
 val restore : Educhip_place.Place.t -> snapshot -> t
 (** Rebuild a routing result around the given placement without rerunning
     the router.
-    @raise Invalid_argument on a degenerate grid or a usage array that
-    does not match it. *)
+    @raise Invalid_argument on a degenerate grid, a usage array that
+    does not match it, an edge the grid does not have (an id outside
+    [\[0, 2 * nx * ny)], a horizontal edge out of the last column or a
+    vertical edge out of the last row) or a tile outside the grid. *)
 
 val metric_names : string list
 (** Counter families {!route} reports to [Educhip_obs.Obs] when

@@ -10,6 +10,7 @@ module Stepkey = Educhip_artifact.Stepkey
 module Artifact = Educhip_artifact.Artifact
 module Astore = Educhip_artifact.Store
 module Kv = Educhip_artifact.Kv
+module Codec = Educhip_artifact.Codec
 module Jsonout = Educhip_obs.Jsonout
 module Crc32 = Educhip_util.Crc32
 module Obs = Educhip_obs.Obs
@@ -303,6 +304,38 @@ let test_kv_concurrent_domains () =
   check Alcotest.bool "cap held at the end" true (Kv.entries kv <= 3);
   check Alcotest.int "nothing quarantined" 0 (Kv.quarantined kv)
 
+(* A stored routing state whose first net names an edge the grid does
+   not have decodes as corruption, not as a route. *)
+let test_route_decode_rejects_phantom_edge () =
+  let r = Flow.run counter (Flow.config ~node:node130 Flow.Open_flow) in
+  let tag, json = Codec.state_to_json (Flow.S_route r.Flow.routed) in
+  let nx, _ = Route.grid_size r.Flow.routed in
+  let phantom = Jsonout.List [ Jsonout.Int (2 * (nx - 1)) ] in
+  let tamper_first_net = function
+    | Jsonout.Obj net :: rest ->
+      Jsonout.Obj (List.map (fun (k, v) -> if k = "edges" then (k, phantom) else (k, v)) net)
+      :: rest
+    | _ -> Alcotest.fail "routing state has no nets"
+  in
+  let json =
+    match json with
+    | Jsonout.Obj fields ->
+      Jsonout.Obj
+        (List.map
+           (function
+             | "nets", Jsonout.List nets -> ("nets", Jsonout.List (tamper_first_net nets))
+             | field -> field)
+           fields)
+    | _ -> Alcotest.fail "routing state is not an object"
+  in
+  let ctx =
+    { Codec.design_name = "counter"; node = node130; netlist = Some r.Flow.mapped;
+      placement = Some r.Flow.placement }
+  in
+  match Codec.state_of_json ctx ~tag json with
+  | _ -> Alcotest.fail "phantom edge decoded"
+  | exception Failure _ -> ()
+
 let suite =
   List.map QCheck_alcotest.to_alcotest [ prop_knob_splits_chain ]
   @ [
@@ -314,4 +347,5 @@ let suite =
       ("corrupt artifact quarantined", `Quick, test_corrupt_artifact_quarantined);
       ("kv on-disk format", `Quick, test_kv_disk_format);
       ("kv concurrent domains under a cap", `Quick, test_kv_concurrent_domains);
+      ("route decode rejects phantom edge", `Quick, test_route_decode_rejects_phantom_edge);
     ]

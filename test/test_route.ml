@@ -3,6 +3,7 @@ module Route = Educhip_route.Route
 module Synth = Educhip_synth.Synth
 module Pdk = Educhip_pdk.Pdk
 module Designs = Educhip_designs.Designs
+module Flow = Educhip_flow.Flow
 
 let check = Alcotest.check
 
@@ -83,6 +84,141 @@ let test_grid_reasonable () =
   check Alcotest.bool "grid at least 2x2" true (nx >= 2 && ny >= 2);
   check Alcotest.bool "grid bounded" true (nx <= 256 && ny <= 256)
 
+(* The flow's own placement of a design under a preset, routed again at
+   the given effort. *)
+let flow_routed name preset effort =
+  let r = Flow.run_design (Designs.find name) (Flow.config ~node preset) in
+  Route.route r.Flow.placement effort
+
+let edges_digest routed =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun ns ->
+      Buffer.add_string b (string_of_int ns.Route.rs_driver);
+      Buffer.add_char b ':';
+      List.iter (fun e -> Buffer.add_string b (string_of_int e); Buffer.add_char b ',')
+        ns.Route.rs_edges;
+      Buffer.add_char b ';')
+    (Route.snapshot routed).Route.rs_nets;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Exact routes of three designs on their flow placements: wirelength at
+   %.17g, vias, overflow and a digest of every net's edge list (in
+   order). The router must reproduce these bit for bit; a deliberate
+   routing change updates them. *)
+let test_golden_routes () =
+  List.iter
+    (fun (name, preset, (label, effort), (wl, vias, overflow, digest)) ->
+      let routed = flow_routed name preset effort in
+      let tag what = Printf.sprintf "%s %s %s" name label what in
+      check Alcotest.string (tag "wirelength_um") wl
+        (Printf.sprintf "%.17g" (Route.wirelength_um routed));
+      check Alcotest.int (tag "via_count") vias (Route.via_count routed);
+      check Alcotest.int (tag "overflow") overflow (Route.overflow routed);
+      check Alcotest.string (tag "edges digest") digest (edges_digest routed))
+    [
+      ( "mult8",
+        Flow.Teaching_flow,
+        ("low", Route.low_effort),
+        ("12117.333333333343", 1817, 115, "f26883946d262c19b36319b14f377b8f") );
+      ( "mult8",
+        Flow.Teaching_flow,
+        ("default", Route.default_effort),
+        ("12570.666666666679", 1844, 58, "f8a80fa952fc4b293ff47702fa9b0c62") );
+      ( "xbar4x8",
+        Flow.Teaching_flow,
+        ("low", Route.low_effort),
+        ("13197.333333333336", 1957, 736, "b2e04a29bd5532b397c7954e9aadba5e") );
+      ( "xbar4x8",
+        Flow.Teaching_flow,
+        ("default", Route.default_effort),
+        ("13642.66666666667", 2042, 696, "63986202b1cc965eac257ed4106ef74c") );
+      ( "alu8",
+        Flow.Commercial_flow,
+        ("high", Route.high_effort),
+        ("3752.0000000000009", 557, 0, "9273cc75b8578563a780e3a2a802815e") );
+    ]
+
+(* A routed net is a tree over its tiles whose every branch ends at a
+   pin, so dropping any one edge disconnects it: checked for each routed
+   net in turn, in a snapshot where every other net is intact. *)
+let test_dropped_edge_disconnects () =
+  let placement = placed "alu8" Place.default_effort in
+  let s = Route.snapshot (Route.route placement Route.default_effort) in
+  check Alcotest.bool "intact snapshot connected" true
+    (Route.fully_connected (Route.restore placement s));
+  let routed = List.filter (fun ns -> ns.Route.rs_edges <> []) s.Route.rs_nets in
+  check Alcotest.bool "some nets routed" true (List.length routed > 10);
+  List.iter
+    (fun victim ->
+      let edges = victim.Route.rs_edges in
+      let cut = List.nth edges (List.length edges / 2) in
+      let nets =
+        List.map
+          (fun ns ->
+            if ns == victim then
+              { ns with Route.rs_edges = List.filter (fun e -> e <> cut) edges }
+            else ns)
+          s.Route.rs_nets
+      in
+      check Alcotest.bool
+        (Printf.sprintf "net %d without edge %d disconnected" victim.Route.rs_driver cut)
+        false
+        (Route.fully_connected (Route.restore placement { s with Route.rs_nets = nets })))
+    routed
+
+(* {2 Hostile snapshots}
+
+   A restored snapshot names edges and tiles by number; each of these
+   must be rejected rather than indexing past the grid. *)
+
+let adder8_routed =
+  lazy
+    (let placement = placed "adder8" Place.default_effort in
+     (placement, Route.snapshot (Route.route placement Route.default_effort)))
+
+let grid () =
+  let _, s = Lazy.force adder8_routed in
+  (s.Route.rs_nx, s.Route.rs_ny)
+
+(* Restoring adder8's routes with its first net's edges or tiles
+   replaced must raise [Invalid_argument]. *)
+let rejects what ?edges ?tiles () =
+  let placement, s = Lazy.force adder8_routed in
+  let nets =
+    match s.Route.rs_nets with
+    | ns :: rest ->
+      { ns with
+        Route.rs_edges = Option.value edges ~default:ns.Route.rs_edges;
+        rs_tiles = Option.value tiles ~default:ns.Route.rs_tiles }
+      :: rest
+    | [] -> Alcotest.fail "adder8 routes no nets"
+  in
+  match Route.restore placement { s with Route.rs_nets = nets } with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception Invalid_argument _ -> ()
+
+let test_restore_rejects_edge_out_of_range () =
+  let nx, ny = grid () in
+  rejects "negative edge id" ~edges:[ -1 ] ();
+  rejects "edge id past the grid" ~edges:[ 2 * nx * ny ] ()
+
+let test_restore_rejects_phantom_horizontal_edge () =
+  let nx, _ = grid () in
+  (* the horizontal edge out of tile (nx-1, 0) would wrap into row 1 *)
+  rejects "horizontal edge out of the last column" ~edges:[ 2 * (nx - 1) ] ()
+
+let test_restore_rejects_phantom_vertical_edge () =
+  let nx, ny = grid () in
+  (* the vertical edge out of tile (0, ny-1) points off the grid *)
+  rejects "vertical edge out of the last row" ~edges:[ (2 * (ny - 1) * nx) + 1 ] ()
+
+let test_restore_rejects_tile_outside_grid () =
+  let nx, ny = grid () in
+  List.iter
+    (fun xy -> rejects "tile outside the grid" ~tiles:[ xy ] ())
+    [ (-1, 0); (0, -1); (nx, 0); (0, ny) ]
+
 let prop_random_designs_route_connected =
   QCheck.Test.make ~name:"random mapped designs route fully connected" ~count:12
     QCheck.small_nat (fun seed ->
@@ -104,5 +240,15 @@ let suite =
     Alcotest.test_case "segments match wirelength" `Quick test_segments_match_wirelength;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "grid reasonable" `Quick test_grid_reasonable;
+    Alcotest.test_case "golden routes" `Slow test_golden_routes;
+    Alcotest.test_case "dropped edge disconnects" `Quick test_dropped_edge_disconnects;
+    Alcotest.test_case "restore rejects edge out of range" `Quick
+      test_restore_rejects_edge_out_of_range;
+    Alcotest.test_case "restore rejects phantom horizontal edge" `Quick
+      test_restore_rejects_phantom_horizontal_edge;
+    Alcotest.test_case "restore rejects phantom vertical edge" `Quick
+      test_restore_rejects_phantom_vertical_edge;
+    Alcotest.test_case "restore rejects tile outside grid" `Quick
+      test_restore_rejects_tile_outside_grid;
   ]
   @ qsuite

@@ -1,6 +1,5 @@
 module Rng = Educhip_util.Rng
 module Pqueue = Educhip_util.Pqueue
-module Union_find = Educhip_util.Union_find
 module Digraph = Educhip_util.Digraph
 module Stats = Educhip_util.Stats
 module Table = Educhip_util.Table
@@ -114,6 +113,36 @@ let test_pqueue_peek () =
   Pqueue.clear q;
   check Alcotest.bool "cleared" true (Pqueue.is_empty q)
 
+(* Equal priorities pop in insertion order while the heap grows past its
+   initial capacity with pops interleaved, and again after [clear]. *)
+let test_pqueue_ties_across_growth () =
+  let q = Pqueue.create () in
+  let round () =
+    let popped = ref [] in
+    let pop () = popped := Pqueue.pop_exn q :: !popped in
+    for i = 0 to 39 do
+      Pqueue.push q ~priority:(if i mod 3 = 0 then 1.0 else 2.0) i;
+      if i mod 5 = 4 then pop ()
+    done;
+    while not (Pqueue.is_empty q) do
+      pop ()
+    done;
+    List.rev !popped
+  in
+  (* the interleaved pops take the earliest 1.0 entry present, else the
+     earliest 2.0 one; the drain then empties both classes in order *)
+  let expected =
+    let ones = List.filter (fun i -> i mod 3 = 0) (List.init 40 Fun.id) in
+    let early = [ 0; 3; 6; 9; 12; 15; 18; 21 ] in
+    early
+    @ List.filter (fun i -> not (List.mem i early)) ones
+    @ List.filter (fun i -> i mod 3 <> 0) (List.init 40 Fun.id)
+  in
+  check Alcotest.(list int) "insertion order" expected (round ());
+  Pqueue.push q ~priority:0.5 (-1);
+  Pqueue.clear q;
+  check Alcotest.(list int) "insertion order after clear" expected (round ())
+
 let prop_pqueue_heap =
   QCheck.Test.make ~name:"pqueue pops in priority order" ~count:100
     QCheck.(list (pair (float_range 0.0 1000.0) small_int))
@@ -128,32 +157,6 @@ let prop_pqueue_heap =
           p >= last && drain p
       in
       drain neg_infinity)
-
-(* {1 Union_find} *)
-
-let test_union_find_basic () =
-  let uf = Union_find.create 10 in
-  check Alcotest.int "initial sets" 10 (Union_find.count uf);
-  Union_find.union uf 0 1;
-  Union_find.union uf 1 2;
-  check Alcotest.bool "0~2" true (Union_find.same uf 0 2);
-  check Alcotest.bool "0!~3" false (Union_find.same uf 0 3);
-  check Alcotest.int "8 sets" 8 (Union_find.count uf);
-  Union_find.union uf 0 2;
-  check Alcotest.int "idempotent union" 8 (Union_find.count uf)
-
-let prop_union_find_transitive =
-  QCheck.Test.make ~name:"union-find transitivity" ~count:100
-    QCheck.(list (pair (int_bound 19) (int_bound 19)))
-    (fun pairs ->
-      let uf = Union_find.create 20 in
-      List.iter (fun (a, b) -> Union_find.union uf a b) pairs;
-      (* find is canonical: same root implies same class both ways *)
-      List.for_all
-        (fun (a, b) ->
-          Union_find.same uf a b
-          = (Union_find.find uf a = Union_find.find uf b))
-        (List.concat_map (fun (a, b) -> [ (a, b); (b, a) ]) pairs))
 
 (* {1 Digraph} *)
 
@@ -294,7 +297,7 @@ let test_table_cells () =
   check Alcotest.string "money B" "$1.2B" (Table.cell_money 1.2e9);
   check Alcotest.string "money k" "$12k" (Table.cell_money 12_000.0)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_pqueue_heap; prop_union_find_transitive; prop_digraph_topo_respects_edges ]
+let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_pqueue_heap; prop_digraph_topo_respects_edges ]
 
 let suite =
   [
@@ -310,7 +313,7 @@ let suite =
     Alcotest.test_case "pqueue sorted pops" `Quick test_pqueue_sorted_pops;
     Alcotest.test_case "pqueue fifo ties" `Quick test_pqueue_fifo_ties;
     Alcotest.test_case "pqueue peek/clear" `Quick test_pqueue_peek;
-    Alcotest.test_case "union-find basic" `Quick test_union_find_basic;
+    Alcotest.test_case "pqueue ties across growth" `Quick test_pqueue_ties_across_growth;
     Alcotest.test_case "digraph topo" `Quick test_digraph_topo;
     Alcotest.test_case "digraph cycle" `Quick test_digraph_cycle;
     Alcotest.test_case "digraph levels" `Quick test_digraph_levels;
