@@ -1921,7 +1921,7 @@ let incr_bench () =
   in
   Printf.printf "%-10s commercial  cold populate %8.2f ms  (%d artifacts stored)\n%!"
     design populate_ms (Astore.entries store);
-  let n_steps = List.length Flow.step_names in
+  let n_steps = List.length Flow.stored_step_names in
   let reps = 5 in
   let rep k =
     (* a per-rep power-analysis edit: only the late suffix (the power
@@ -1942,7 +1942,7 @@ let incr_bench () =
     Printf.printf
       "edit %d: resume at %-9s (%d/%d warm)  cold %8.2f ms  warm %7.2f ms  %6.1fx  %s\n%!"
       (k + 1)
-      (if depth < n_steps then List.nth Flow.step_names depth else "-")
+      (if depth < n_steps then List.nth Flow.stored_step_names depth else "-")
       depth n_steps cold_ms warm_ms speedup
       (if bit_identical then "bit-identical" else "MISMATCH");
     (depth, cold_ms, warm_ms, speedup, bit_identical)

@@ -165,11 +165,11 @@ let run_flow design_name node_name preset_name_ clock_ps gds_path verilog_path v
             in
             (if depth = 0 then
                Printf.printf "artifacts: cold (%s)\n" dir
-             else if depth >= List.length Flow.step_names then
+             else if depth >= List.length Flow.stored_step_names then
                Printf.printf "artifacts: full replay from %s\n" dir
              else
                Printf.printf "artifacts: resuming at %s (%d warm step%s, %s)\n"
-                 (List.nth Flow.step_names depth)
+                 (List.nth Flow.stored_step_names depth)
                  depth
                  (if depth = 1 then "" else "s")
                  dir);
@@ -362,8 +362,9 @@ let artifact_dir_arg =
           "Enable the per-step incremental artifact store in $(docv): the flow \
            resumes from the deepest prefix of steps whose content keys are \
            already stored (an RTL or config edit reruns only the steps at and \
-           below the first change), and stores every freshly computed step. \
-           Warm results are bit-identical to cold runs.")
+           below the first change), and stores every freshly computed step \
+           but gds, whose layout is rebuilt from the routing state. Warm \
+           results are bit-identical to cold runs.")
 
 let artifact_max_arg =
   Arg.(
@@ -632,7 +633,7 @@ let run_batch manifest_path jobs_opt no_cache cache_dir cache_max artifact_dir
     (* three-way prediction: a whole-job cache hit costs no flow at all;
        otherwise the artifact store may let the flow resume mid-template;
        otherwise it runs cold *)
-    let n_steps = List.length Flow.step_names in
+    let n_steps = List.length Flow.stored_step_names in
     let predict (j : Manifest.job) =
       match cache with
       | Some c when Cache.probe c (batch_job_key j) -> "hit "
@@ -643,7 +644,7 @@ let run_batch manifest_path jobs_opt no_cache cache_dir cache_max artifact_dir
           match batch_artifact_depth store j with
           | 0 -> "miss"
           | d when d >= n_steps -> "replay"
-          | d -> Printf.sprintf "resume@%s" (List.nth Flow.step_names d)))
+          | d -> Printf.sprintf "resume@%s" (List.nth Flow.stored_step_names d)))
     in
     let predictions = List.map predict manifest.Manifest.jobs in
     List.iter2

@@ -21,7 +21,7 @@ let memo ~store ~netlist ~cfg ~inject ~fault_seed ~retries : Flow.memo =
     | Flow.S_synth (n, _) | Flow.S_netlist n -> last_netlist := Some n
     | Flow.S_place p -> last_place := Some p
     | Flow.S_cts _ | Flow.S_route _ | Flow.S_timing _ | Flow.S_power _
-    | Flow.S_drc _ | Flow.S_gds _ ->
+    | Flow.S_drc _ | Flow.S_not_stored ->
       ()
   in
   let memo_probe step =
@@ -73,8 +73,8 @@ let memo ~store ~netlist ~cfg ~inject ~fault_seed ~retries : Flow.memo =
   in
   { Flow.memo_probe; memo_save }
 
-(* Read-only prediction for --dry-run: how many leading steps would
-   replay. Counts consecutive probe hits from the chain's head — the
+(* Read-only prediction for --dry-run: how many leading stored steps
+   would replay. Counts consecutive probe hits from the chain's head — the
    same stop-at-first-miss rule the replay itself follows, so the
    prediction can't overpromise a resume depth the run won't reach. *)
 let warm_prefix ~store ~netlist ~cfg ~inject ~fault_seed ~retries =

@@ -1,7 +1,9 @@
 (** Per-step incremental flow cache.
 
     Wires the {!Stepkey} chain, the {!Codec}, and the {!Store} into a
-    [Flow.memo]: each flow step's output is stored content-addressed by
+    [Flow.memo]: each stored flow step's output
+    ([Flow.stored_step_names]: every step but [gds], whose layout is
+    rebuilt from the routing state) is stored content-addressed by
     [H(step, config slice, fault slice, upstream key)], so
 
     - an RTL or config edit reruns only the steps at and below the first
@@ -41,11 +43,13 @@ val warm_prefix :
   fault_seed:int ->
   retries:int ->
   int
-(** How many leading steps a run would replay: consecutive store hits
-    from the chain's head, stopping at the first miss — the same rule
-    the replay follows. Read-only ({!Store.probe}); used by [--dry-run]
-    predictions. [0] = fully cold, [List.length Flow.step_names] = the
-    whole flow replays. *)
+(** How many leading stored steps a run would replay: consecutive
+    store hits from the chain's head, stopping at the first miss — the
+    same rule the replay follows. Read-only ({!Store.probe}); used by
+    [--dry-run] predictions. [0] = fully cold,
+    [List.length Flow.stored_step_names] = every stored step replays
+    (only [gds] runs live); otherwise the run resumes at
+    [List.nth Flow.stored_step_names depth]. *)
 
 val metric_names : string list
 (** {!Store.metric_names}, re-exported for pre-declaration. *)

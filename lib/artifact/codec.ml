@@ -7,7 +7,6 @@ module Route = Educhip_route.Route
 module Timing = Educhip_timing.Timing
 module Power = Educhip_power.Power
 module Drc = Educhip_drc.Drc
-module Gds = Educhip_gds.Gds
 module Cts = Educhip_cts.Cts
 module J = Educhip_obs.Jsonout
 
@@ -403,59 +402,6 @@ let route_of_json ~placement j =
   | r -> r
   | exception Invalid_argument m -> fail m
 
-let layer_to_int = Gds.layer_number
-
-let layer_of_int = function
-  | 0 -> Gds.Outline
-  | 1 -> Gds.Row
-  | 2 -> Gds.Cell_body
-  | 3 -> Gds.Metal_h
-  | 4 -> Gds.Metal_v
-  | 5 -> Gds.Via
-  | n -> fail (Printf.sprintf "unknown gds layer %d" n)
-
-let gds_to_json (g : Gds.t) =
-  (* design_name is excluded like the netlist name: the restoring run
-     re-labels the layout with its own design name *)
-  J.Obj
-    [
-      ("die_w", J.Float g.Gds.die_w);
-      ("die_h", J.Float g.Gds.die_h);
-      ( "rects",
-        J.List
-          (List.map
-             (fun (r : Gds.rect) ->
-               J.List
-                 [
-                   J.Int (layer_to_int r.Gds.layer);
-                   J.Float r.Gds.x0;
-                   J.Float r.Gds.y0;
-                   J.Float r.Gds.x1;
-                   J.Float r.Gds.y1;
-                 ])
-             g.Gds.rects) );
-    ]
-
-let gds_of_json ~design_name j : Gds.t =
-  {
-    Gds.design_name;
-    die_w = float_field "die_w" j;
-    die_h = float_field "die_h" j;
-    rects =
-      List.map
-        (function
-          | J.List [ layer; x0; y0; x1; y1 ] ->
-            {
-              Gds.layer = layer_of_int (to_int layer);
-              x0 = to_float x0;
-              y0 = to_float y0;
-              x1 = to_float x1;
-              y1 = to_float y1;
-            }
-          | _ -> fail "bad rect row")
-        (to_list (member "rects" j));
-  }
-
 (* {2 Step reports and exec records} *)
 
 let report_to_json (r : Flow.step_report) =
@@ -514,7 +460,7 @@ let state_to_json = function
   | Flow.S_timing t -> ("timing", timing_report_to_json t)
   | Flow.S_power p -> ("power", power_report_to_json p)
   | Flow.S_drc d -> ("drc", drc_report_to_json d)
-  | Flow.S_gds g -> ("gds", gds_to_json g)
+  | Flow.S_not_stored -> invalid_arg "Codec.state_to_json: S_not_stored"
 
 let state_of_json ctx ~tag j =
   match tag with
@@ -536,5 +482,4 @@ let state_of_json ctx ~tag j =
   | "timing" -> Some (Flow.S_timing (timing_report_of_json j))
   | "power" -> Some (Flow.S_power (power_report_of_json j))
   | "drc" -> Some (Flow.S_drc (drc_report_of_json j))
-  | "gds" -> Some (Flow.S_gds (gds_of_json ~design_name:ctx.design_name j))
   | t -> fail ("unknown state tag " ^ t)

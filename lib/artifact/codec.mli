@@ -1,15 +1,15 @@
 (** Step-state (de)serialization for the artifact store.
 
     Snapshots are plain {!Educhip_obs.Jsonout} values, human-inspectable
-    on disk like every other educhip artifact. Two deliberate omissions
-    keep snapshots tenant-neutral: the netlist's display name and the
-    GDS [design_name] are {e not} stored — content addressing keys on
-    the structural digest, so structurally identical designs from
-    different tenants share artifacts, and each restoring run re-labels
-    the state with its own design name from the decode {!ctx}. *)
+    on disk like every other educhip artifact. One deliberate omission
+    keeps snapshots tenant-neutral: the netlist's display name is
+    {e not} stored — content addressing keys on the structural digest,
+    so structurally identical designs from different tenants share
+    artifacts, and each restoring run re-labels the state with its own
+    design name from the decode {!ctx}. *)
 
 type ctx = {
-  design_name : string;  (** re-applied to restored netlists and layouts *)
+  design_name : string;  (** re-applied to restored netlists *)
   node : Educhip_pdk.Pdk.node;
   netlist : Educhip_netlist.Netlist.t option;
       (** the mapped netlist restored earlier in the chain; needed to
@@ -22,7 +22,8 @@ type ctx = {
 
 val state_to_json : Educhip_flow.Flow.step_state -> string * Educhip_obs.Jsonout.t
 (** [(tag, payload)] — the tag names the state's constructor and is
-    stored alongside the payload for decode dispatch. *)
+    stored alongside the payload for decode dispatch.
+    @raise Invalid_argument on [S_not_stored]. *)
 
 val state_of_json :
   ctx -> tag:string -> Educhip_obs.Jsonout.t -> Educhip_flow.Flow.step_state option

@@ -6,7 +6,10 @@ module Place = Educhip_place.Place
 module Route = Educhip_route.Route
 
 (* Bump on any change to snapshot semantics or key derivation; the step
-   list is folded in so reordering the template also invalidates keys. *)
+   list is folded in so reordering the template also invalidates keys.
+   It names the whole template, [gds] included, although [gds] is no
+   longer stored: keeping the string keeps every stored step's key, and
+   so every existing store, valid. *)
 let version = "educhip-artifact/1:" ^ String.concat "," Flow.step_names
 
 (* [Flow.config_signature] renders every config field as "key=value"
@@ -33,7 +36,6 @@ let step_fields =
     ("sta", [ "node"; "clock" ]);
     ("power", [ "node"; "clock"; "power" ]);
     ("drc", [ "node" ]);
-    ("gds", [ "node" ]);
   ]
 
 let known_fields =
@@ -83,10 +85,11 @@ let fault_slice ~inject ~fault_seed ~retries ~step =
   Printf.sprintf "seed=%d;retries=%d;%s" fault_seed retries
     (String.concat "," (List.map Fault.arming_to_string relevant))
 
-(* key_i = H(step_i, config slice_i, fault slice_i, key_{i-1}); the chain
-   is seeded with the code version and the netlist's structural digest,
-   so an RTL change invalidates everything while a late-step knob change
-   leaves every upstream key — and its stored artifact — intact. *)
+(* key_i = H(step_i, config slice_i, fault slice_i, key_{i-1}) over the
+   stored steps; the chain is seeded with the code version and the
+   netlist's structural digest, so an RTL change invalidates everything
+   while a late-step knob change leaves every upstream key — and its
+   stored artifact — intact. *)
 let chain ~netlist ~cfg ~inject ~fault_seed ~retries =
   let root =
     Digest.to_hex
@@ -107,6 +110,6 @@ let chain ~netlist ~cfg ~inject ~fault_seed ~retries =
                   ]))
         in
         (key, (step, key) :: acc))
-      (root, []) Flow.step_names
+      (root, []) Flow.stored_step_names
   in
   List.rev rev_keys

@@ -1,6 +1,6 @@
 (** Chained per-step content keys.
 
-    Each flow step's artifact is addressed by
+    Each stored flow step's artifact is addressed by
     [H(step_name, config slice, fault slice, upstream key)], a Merkle-style
     chain seeded with the artifact-schema version and the netlist's
     structural digest. Consequences, by construction:
@@ -20,7 +20,8 @@ val slice : Educhip_flow.Flow.config -> step:string -> string
 (** The fields of [Flow.config_signature] this step's result depends on.
     Signature fields not assigned to any step join {e every} slice, so a
     future config knob over-invalidates rather than going stale.
-    @raise Invalid_argument on an unknown step name. *)
+    @raise Invalid_argument on a step name outside
+    [Educhip_flow.Flow.stored_step_names]. *)
 
 val fault_slice :
   inject:Educhip_fault.Fault.plan ->
@@ -40,4 +41,5 @@ val chain :
   fault_seed:int ->
   retries:int ->
   (string * string) list
-(** [(step_name, key)] for every template step, in flow order. *)
+(** [(step_name, key)] for every step of
+    [Educhip_flow.Flow.stored_step_names], in flow order. *)

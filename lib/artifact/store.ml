@@ -5,8 +5,9 @@ type t = Kv.t
 
 let default_dir = ".educhip-artifacts"
 
-(* A full flow run stores ten artifacts, so the default cap holds ~200
-   distinct (design, config) chains — sized for a campaign, not a demo. *)
+(* A full flow run stores nine artifacts (every step but [gds]), so the
+   default cap holds ~225 distinct (design, config) chains — sized for a
+   campaign, not a demo. *)
 let default_max_entries = 2048
 
 let family = "artifact"

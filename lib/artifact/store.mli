@@ -18,7 +18,7 @@ val default_dir : string
 (** [".educhip-artifacts"] *)
 
 val default_max_entries : int
-(** 2048 — ten artifacts per flow run, so roughly 200 warm chains. *)
+(** 2048 — nine artifacts per flow run, so roughly 225 warm chains. *)
 
 val create : ?max_entries:int -> dir:string -> unit -> t
 (** The directory is created lazily on first store.

@@ -134,9 +134,12 @@ type step_exec = {
    The artifact store ([Educhip_artifact]) plugs in here without the flow
    knowing anything about keys, disks, or serialization: a [memo] maps a
    step name to a previously captured snapshot (probe) and accepts fresh
-   snapshots (save). Each step's output is wrapped in the [step_state]
-   variant; the sizing/buffering steps capture the whole mutated netlist
-   because they transform it in place. *)
+   snapshots (save). Each stored step's output is wrapped in the
+   [step_state] variant; the sizing/buffering steps capture the whole
+   mutated netlist because they transform it in place. The [gds] step
+   stores nothing: its layout is a pure function of the routed design,
+   cheaper to rebuild than to encode, so it runs live on every run and
+   hands [memo_save] an [S_not_stored] snapshot. *)
 
 type step_state =
   | S_synth of Netlist.t * Synth.report
@@ -147,7 +150,7 @@ type step_state =
   | S_timing of Timing.report
   | S_power of Power.report
   | S_drc of Drc.report
-  | S_gds of Gds.t
+  | S_not_stored
 
 type step_snapshot = {
   snap_state : step_state;
@@ -198,6 +201,8 @@ let verdict_to_string = function
 let step_names =
   [ "synthesis"; "sizing"; "buffering"; "placement"; "cts"; "routing"; "sta"; "power";
     "drc"; "gds" ]
+
+let stored_step_names = List.filter (fun s -> s <> "gds") step_names
 
 (* Timing-driven gate sizing: upsize every mapped cell on the critical
    path one drive notch per round, re-timing with ideal wires in between.
@@ -296,26 +301,25 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
      ladder, configured effort first; each rung returns (value, detail
      line) and may attach span attributes. The whole guarded step —
      retries included — lives in one span named after the step.
-     [snap]/[unsnap] wrap the step's output into (out of) {!step_state}
-     for the memo; a warm snapshot replays the original run's report and
-     exec record and skips the guard entirely. *)
-  let step ?accept name ~snap ~unsnap rungs =
+     [stored = (snap, unsnap)] wraps a stored step's output into (out of)
+     {!step_state} for the memo; a warm snapshot replays the original
+     run's report and exec record and skips the guard entirely. A step
+     without [stored] is never probed and saves [S_not_stored]. *)
+  let step ?accept ?stored name rungs =
     let site = "flow." ^ name in
     let replayed =
-      if not !warm then None
-      else
-        match memo with
+      match (stored, memo) with
+      | Some (_, unsnap), Some m when !warm -> (
+        match m.memo_probe name with
         | None -> None
-        | Some m -> (
-          match m.memo_probe name with
+        | Some s -> (
+          match unsnap s.snap_state with
           | None -> None
-          | Some s -> (
-            match unsnap s.snap_state with
-            | None -> None
-            | Some v ->
-              execs := s.snap_exec :: !execs;
-              reports := s.snap_report :: !reports;
-              Some v))
+          | Some v ->
+            execs := s.snap_exec :: !execs;
+            reports := s.snap_report :: !reports;
+            Some v))
+      | _ -> None
     in
     match replayed with
     | Some v -> v
@@ -352,7 +356,8 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
       | Some m -> (
         match (!reports, !execs) with
         | r :: _, e :: _ -> (
-          try m.memo_save name { snap_state = snap v; snap_report = r; snap_exec = e }
+          let snap_state = match stored with Some (snap, _) -> snap v | None -> S_not_stored in
+          try m.memo_save name { snap_state; snap_report = r; snap_exec = e }
           with _ -> ())
         | _ -> ())
     in
@@ -377,8 +382,8 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
     (* 1. synthesis *)
     let mapped, synth_report =
       step "synthesis"
-        ~snap:(fun (m, r) -> S_synth (m, r))
-        ~unsnap:(function S_synth (m, r) -> Some (m, r) | _ -> None)
+        ~stored:
+          ((fun (m, r) -> S_synth (m, r)), function S_synth (m, r) -> Some (m, r) | _ -> None)
         (List.map
            (fun opts () ->
              let mapped, r = Synth.synthesize netlist ~node:cfg.node opts in
@@ -397,8 +402,7 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
        replay rebinds [mapped] to the restored copy *)
     let mapped =
       step "sizing"
-        ~snap:(fun m -> S_netlist m)
-        ~unsnap:(function S_netlist m -> Some m | _ -> None)
+        ~stored:((fun m -> S_netlist m), function S_netlist m -> Some m | _ -> None)
         (List.map
            (fun rounds () ->
              if rounds = 0 then (mapped, "disabled")
@@ -415,8 +419,7 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
     (* 3. fanout buffering — in-place like sizing *)
     let mapped =
       step "buffering"
-        ~snap:(fun m -> S_netlist m)
-        ~unsnap:(function S_netlist m -> Some m | _ -> None)
+        ~stored:((fun m -> S_netlist m), function S_netlist m -> Some m | _ -> None)
         (List.map
            (fun max_fanout () ->
              match max_fanout with
@@ -439,8 +442,7 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
     (* 4. placement *)
     let placement =
       step "placement"
-        ~snap:(fun p -> S_place p)
-        ~unsnap:(function S_place p -> Some p | _ -> None)
+        ~stored:((fun p -> S_place p), function S_place p -> Some p | _ -> None)
         (List.map
            (fun effort () ->
              let placement =
@@ -460,8 +462,7 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
     (* 5. clock-tree synthesis *)
     let clock_tree =
       step "cts"
-        ~snap:(fun c -> S_cts c)
-        ~unsnap:(function S_cts c -> Some c | _ -> None)
+        ~stored:((fun c -> S_cts c), function S_cts c -> Some c | _ -> None)
         [ (fun () ->
             let clock_tree = Cts.synthesize placement in
             Obs.set_attr "sinks" (Obs.Int (Cts.sink_count clock_tree));
@@ -473,8 +474,7 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
     (* 6. routing *)
     let routed =
       step "routing"
-        ~snap:(fun r -> S_route r)
-        ~unsnap:(function S_route r -> Some r | _ -> None)
+        ~stored:((fun r -> S_route r), function S_route r -> Some r | _ -> None)
         (List.map
            (fun effort () ->
              let routed = Route.route placement effort in
@@ -492,8 +492,7 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
     (* 7. timing with routed wire lengths *)
     let timing =
       step "sta"
-        ~snap:(fun t -> S_timing t)
-        ~unsnap:(function S_timing t -> Some t | _ -> None)
+        ~stored:((fun t -> S_timing t), function S_timing t -> Some t | _ -> None)
         [ (fun () ->
             let timing =
               Timing.analyze mapped ~node:cfg.node ~wire_length_of_net
@@ -507,8 +506,7 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
     (* 8. power at the constrained clock *)
     let power =
       step "power"
-        ~snap:(fun p -> S_power p)
-        ~unsnap:(function S_power p -> Some p | _ -> None)
+        ~stored:((fun p -> S_power p), function S_power p -> Some p | _ -> None)
         (List.map
            (fun cycles () ->
              let clock_mhz = 1e6 /. cfg.clock_period_ps in
@@ -527,8 +525,7 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
     (* 9. signoff DRC *)
     let drc =
       step "drc"
-        ~snap:(fun d -> S_drc d)
-        ~unsnap:(function S_drc d -> Some d | _ -> None)
+        ~stored:((fun d -> S_drc d), function S_drc d -> Some d | _ -> None)
         [ (fun () ->
             let drc = Drc.check routed in
             Obs.set_attr "violations" (Obs.Int (List.length drc.Drc.violations));
@@ -539,11 +536,10 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
                   (List.length drc.Drc.violations)
                   drc.Drc.checks_run )) ]
     in
-    (* 10. GDS export *)
+    (* 10. GDS export — rebuilt from the routed design on every run, warm
+       or cold: not in {!stored_step_names} *)
     let layout =
       step "gds"
-        ~snap:(fun g -> S_gds g)
-        ~unsnap:(function S_gds g -> Some g | _ -> None)
         [ (fun () ->
             let layout = Gds.build routed in
             Obs.set_attr "rects" (Obs.Int (Gds.rect_count layout));

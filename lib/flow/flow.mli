@@ -96,7 +96,9 @@ type step_state =
   | S_timing of Educhip_timing.Timing.report
   | S_power of Educhip_power.Power.report
   | S_drc of Educhip_drc.Drc.report
-  | S_gds of Educhip_gds.Gds.t
+  | S_not_stored
+      (** saved by the steps outside {!stored_step_names} ([gds]): they
+          rerun on every run, so there is nothing to store *)
 (** One step's output, wrapped for per-step memoization. *)
 
 type step_snapshot = {
@@ -110,13 +112,16 @@ type step_snapshot = {
 type memo = {
   memo_probe : string -> step_snapshot option;
       (** [memo_probe step_name] returns a warm snapshot to replay, or
-          [None] to run the step live. Probed in step order, and only
-          while every previous step replayed (the warm prefix) — the
-          first miss switches the rest of the run live. *)
+          [None] to run the step live. Probed for {!stored_step_names}
+          only, in step order, and only while every previous step
+          replayed (the warm prefix) — the first miss switches the rest
+          of the run live. *)
   memo_save : string -> step_snapshot -> unit;
-      (** called after every successful live step; failed steps are
-          never memoized. Exceptions are swallowed — a storage error
-          must not fail a computed step. *)
+      (** called after every successful live step, stored or not (a
+          step outside {!stored_step_names} saves {!S_not_stored}), so
+          it also marks each step's end; failed steps are never
+          memoized. Exceptions are swallowed — a storage error must not
+          fail a computed step. *)
 }
 (** Storage-agnostic per-step memoization hook for {!run_guarded}:
     [Educhip_artifact] implements it over a content-addressed store.
@@ -183,8 +188,9 @@ val run_guarded :
     Without a collector the instrumentation — and the disarmed fault
     probes — are no-ops.
 
-    With [memo], the longest warm prefix of steps is {e replayed} from
-    snapshots instead of executed: the stored state, report, and exec
+    With [memo], the longest warm prefix of {!stored_step_names} is
+    {e replayed} from snapshots instead of executed (the [gds] layout is
+    always rebuilt live from the replayed routing): the stored state, report, and exec
     record stand in for the live ones, fault probes for replayed steps
     are skipped (their outcome is already baked into the snapshot), and
     the first probe miss switches the remainder of the run live, saving
@@ -227,6 +233,12 @@ val pp_summary : Format.formatter -> result -> unit
 
 val step_names : string list
 (** The template's step sequence (Recommendation 4's partitioning). *)
+
+val stored_step_names : string list
+(** The steps whose output a {!memo} can store and replay, in template
+    order: every step but [gds], whose layout is a pure function of the
+    routed design — cheaper to rebuild than to encode — and so reruns
+    on every run, warm or cold. *)
 
 val kernel_metric_names : string list
 (** Every counter family the flow's kernels can report to

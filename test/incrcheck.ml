@@ -8,7 +8,12 @@
       (a second tenant's copy) must replay the whole chain from the
       first tenant's artifacts without storing anything new.
    3. A corrupted artifact must be quarantined and recomputed, with the
-      run still bit-identical. *)
+      run still bit-identical.
+   4. [eduflow run --artifact-dir] run twice on one directory must
+      announce a full replay the second time.
+
+   The [gds] step is not stored (its layout is rebuilt from the routing
+   state), so "every step" here means [Flow.stored_step_names]. *)
 
 module Flow = Educhip_flow.Flow
 module Netlist = Educhip_netlist.Netlist
@@ -17,6 +22,7 @@ module Obs = Educhip_obs.Obs
 module Artifact = Educhip_artifact.Artifact
 module Astore = Educhip_artifact.Store
 module Stepkey = Educhip_artifact.Stepkey
+module Gds = Educhip_gds.Gds
 
 let failures = ref 0
 
@@ -38,7 +44,20 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+let run_cli prog args =
+  let ic = Unix.open_process_args_in prog (Array.of_list (prog :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> failwith ("incrcheck: eduflow failed:\n" ^ out)
+
 let () =
+  let eduflow = if Array.length Sys.argv > 1 then Sys.argv.(1) else "eduflow" in
   let node = Educhip_pdk.Pdk.find_node "edu130" in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "educhip-incrcheck" in
   rm_rf dir;
@@ -61,7 +80,7 @@ let () =
     let r = Obs.with_collector c f in
     (r, fun name -> Obs.counter_value c name)
   in
-  let n_steps = List.length Flow.step_names in
+  let n_steps = List.length Flow.stored_step_names in
 
   (* 1: cold populate, then a config delta resuming at sta *)
   let cold, ctr = counted (fun () -> run ~memo:(memo_for base) base) in
@@ -94,8 +113,18 @@ let () =
   expect_int "dedup run stores nothing" 0 (ctr "artifact.stores");
   expect "dedup run matches the original tenant's QoR"
     (cold.Flow.ppa = dedup.Flow.ppa && cold.Flow.execs = dedup.Flow.execs);
+  let gds_detail (r : Flow.result) =
+    (List.find (fun s -> s.Flow.step_name = "gds") r.Flow.steps).Flow.detail
+  in
+  (* the stream carries the design name, so compare against a cold run
+     of the second tenant's own copy *)
+  let cold_b = run ~n:tenant_b base in
+  expect "dedup run rebuilds a bit-identical layout"
+    (Bytes.equal (Gds.to_gds_bytes cold_b.Flow.layout) (Gds.to_gds_bytes dedup.Flow.layout)
+    && gds_detail cold_b = gds_detail dedup);
   expect "dedup run keeps its own display name"
-    (Netlist.name dedup.Flow.mapped = "tenant-b-counter");
+    (Netlist.name dedup.Flow.mapped = "tenant-b-counter"
+    && dedup.Flow.layout.Gds.design_name = "tenant-b-counter");
 
   (* 3: a corrupted artifact is quarantined and recomputed *)
   let victim =
@@ -122,8 +151,18 @@ let () =
     (cold.Flow.ppa = recovered.Flow.ppa && cold.Flow.execs = recovered.Flow.execs);
 
   rm_rf dir;
+
+  (* 4: the CLI's resume announcement counts the stored steps only *)
+  let cli_dir = Filename.concat (Filename.get_temp_dir_name ()) "educhip-incrcheck-cli" in
+  rm_rf cli_dir;
+  let cli () = run_cli eduflow [ "counter"; "--artifact-dir"; cli_dir ] in
+  expect "first CLI run on a fresh dir is cold" (contains "artifacts: cold" (cli ()));
+  expect "second CLI run is a full replay" (contains "artifacts: full replay" (cli ()));
+  rm_rf cli_dir;
+
   if !failures > 0 then begin
     Printf.printf "incrcheck: %d check(s) failed\n" !failures;
     exit 1
   end;
-  print_endline "incrcheck: config-delta resume, cross-tenant dedup, quarantine recovery all hold"
+  print_endline
+    "incrcheck: config-delta resume, cross-tenant dedup, quarantine recovery, CLI replay all hold"

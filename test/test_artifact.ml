@@ -10,6 +10,7 @@ module Stepkey = Educhip_artifact.Stepkey
 module Artifact = Educhip_artifact.Artifact
 module Astore = Educhip_artifact.Store
 module Kv = Educhip_artifact.Kv
+module Gds = Educhip_gds.Gds
 module Codec = Educhip_artifact.Codec
 module Jsonout = Educhip_obs.Jsonout
 module Crc32 = Educhip_util.Crc32
@@ -47,12 +48,34 @@ let chain_of cfg =
 let test_chain_shape () =
   let cfg = Flow.config ~node:node130 Flow.Open_flow in
   let chain = chain_of cfg in
-  check Alcotest.(list string) "one key per template step, flow order"
-    Flow.step_names (List.map fst chain);
+  check Alcotest.(list string) "one key per stored step, flow order"
+    Flow.stored_step_names (List.map fst chain);
+  check Alcotest.int "nine stored steps: all but gds" 9 (List.length chain);
   let keys = List.map snd chain in
   check Alcotest.int "all keys distinct" (List.length keys)
     (List.length (List.sort_uniq compare keys));
   check Alcotest.(list string) "deterministic" keys (List.map snd (chain_of cfg))
+
+(* Stores written while [gds] was still stored keyed the other nine
+   steps with exactly these strings: matching them keeps such stores
+   warm, and their orphaned [gds] entries age out under the LRU cap. *)
+let test_chain_keys_pinned () =
+  let cfg = Flow.config ~node:node130 Flow.Open_flow in
+  check
+    Alcotest.(list (pair string string))
+    "counter/open/edu130 keys"
+    [
+      ("synthesis", "cccf5af59f62b59c77bff4baa42e5c34");
+      ("sizing", "a50ac3f852960a95809cc6d5dcf58e94");
+      ("buffering", "05b382dd0e014afcba997d00640d9ffc");
+      ("placement", "72889659ae65dee733182ffb7bb25b66");
+      ("cts", "d0c5058fa06f13760a282dd92186fc52");
+      ("routing", "f092f628de9671c630096ec17ea95532");
+      ("sta", "9aa2b7e7cb343748201e651e77e1bfb9");
+      ("power", "87e3cf061801e1d028d9d3076899158f");
+      ("drc", "b91146b6d4f0bd01189591fffa4ca9c0");
+    ]
+    (chain_of cfg)
 
 let test_chain_rtl_sensitivity () =
   let cfg = Flow.config ~node:node130 Flow.Open_flow in
@@ -71,9 +94,9 @@ let test_chain_rtl_sensitivity () =
    Perturbing the knobs of step N must leave keys of steps < N unchanged
    and change every key >= N — the warm-prefix invariant the resume
    logic relies on. One entry per perturbable knob, with the index of the
-   first step whose slice sees it (template order: synthesis 0, sizing 1,
-   buffering 2, placement 3, cts 4, routing 5, sta 6, power 7, drc 8,
-   gds 9). *)
+   first step whose slice sees it (stored-step order: synthesis 0,
+   sizing 1, buffering 2, placement 3, cts 4, routing 5, sta 6, power 7,
+   drc 8). *)
 
 let knobs =
   [
@@ -129,10 +152,10 @@ let prop_knob_splits_chain =
           if i < first then (
             if a <> b then
               QCheck.Test.fail_reportf "%s: key %d (%s) changed above the edit" name i
-                (List.nth Flow.step_names i))
+                (List.nth Flow.stored_step_names i))
           else if a = b then
             QCheck.Test.fail_reportf "%s: key %d (%s) survived the edit" name i
-              (List.nth Flow.step_names i))
+              (List.nth Flow.stored_step_names i))
         (List.combine k1 k2);
       true)
 
@@ -182,8 +205,8 @@ let test_warm_rerun_bit_identical () =
   in
   let base = Flow.config ~node:node130 Flow.Open_flow in
   ignore (run_with ~memo:(memo_for base) base);
-  check Alcotest.int "cold populate stores every step" (List.length Flow.step_names)
-    (Astore.entries store);
+  check Alcotest.int "cold populate stores every stored step"
+    (List.length Flow.stored_step_names) (Astore.entries store);
   let edited = { base with Flow.clock_period_ps = base.Flow.clock_period_ps *. 1.25 } in
   check Alcotest.int "clock edit resumes at sta" 6
     (Artifact.warm_prefix ~store ~netlist:counter ~cfg:edited ~inject:[] ~fault_seed:1
@@ -203,8 +226,21 @@ let test_warm_rerun_bit_identical () =
       (Flow.Completed r)
   in
   check Alcotest.bool "ledger record identical" true (ledger cold = ledger warm);
-  (* the warm run only computed the suffix: sta, power, drc, gds *)
-  check Alcotest.int "suffix artifacts stored" (10 + 4) (Astore.entries store)
+  (* the warm run only computed the suffix: sta, power, drc (and gds,
+     which is rebuilt, not stored) *)
+  check Alcotest.int "suffix artifacts stored" (9 + 3) (Astore.entries store)
+
+(* A full replay restores every stored step and rebuilds the layout
+   from the restored routing: the GDS stream and the gds step's report
+   must match the cold run's. *)
+let check_replay_identical ~(cold : Flow.result) ~(warm : Flow.result) =
+  check Alcotest.bool "full replay bit-identical" true
+    (cold.Flow.ppa = warm.Flow.ppa && cold.Flow.execs = warm.Flow.execs);
+  check Alcotest.(list (pair string string)) "step details identical"
+    (List.map (fun s -> (s.Flow.step_name, s.Flow.detail)) cold.Flow.steps)
+    (List.map (fun s -> (s.Flow.step_name, s.Flow.detail)) warm.Flow.steps);
+  check Alcotest.bool "rebuilt layout bit-identical" true
+    (Bytes.equal (Gds.to_gds_bytes cold.Flow.layout) (Gds.to_gds_bytes warm.Flow.layout))
 
 let test_full_replay_and_lru_cap () =
   with_store_dir @@ fun dir ->
@@ -212,10 +248,11 @@ let test_full_replay_and_lru_cap () =
   let cfg = Flow.config ~node:node130 Flow.Open_flow in
   let memo = Artifact.memo ~store ~netlist:counter ~cfg ~inject:[] ~fault_seed:1 ~retries:2 in
   let cold = run_with ~memo cfg in
+  check Alcotest.int "every stored step replays" (List.length Flow.stored_step_names)
+    (Artifact.warm_prefix ~store ~netlist:counter ~cfg ~inject:[] ~fault_seed:1 ~retries:2);
   let warm = run_with ~memo cfg in
-  check Alcotest.bool "full replay bit-identical" true
-    (cold.Flow.ppa = warm.Flow.ppa && cold.Flow.execs = warm.Flow.execs);
-  check Alcotest.int "store capped at max_entries" 10 (Astore.entries store);
+  check_replay_identical ~cold ~warm;
+  check Alcotest.int "one chain fits under the cap" 9 (Astore.entries store);
   (* an RTL change under a full store evicts oldest entries instead of
      growing past the cap *)
   let other = Designs.netlist (Designs.find "gray8") in
@@ -224,6 +261,63 @@ let test_full_replay_and_lru_cap () =
   | Flow.Completed _ -> ()
   | Flow.Aborted a -> Alcotest.failf "flow aborted: %s" a.Flow.failed_step);
   check Alcotest.int "eviction holds the cap" 10 (Astore.entries store)
+
+(* gds is never stored, so a full-chain replay reruns it live under its
+   guard: an armed flow.gds crash fires again and is retried again, and
+   the exec records match the cold run's. *)
+let test_gds_crash_reruns_live () =
+  with_store_dir @@ fun dir ->
+  let store = Astore.create ~dir () in
+  let cfg = Flow.config ~node:node130 Flow.Open_flow in
+  let inject = [ arm "flow.gds" Fault.Crash ] in
+  let memo = Artifact.memo ~store ~netlist:counter ~cfg ~inject ~fault_seed:1 ~retries:2 in
+  let run () =
+    Fault.with_plan ~seed:1 inject (fun () ->
+        let r = run_with ~memo cfg in
+        (r, Fault.remaining "flow.gds"))
+  in
+  let cold, _ = run () in
+  let gds_attempts (r : Flow.result) =
+    (List.find (fun e -> e.Flow.step = "gds") r.Flow.execs).Flow.attempts
+  in
+  check Alcotest.int "cold gds retried once" 2 (gds_attempts cold);
+  check Alcotest.int "every stored step replays" (List.length Flow.stored_step_names)
+    (Artifact.warm_prefix ~store ~netlist:counter ~cfg ~inject ~fault_seed:1 ~retries:2);
+  let warm, unfired = run () in
+  check Alcotest.int "the replay's live gds consumed the crash" 0 unfired;
+  check_replay_identical ~cold ~warm
+
+(* The flow probes exactly the stored steps and saves every completed
+   step, stored or not, so a save also marks each step's end. *)
+let test_memo_hook_probes_stored_saves_all () =
+  with_store_dir @@ fun dir ->
+  let store = Astore.create ~dir () in
+  let cfg = Flow.config ~node:node130 Flow.Open_flow in
+  let m = Artifact.memo ~store ~netlist:counter ~cfg ~inject:[] ~fault_seed:1 ~retries:2 in
+  let probed = ref [] and saved = ref [] in
+  let memo =
+    {
+      Flow.memo_probe = (fun step -> probed := step :: !probed; m.Flow.memo_probe step);
+      memo_save =
+        (fun step s ->
+          let stored = match s.Flow.snap_state with Flow.S_not_stored -> false | _ -> true in
+          saved := (step, stored) :: !saved;
+          m.Flow.memo_save step s);
+    }
+  in
+  ignore (run_with ~memo cfg);
+  check
+    Alcotest.(list (pair string bool))
+    "cold run saves every step, gds without state"
+    (List.map (fun s -> (s, s <> "gds")) Flow.step_names)
+    (List.rev !saved);
+  probed := [];
+  saved := [];
+  ignore (run_with ~memo cfg);
+  check Alcotest.(list string) "full replay probes the stored steps" Flow.stored_step_names
+    (List.rev !probed);
+  check Alcotest.(list (pair string bool)) "full replay saves only gds" [ ("gds", false) ]
+    (List.rev !saved)
 
 let test_corrupt_artifact_quarantined () =
   with_store_dir @@ fun dir ->
@@ -340,10 +434,13 @@ let suite =
   List.map QCheck_alcotest.to_alcotest [ prop_knob_splits_chain ]
   @ [
       ("chain shape", `Quick, test_chain_shape);
+      ("chain keys pinned", `Quick, test_chain_keys_pinned);
       ("chain RTL sensitivity", `Quick, test_chain_rtl_sensitivity);
       ("fault slice locality", `Quick, test_fault_slice_locality);
       ("warm rerun bit-identical", `Quick, test_warm_rerun_bit_identical);
       ("full replay and LRU cap", `Quick, test_full_replay_and_lru_cap);
+      ("gds crash reruns live on replay", `Quick, test_gds_crash_reruns_live);
+      ("memo hook probes stored, saves all", `Quick, test_memo_hook_probes_stored_saves_all);
       ("corrupt artifact quarantined", `Quick, test_corrupt_artifact_quarantined);
       ("kv on-disk format", `Quick, test_kv_disk_format);
       ("kv concurrent domains under a cap", `Quick, test_kv_concurrent_domains);
