@@ -43,6 +43,8 @@ module Server = Educhip_serve.Server
 module Scrape = Educhip_mon.Scrape
 module Client = Educhip_serve.Client
 module Chaos = Educhip_serve.Chaos
+module Daemon = Educhip_serve.Daemon
+module Files = Educhip_util.Files
 
 let node130 = Pdk.find_node "edu130"
 
@@ -1138,14 +1140,6 @@ let fault_matrix () =
    (4 workers, the parallel run's cache) -> BENCH_batch.json. *)
 let batch_bench () =
   banner "BATCH" "campaign makespans: serial vs parallel vs warm cache -> BENCH_batch.json";
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
   let manifest =
     Manifest.parse_string ~source:"bench-batch"
       {|
@@ -1167,8 +1161,8 @@ gray8   tenant=course preset=teaching repeat=2
   let njobs = List.length manifest.Manifest.jobs in
   let dir_serial = "BENCH_batch_cache_serial" in
   let dir_par = "BENCH_batch_cache_parallel" in
-  rm_rf dir_serial;
-  rm_rf dir_par;
+  Files.rm_rf dir_serial;
+  Files.rm_rf dir_par;
   let campaign ~workers ~dir =
     snd (Sched.run ~workers ~cache:(Cache.create ~dir ()) manifest)
   in
@@ -1176,8 +1170,8 @@ gray8   tenant=course preset=teaching repeat=2
   let workers = min 4 (Sched.default_workers ()) in
   let parallel = campaign ~workers ~dir:dir_par in
   let warm = campaign ~workers ~dir:dir_par in
-  rm_rf dir_serial;
-  rm_rf dir_par;
+  Files.rm_rf dir_serial;
+  Files.rm_rf dir_par;
   let hit_rate (s : Sched.summary) =
     let total = s.Sched.cache_hits + s.Sched.cache_misses in
     if total = 0 then 0.0 else float_of_int s.Sched.cache_hits /. float_of_int total
@@ -1218,16 +1212,8 @@ gray8   tenant=course preset=teaching repeat=2
 let serve_bench () =
   banner "SERVE"
     "flow service under closed-loop load: 1/4/16 clients -> BENCH_serve.json";
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
   let cache_dir = "BENCH_serve_cache" in
-  rm_rf cache_dir;
+  Files.rm_rf cache_dir;
   let workers = min 4 (Sched.default_workers ()) in
   (* six distinct specs cycled over every submission: the first level
      populates the cache, later levels exercise warm admission serves *)
@@ -1554,7 +1540,7 @@ let serve_bench () =
         ("limit_pct", Jsonout.Float overhead_limit_pct);
       ]
   in
-  rm_rf cache_dir;
+  Files.rm_rf cache_dir;
   Jsonout.write_file ~path:"BENCH_serve.json"
     (Jsonout.Obj
        [
@@ -1570,6 +1556,24 @@ let serve_bench () =
       overhead_limit_pct;
     exit 1
   end
+
+(* the daemon the chaos and cluster benches spawn: [--daemon PATH], or
+   the dune build output *)
+let eduserved_path bench =
+  let rec find = function
+    | "--daemon" :: path :: _ -> path
+    | _ :: rest -> find rest
+    | [] -> "_build/default/bin/eduserved.exe"
+  in
+  let daemon = find (Array.to_list Sys.argv) in
+  if not (Sys.file_exists daemon) then begin
+    Printf.eprintf
+      "%s: daemon %s not found (build it with `dune build bin/eduserved.exe` or pass \
+       --daemon PATH)\n"
+      bench daemon;
+    exit 1
+  end;
+  daemon
 
 (* Cluster scaling: the same closed-loop campaign sharded by an
    in-process eduroute router over 1 / 2 / 4 real eduserved replica
@@ -1587,31 +1591,9 @@ let cluster_bench () =
      BENCH_cluster.json";
   let module Spec = Educhip_cluster.Spec in
   let module Router = Educhip_cluster.Router in
-  let daemon =
-    let rec find i =
-      if i >= Array.length Sys.argv - 1 then None
-      else if Sys.argv.(i) = "--daemon" then Some Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    Option.value (find 1) ~default:"_build/default/bin/eduserved.exe"
-  in
-  if not (Sys.file_exists daemon) then begin
-    Printf.eprintf
-      "cluster: daemon %s not found (build it with `dune build bin/eduserved.exe` or \
-       pass --daemon PATH)\n"
-      daemon;
-    exit 1
-  end;
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
+  let daemon = eduserved_path "cluster" in
   let root = Filename.concat (Filename.get_temp_dir_name ()) "educhip-bench-cluster" in
-  rm_rf root;
+  Files.rm_rf root;
   Unix.mkdir root 0o755;
   let specs =
     [
@@ -1626,60 +1608,22 @@ let cluster_bench () =
   let jobs_per_level = 24 in
   let clients = 8 in
   let start_replica ~level name =
-    let socket = Filename.concat root (Printf.sprintf "%s-n%d.sock" name level) in
-    let log = Filename.concat root (Printf.sprintf "%s-n%d.log" name level) in
-    let args =
-      [|
-        daemon; "--socket"; socket; "--workers"; "1";
-        "--cache-dir"; Filename.concat root (Printf.sprintf "cache-%s-n%d" name level);
-        "--max-queue"; "1024";
-        "--basic-rate"; "100000"; "--basic-burst"; "100000";
-        "--basic-inflight"; "1024";
-      |]
-    in
-    let log_fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
-    let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-    let pid =
-      Fun.protect
-        ~finally:(fun () ->
-          Unix.close null;
-          Unix.close log_fd)
-        (fun () -> Unix.create_process daemon args null log_fd log_fd)
-    in
-    (name, socket, pid)
-  in
-  let wait_ready (_, socket, _) =
-    let t0 = Mclock.now_ms () in
-    let rec loop () =
-      match Client.connect_unix socket with
-      | c -> Client.close c
-      | exception (Unix.Unix_error _ | Sys_error _) ->
-        if Mclock.elapsed_ms t0 > 60_000.0 then
-          failwith ("cluster: replica " ^ socket ^ " not ready in time")
-        else begin
-          Thread.delay 0.05;
-          loop ()
-        end
-    in
-    loop ()
-  in
-  let stop_replica (_, socket, pid) =
-    (try
-       let c = Client.connect_unix socket in
-       ignore (Client.request c Wire.Drain);
-       Client.close c
-     with Unix.Unix_error _ | Sys_error _ -> ());
-    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+    let file ext = Filename.concat root (Printf.sprintf "%s-n%d%s" name level ext) in
+    Daemon.start ~exe:daemon ~socket:(file ".sock") ~log:(file ".log") ~workers:1
+      ~cache_dir:(Filename.concat root (Printf.sprintf "cache-%s-n%d" name level))
+      ()
   in
   let run_level n_replicas =
     let replicas =
-      List.init n_replicas (fun i -> start_replica ~level:n_replicas (Printf.sprintf "r%d" (i + 1)))
+      List.init n_replicas (fun i ->
+          let name = Printf.sprintf "r%d" (i + 1) in
+          (name, start_replica ~level:n_replicas name))
     in
-    List.iter wait_ready replicas;
+    List.iter (fun (_, d) -> Daemon.wait_ready d) replicas;
     let cspec =
       {
         Spec.default with
-        Spec.replicas = List.map (fun (name, socket, _) -> (name, socket)) replicas;
+        Spec.replicas = List.map (fun (name, d) -> (name, d.Daemon.socket)) replicas;
       }
     in
     let router = Router.create (Router.config cspec) in
@@ -1742,7 +1686,7 @@ let cluster_bench () =
     Router.stop router;
     Unix.close listen_fd;
     if Sys.file_exists router_socket then Sys.remove router_socket;
-    List.iter stop_replica replicas;
+    List.iter (fun (_, d) -> Daemon.drain d) replicas;
     let completed = !completed in
     let throughput = float_of_int completed /. (wall_ms /. 1000.0) in
     let pct p = if !latencies = [] then 0.0 else Stats.percentile p !latencies in
@@ -1785,7 +1729,7 @@ let cluster_bench () =
          ("distinct_specs", Jsonout.Int (List.length specs));
          ("levels", Jsonout.List (List.map level_json levels));
        ]);
-  rm_rf root;
+  Files.rm_rf root;
   Printf.printf "wrote BENCH_cluster.json (%d jobs per level, %d cores)\n" jobs_per_level
     (Sched.default_workers ())
 
@@ -1796,21 +1740,7 @@ let cluster_bench () =
 let chaos_bench () =
   banner "CHAOS"
     "crash-recovery campaign: SIGKILL + restart, journal vs no-journal -> BENCH_chaos.json";
-  let daemon =
-    let rec find i =
-      if i >= Array.length Sys.argv - 1 then None
-      else if Sys.argv.(i) = "--daemon" then Some Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    Option.value (find 1) ~default:"_build/default/bin/eduserved.exe"
-  in
-  if not (Sys.file_exists daemon) then begin
-    Printf.eprintf
-      "chaos: daemon %s not found (build it with `dune build bin/eduserved.exe` or pass \
-       --daemon PATH)\n"
-      daemon;
-    exit 1
-  end;
+  let daemon = eduserved_path "chaos" in
   let jobs =
     List.map
       (fun (design, preset, tenant) -> { (Wire.submit ~tenant design) with Wire.preset })
@@ -1874,16 +1804,8 @@ let chaos_bench () =
 let incr_bench () =
   banner "INCR"
     "incremental artifacts: one-late-step edit, cold vs warm resume -> BENCH_incr.json";
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
   let dir = "BENCH_incr_artifacts" in
-  rm_rf dir;
+  Files.rm_rf dir;
   let store = Astore.create ~dir () in
   let design = "mult4" in
   let netlist = Designs.netlist (Designs.find design) in
@@ -1985,7 +1907,7 @@ let incr_bench () =
          ("speedup_limit", Jsonout.Float limit);
          ("all_bit_identical", Jsonout.Bool all_identical) ]);
   Printf.printf "wrote BENCH_incr.json (%d edits)\n" reps;
-  rm_rf dir;
+  Files.rm_rf dir;
   if not all_identical then begin
     Printf.eprintf "incr: warm resume diverged from cold rerun\n";
     exit 1
@@ -2000,43 +1922,42 @@ let incr_bench () =
     exit 1
   end
 
+(* each flag runs one bench alone; without one, every experiment runs *)
+let modes =
+  [
+    ("--serve", serve_bench);
+    ("--chaos", chaos_bench);
+    ("--cluster", cluster_bench);
+    ("--incr", incr_bench);
+    ("--batch", batch_bench);
+    ("--faults", fault_matrix);
+    ("--flow-only", flow_telemetry);
+  ]
+
 let () =
-  let serve_only = Array.exists (fun a -> a = "--serve") Sys.argv in
-  if serve_only then begin
-    serve_bench ();
+  (* [--daemon PATH] (chaos, cluster) and [--no-micro] (full run) ride
+     along; any other flag is a typo that must not silently run all 20
+     experiments *)
+  let rec check = function
+    | [] -> ()
+    | "--daemon" :: _ :: rest | "--no-micro" :: rest -> check rest
+    | [ "--daemon" ] ->
+      prerr_endline "bench: --daemon needs a PATH";
+      exit 2
+    | flag :: rest when List.mem_assoc flag modes -> check rest
+    | flag :: _ when String.starts_with ~prefix:"-" flag ->
+      Printf.eprintf "bench: unknown flag %s (valid: %s, --no-micro, --daemon PATH)\n" flag
+        (String.concat ", " (List.map fst modes));
+      exit 2
+    | _ :: rest -> check rest
+  in
+  check (List.tl (Array.to_list Sys.argv));
+  (match List.find_opt (fun (flag, _) -> Array.mem flag Sys.argv) modes with
+  | Some (_, run) ->
+    run ();
     exit 0
-  end;
-  let chaos_only = Array.exists (fun a -> a = "--chaos") Sys.argv in
-  if chaos_only then begin
-    chaos_bench ();
-    exit 0
-  end;
-  let cluster_only = Array.exists (fun a -> a = "--cluster") Sys.argv in
-  if cluster_only then begin
-    cluster_bench ();
-    exit 0
-  end;
-  let incr_only = Array.exists (fun a -> a = "--incr") Sys.argv in
-  if incr_only then begin
-    incr_bench ();
-    exit 0
-  end;
-  let batch_only = Array.exists (fun a -> a = "--batch") Sys.argv in
-  if batch_only then begin
-    batch_bench ();
-    exit 0
-  end;
-  let faults_only = Array.exists (fun a -> a = "--faults") Sys.argv in
-  if faults_only then begin
-    fault_matrix ();
-    exit 0
-  end;
-  let flow_only = Array.exists (fun a -> a = "--flow-only") Sys.argv in
-  if flow_only then begin
-    flow_telemetry ();
-    exit 0
-  end;
-  let skip_micro = Array.exists (fun a -> a = "--no-micro") Sys.argv in
+  | None -> ());
+  let skip_micro = Array.mem "--no-micro" Sys.argv in
   e1_value_chain ();
   e2_abstraction_gap ();
   e3_cost_vs_node ();

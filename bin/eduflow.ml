@@ -43,6 +43,38 @@ module Alertlog = Educhip_mon.Alertlog
 
 open Cmdliner
 
+(* [eduflow ... | head -1]: the reader has what it wanted and closes the
+   pipe. SIGPIPE stays ignored (sockets need their EPIPE), so the lost
+   reader surfaces as a [Sys_error] on the next stdout write. Every
+   stdout write in this file goes through [on_stdout], which on EPIPE
+   points fd 1 at /dev/null and carries on: the command still writes
+   its files and ends with its own exit code. *)
+let on_stdout f =
+  try f ()
+  with Sys_error msg when msg = Unix.error_message Unix.EPIPE ->
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    Unix.dup2 null Unix.stdout;
+    Unix.close null;
+    f ()
+
+let print_string s = on_stdout (fun () -> print_string s)
+let print_endline s = on_stdout (fun () -> print_endline s)
+let print_newline () = on_stdout print_newline
+let flush_stdout () = on_stdout (fun () -> flush stdout)
+
+(* [%!] is a no-op here: flush with [flush_stdout] *)
+module Printf = struct
+  include Printf
+
+  let printf fmt = ksprintf print_string fmt
+end
+
+let () =
+  Format.pp_set_formatter_out_functions Format.std_formatter
+    { (Format.pp_get_formatter_out_functions Format.std_formatter ()) with
+      Format.out_string = (fun s pos len -> on_stdout (fun () -> output_substring stdout s pos len));
+      out_flush = flush_stdout }
+
 let list_designs () =
   let table =
     Table.create ~title:"benchmark designs"
@@ -53,7 +85,7 @@ let list_designs () =
     (fun e ->
       Table.add_row table [ e.Designs.name; e.Designs.category; e.Designs.description ])
     Designs.all;
-  Table.print table
+  print_string (Table.render table)
 
 let list_nodes () =
   let table =
@@ -81,7 +113,7 @@ let list_nodes () =
           Table.cell_float ~decimals:0 n.Pdk.turnaround_weeks;
         ])
     Pdk.nodes;
-  Table.print table
+  print_string (Table.render table)
 
 (* The export plumbing (collector install + exactly-once at_exit writes,
    covering the early [exit] paths) is shared with the enablement CLI via
@@ -443,7 +475,7 @@ let report_ledger path =
           q Table.cell_int (fun x -> x.Runlog.drc_violations);
           Table.cell_int r.Runlog.guard_retries ])
     records;
-  Table.print table;
+  print_string (Table.render table);
   match Runlog.last records with
   | None -> ()
   | Some r ->
@@ -1177,7 +1209,7 @@ let render_top ~throughput (h : (float * int * int * int * int * int))
           (Rules.op_name i.Rules.inst_rule.Rules.op)
           i.Rules.inst_rule.Rules.threshold i.Rules.inst_rule.Rules.severity)
       insts);
-  Printf.printf "%!"
+  flush_stdout ()
 
 let load_rules_or_exit path =
   match Rules.load ~path with
@@ -1325,12 +1357,12 @@ let run_mon socket connect target_specs rules_path interval ticks alert_log hist
            (fun (i : Rules.instance) -> i.Rules.inst_state = Alertlog.Firing)
            (Rules.active engine))
     in
-    Printf.printf "tick %d: %d/%d targets up, %d samples, %d firing\n%!" !tick up_n
+    Printf.printf "tick %d: %d/%d targets up, %d samples, %d firing\n" !tick up_n
       (List.length results) samples firing;
     List.iter
       (fun (r : Scrape.tick_result) ->
         if not r.Scrape.ok then
-          Printf.printf "  target %s DOWN: %s%s\n%!" r.Scrape.target
+          Printf.printf "  target %s DOWN: %s%s\n" r.Scrape.target
             (Option.value r.Scrape.error ~default:"scrape failed")
             (match Scrape.staleness_ms scraper ~now_ms:now r.Scrape.target with
             | Some age when age > staleness_ms ->
@@ -1339,7 +1371,7 @@ let run_mon socket connect target_specs rules_path interval ticks alert_log hist
       results;
     List.iter
       (fun (e : Alertlog.entry) ->
-        Printf.printf "  alert %s%s -> %s (value %.4g, threshold %.4g)\n%!"
+        Printf.printf "  alert %s%s -> %s (value %.4g, threshold %.4g)\n"
           e.Alertlog.rule
           (match e.Alertlog.labels with
           | [] -> ""
@@ -1347,6 +1379,7 @@ let run_mon socket connect target_specs rules_path interval ticks alert_log hist
           (Alertlog.state_name e.Alertlog.state)
           e.Alertlog.value e.Alertlog.threshold)
       entries;
+    flush_stdout ();
     incr tick;
     if (not !stop) && (ticks = 0 || !tick < ticks) then Unix.sleepf interval
   done;

@@ -1,6 +1,7 @@
 module Jsonout = Educhip_obs.Jsonout
 module Obs = Educhip_obs.Obs
 module Crc32 = Educhip_util.Crc32
+module Files = Educhip_util.Files
 
 type t = { family : string; dir : string; max_entries : int; mutex : Mutex.t }
 
@@ -55,17 +56,6 @@ let decode_text ~decode text =
     | v -> Some v
     | exception Failure _ -> None)
 
-let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | text -> Some text
-  | exception Sys_error _ -> None
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let json_files dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
@@ -99,7 +89,7 @@ let put t key payload =
   | _ -> invalid_arg "Kv.put: payload must be a non-empty object");
   let text = to_disk payload in
   Mutex.protect t.mutex (fun () ->
-      mkdir_p t.dir;
+      Files.mkdir_p t.dir;
       let path = entry_path t key in
       let tmp =
         Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) (Atomic.fetch_and_add tmp_seq 1)
@@ -114,7 +104,7 @@ let put t key payload =
    garbage: moved aside for inspection, out of sight of [json_files]. *)
 let quarantine_locked t path =
   let qdir = quarantine_dir t in
-  mkdir_p qdir;
+  Files.mkdir_p qdir;
   (try Sys.rename path (Filename.concat qdir (Filename.basename path))
    with Sys_error _ -> ());
   Obs.incr_counter (counter t "quarantined")
@@ -128,7 +118,7 @@ let get t key ~decode =
   Mutex.protect t.mutex (fun () ->
       let path = entry_path t key in
       let found =
-        match read_file path with
+        match Files.read_file path with
         | None -> None
         | Some text -> (
           match decode_text ~decode text with
@@ -146,7 +136,7 @@ let get t key ~decode =
 
 let probe t key ~decode =
   Mutex.protect t.mutex (fun () ->
-      match read_file (entry_path t key) with
+      match Files.read_file (entry_path t key) with
       | None -> false
       | Some text -> Option.is_some (decode_text ~decode text))
 

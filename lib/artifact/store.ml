@@ -43,19 +43,9 @@ let entry_to_json e =
     ]
 
 let entry_of_json j =
-  (match Jsonout.member "schema" j with
-  | Some (Jsonout.Int v) when v = schema -> ()
-  | _ -> failwith "artifact entry: bad schema");
-  let str k =
-    match Jsonout.member k j with
-    | Some (Jsonout.String s) -> s
-    | _ -> failwith ("artifact entry: missing " ^ k)
-  in
-  let field k =
-    match Jsonout.member k j with
-    | Some v -> v
-    | None -> failwith ("artifact entry: missing " ^ k)
-  in
+  if Jsonout.int "schema" j <> Some schema then failwith "artifact entry: bad schema";
+  let need what = function Some v -> v | None -> failwith ("artifact entry: bad " ^ what) in
+  let str k = need k (Jsonout.string k j) and field k = need k (Jsonout.member k j) in
   {
     key = str "key";
     step = str "step";

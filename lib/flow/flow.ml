@@ -117,6 +117,10 @@ type ppa = {
   drc_clean : bool;
 }
 
+let ppa_signature p =
+  Printf.sprintf "cells=%d area=%h wns=%h wl=%h power=%h fmax=%h drc=%b" p.cells p.area_um2
+    p.wns_ps p.wirelength_um p.total_power_uw p.fmax_mhz p.drc_clean
+
 type step_report = { step_name : string; detail : string; wall_ms : float option }
 
 type verdict = Ok | Degraded of string list | Failed of string

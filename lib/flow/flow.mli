@@ -58,6 +58,11 @@ type ppa = {
   drc_clean : bool;
 }
 
+val ppa_signature : ppa -> string
+(** Every field on one line, floats in [%h] so equal strings mean
+    bit-identical numbers: what the smoke checks and the chaos harness
+    compare when they promise identical QoR. *)
+
 type step_report = {
   step_name : string;
   detail : string;

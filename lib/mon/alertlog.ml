@@ -57,23 +57,11 @@ let to_json e =
 let known_fields =
   [ "schema"; "t_ms"; "tick"; "rule"; "labels"; "state"; "value"; "threshold"; "severity" ]
 
-let as_float = function
-  | Some (Jsonout.Float f) -> Some f
-  | Some (Jsonout.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let as_int = function
-  | Some (Jsonout.Int i) -> Some i
-  | Some (Jsonout.Float f) -> Some (int_of_float f)
-  | _ -> None
-
-let as_string = function Some (Jsonout.String s) -> Some s | _ -> None
-
 let of_json j =
   match j with
   | Jsonout.Obj members -> (
-    let rule = as_string (Jsonout.member "rule" j) in
-    let state = Option.bind (as_string (Jsonout.member "state" j)) state_of_name in
+    let rule = Jsonout.string "rule" j in
+    let state = Option.bind (Jsonout.string "state" j) state_of_name in
     match (rule, state) with
     | Some rule, Some state ->
       let labels =
@@ -87,51 +75,19 @@ let of_json j =
       in
       Some
         {
-          schema = Option.value (as_int (Jsonout.member "schema" j)) ~default:schema_version;
-          t_ms = Option.value (as_float (Jsonout.member "t_ms" j)) ~default:0.0;
-          tick = Option.value (as_int (Jsonout.member "tick" j)) ~default:0;
+          schema = Option.value (Jsonout.int "schema" j) ~default:schema_version;
+          t_ms = Option.value (Jsonout.float "t_ms" j) ~default:0.0;
+          tick = Option.value (Jsonout.int "tick" j) ~default:0;
           rule;
           labels;
           state;
-          value = Option.value (as_float (Jsonout.member "value" j)) ~default:0.0;
-          threshold = Option.value (as_float (Jsonout.member "threshold" j)) ~default:0.0;
-          severity = Option.value (as_string (Jsonout.member "severity" j)) ~default:"warn";
+          value = Option.value (Jsonout.float "value" j) ~default:0.0;
+          threshold = Option.value (Jsonout.float "threshold" j) ~default:0.0;
+          severity = Option.value (Jsonout.string "severity" j) ~default:"warn";
           extra = List.filter (fun (k, _) -> not (List.mem k known_fields)) members;
         }
     | _ -> None)
   | _ -> None
 
-(* single write into an O_APPEND descriptor + flush, under a
-   process-local mutex — same tear-proofing as [Runlog.append] *)
-let append_mutex = Mutex.create ()
-
-let append ~path e =
-  let line = Jsonout.to_string (to_json e) ^ "\n" in
-  Mutex.protect append_mutex (fun () ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc line;
-          flush oc))
-
-let load ~path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let entries = ref [] in
-        (try
-           while true do
-             let line = String.trim (input_line ic) in
-             if line <> "" then
-               match Jsonout.of_string line with
-               | j -> (
-                 match of_json j with Some e -> entries := e :: !entries | None -> ())
-               | exception Failure _ -> ()
-           done
-         with End_of_file -> ());
-        List.rev !entries)
-  end
+let append ~path e = Educhip_obs.Jsonl.append ~path (to_json e)
+let load ~path = Educhip_obs.Jsonl.load ~path ~decode:of_json

@@ -4,8 +4,9 @@
     line of JSON — the durable record an operator (or the [@moncheck]
     gate) replays to reconstruct what fired when. Same discipline as
     [Educhip_obs.Runlog]: a [schema] stamp on every line, unknown
-    members preserved through decode → re-encode ([extra]), bad lines
-    skipped on load, single-write + flush appends under a process-local
+    members preserved through decode → re-encode ([extra]), and the
+    same {!Educhip_obs.Jsonl} file discipline: blank, torn and bad lines
+    skipped on load, single-write + flush appends under a process-wide
     mutex so concurrent writers never tear a line. *)
 
 val schema_version : int
@@ -50,11 +51,12 @@ val make :
 val to_json : entry -> Educhip_obs.Jsonout.t
 
 val of_json : Educhip_obs.Jsonout.t -> entry option
-(** Tolerant: missing optionals default, unknown members land in
-    [extra]; [None] only when the line is not an object, lacks a
-    usable [rule], or carries an unrecognized [state]. *)
+(** Tolerant: missing or mistyped optionals default (ints must be
+    [Int], floats [Int] or [Float]), unknown members land in [extra];
+    [None] only when the line is not an object, lacks a usable [rule],
+    or carries an unrecognized [state]. *)
 
 val append : path:string -> entry -> unit
 val load : path:string -> entry list
-(** Entries in file order; unparseable lines are skipped. Missing file
-    is an empty log. *)
+(** Entries in file order; unparseable lines, and lines {!of_json}
+    rejects, are skipped. Missing file is an empty log. *)

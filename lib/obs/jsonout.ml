@@ -285,3 +285,27 @@ let of_string s =
 let member key = function
   | Obj members -> List.assoc_opt key members
   | Null | Bool _ | Int _ | Float _ | String _ | List _ -> None
+
+(* {1 Typed field access} *)
+
+let as_int = function Int i -> Some i | _ -> None
+
+let as_float = function
+  | Float f -> Some f
+  | Int i -> Some (float_of_int i)
+  | _ -> None
+
+let as_string = function String s -> Some s | _ -> None
+let as_bool = function Bool b -> Some b | _ -> None
+
+(* [member] without its [Some]: a missing key reads as [Null], which no
+   coercion accepts, so a field read allocates only its result *)
+let rec find key = function
+  | [] -> Null
+  | (k, v) :: rest -> if String.equal k key then v else find key rest
+
+let field key = function Obj members -> find key members | _ -> Null
+let int key j = as_int (field key j)
+let float key j = as_float (field key j)
+let string key j = as_string (field key j)
+let bool key j = as_bool (field key j)

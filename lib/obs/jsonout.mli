@@ -36,6 +36,30 @@ val member : string -> t -> t option
 (** First member of an {!Obj} with the given key; [None] on other
     constructors or a missing key. *)
 
+(** {1 Typed field access}
+
+    The one set of coercions every decoder in the tree uses. A coercion
+    is [None] on any other constructor; it never truncates, parses a
+    string, or reads [null] as a number. *)
+
+val as_int : t -> int option
+(** {!Int} only — a {!Float} is not an int, even when integer-valued. *)
+
+val as_float : t -> float option
+(** {!Float}, or an {!Int} widened. *)
+
+val as_string : t -> string option
+val as_bool : t -> bool option
+
+val int : string -> t -> int option
+(** [int k j] is {!as_int} of member [k] of [j]; [None] when [j] is not
+    an object, [k] is missing, or the member has another type. The
+    same holds for {!float}, {!string} and {!bool}. *)
+
+val float : string -> t -> float option
+val string : string -> t -> string option
+val bool : string -> t -> bool option
+
 val escape_string : string -> string
 (** The quoted, escaped form of a string (including the surrounding
     double quotes) — exposed for tests. *)

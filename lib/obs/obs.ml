@@ -586,7 +586,9 @@ let export_on_exit ?trace ?metrics ?metrics_text:text_path () =
             | None -> ()
             | Some path ->
               write c ~path;
-              Printf.printf "%s written to %s\n%!" what path
+              (* the notice is best-effort: a reader gone from stdout
+                 ([... | head]) must not stop the remaining exports *)
+              (try Printf.printf "%s written to %s\n%!" what path with Sys_error _ -> ())
           in
           emit "trace" write_trace trace;
           emit "metrics" write_metrics metrics;

@@ -84,21 +84,9 @@ let known_fields =
     "fault_seed"; "max_retries"; "guard_retries"; "guard_degraded"; "steps"; "qor";
     "trace_id"; "queue_wait_ms" ]
 
-let as_float = function
-  | Some (Jsonout.Float f) -> Some f
-  | Some (Jsonout.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let as_int = function
-  | Some (Jsonout.Int i) -> Some i
-  | Some (Jsonout.Float f) -> Some (int_of_float f)
-  | _ -> None
-
-let as_string = function Some (Jsonout.String s) -> Some s | _ -> None
-
-let get_float j key d = Option.value (as_float (Jsonout.member key j)) ~default:d
-let get_int j key d = Option.value (as_int (Jsonout.member key j)) ~default:d
-let get_string j key d = Option.value (as_string (Jsonout.member key j)) ~default:d
+let get_float j key d = Option.value (Jsonout.float key j) ~default:d
+let get_int j key d = Option.value (Jsonout.int key j) ~default:d
+let get_string j key d = Option.value (Jsonout.string key j) ~default:d
 
 let step_of_json j =
   { step = get_string j "step" "?";
@@ -121,8 +109,7 @@ let of_json j =
   in
   let injected =
     match Jsonout.member "injected" j with
-    | Some (Jsonout.List xs) ->
-      List.filter_map (function Jsonout.String s -> Some s | _ -> None) xs
+    | Some (Jsonout.List xs) -> List.filter_map Jsonout.as_string xs
     | _ -> []
   in
   let steps =
@@ -142,54 +129,20 @@ let of_json j =
     verdict = get_string j "verdict" "?";
     total_wall_ms = get_float j "total_wall_ms" 0.0;
     injected;
-    fault_seed = as_int (Jsonout.member "fault_seed" j);
-    max_retries = as_int (Jsonout.member "max_retries" j);
+    fault_seed = Jsonout.int "fault_seed" j;
+    max_retries = Jsonout.int "max_retries" j;
     guard_retries = get_int j "guard_retries" 0;
     guard_degraded = get_int j "guard_degraded" 0;
     steps;
     qor;
-    trace_id = as_string (Jsonout.member "trace_id" j);
-    queue_wait_ms = as_float (Jsonout.member "queue_wait_ms" j);
+    trace_id = Jsonout.string "trace_id" j;
+    queue_wait_ms = Jsonout.float "queue_wait_ms" j;
     extra = List.filter (fun (k, _) -> not (List.mem k known_fields)) members }
 
 (* {1 File I/O} *)
 
-(* Concurrent-writer safety: the full JSONL line is built in memory and
-   written with one [output_string] into an O_APPEND descriptor, then
-   flushed before anyone else can interleave — plus a process-local
-   mutex so parallel scheduler workers in this process can never split
-   a line across two buffer flushes. *)
-let append_mutex = Mutex.create ()
-
-let append ~path r =
-  let line = Jsonout.to_string (to_json r) ^ "\n" in
-  Mutex.protect append_mutex (fun () ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc line;
-          flush oc))
-
-let load ~path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let records = ref [] in
-        (try
-           while true do
-             let line = String.trim (input_line ic) in
-             if line <> "" then
-               match of_json (Jsonout.of_string line) with
-               | r -> records := r :: !records
-               | exception Failure _ -> ()
-           done
-         with End_of_file -> ());
-        List.rev !records)
-  end
+let append ~path r = Jsonl.append ~path (to_json r)
+let load ~path = Jsonl.load ~path ~decode:(fun j -> Some (of_json j))
 
 let last = function [] -> None | records -> Some (List.nth records (List.length records - 1))
 

@@ -80,21 +80,22 @@ val to_json : record -> Jsonout.t
     fields. *)
 
 val of_json : Jsonout.t -> record
-(** Tolerant decode: missing fields take neutral defaults, numeric
-    fields accept either [Int] or [Float], and unrecognized members are
-    collected into [extra].
+(** Tolerant decode: missing fields take neutral defaults, float fields
+    accept [Int] or [Float], int fields only [Int] (the
+    [Jsonout.int]/[Jsonout.float] coercions; a mistyped field takes its
+    default), and unrecognized members are collected into [extra].
     @raise Failure if the value is not a JSON object. *)
 
 val append : path:string -> record -> unit
-(** Append one compact line to the ledger, creating the file if needed.
-    Safe for concurrent writers: the whole line is written with a single
-    flushed [output_string] under a process-local mutex, so parallel
-    scheduler workers cannot interleave partial lines. *)
+(** Append one compact line to the ledger with {!Jsonl.append}, creating
+    the file if needed: safe for concurrent writers, parallel scheduler
+    workers never interleave partial lines. *)
 
 val load : path:string -> record list
-(** All parseable records, file order. Blank and malformed lines are
-    skipped (an append-only ledger shared between tool versions must
-    not be poisoned by one bad line). A missing file is an empty ledger. *)
+(** All parseable records, file order, read with {!Jsonl.load}. Blank,
+    torn and malformed lines are skipped (an append-only ledger shared
+    between tool versions must not be poisoned by one bad line). A
+    missing file is an empty ledger. *)
 
 val last : record list -> record option
 

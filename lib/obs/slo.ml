@@ -147,23 +147,16 @@ let report_json r =
       ("burn_rate", Jsonout.Float r.burn_rate);
     ]
 
-let number k j =
-  match Jsonout.member k j with
-  | Some (Jsonout.Float f) -> Some f
-  | Some (Jsonout.Int i) -> Some (float_of_int i)
-  | _ -> None
-
 let report_of_json j =
-  match Jsonout.member "tier" j with
-  | Some (Jsonout.String tier) ->
-    let f k d = Option.value (number k j) ~default:d in
+  match Jsonout.string "tier" j with
+  | Some tier ->
+    let f k d = Option.value (Jsonout.float k j) ~default:d in
     Some
       {
         tier;
         objective =
           { p99_ms = f "target_p99_ms" 0.0; success_rate = f "target_success_rate" 0.0 };
-        samples =
-          (match Jsonout.member "samples" j with Some (Jsonout.Int i) -> i | _ -> 0);
+        samples = Option.value (Jsonout.int "samples" j) ~default:0;
         p50_ms = f "p50_ms" 0.0;
         p99_ms = f "p99_ms" 0.0;
         ok_rate = f "ok_rate" 1.0;

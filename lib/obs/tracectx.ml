@@ -142,24 +142,16 @@ let event_json e =
 let events_json events = Jsonout.List (List.map event_json events)
 
 let event_of_json j =
-  let str k = match Jsonout.member k j with Some (Jsonout.String s) -> Some s | _ -> None in
-  let flt k =
-    match Jsonout.member k j with
-    | Some (Jsonout.Float f) -> Some f
-    | Some (Jsonout.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  match str "name" with
+  match Jsonout.string "name" j with
   | None -> None
   | Some name ->
     Some
       {
         name;
-        cat = Option.value (str "cat") ~default:(category name);
-        ts_us = Option.value (flt "ts") ~default:0.0;
-        dur_us = Option.value (flt "dur") ~default:0.0;
-        tid =
-          (match Jsonout.member "tid" j with Some (Jsonout.Int i) -> i | _ -> tid_server);
+        cat = Option.value (Jsonout.string "cat" j) ~default:(category name);
+        ts_us = Option.value (Jsonout.float "ts" j) ~default:0.0;
+        dur_us = Option.value (Jsonout.float "dur" j) ~default:0.0;
+        tid = Option.value (Jsonout.int "tid" j) ~default:tid_server;
         args =
           (match Jsonout.member "args" j with
           | Some (Jsonout.Obj members) ->

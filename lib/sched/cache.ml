@@ -50,24 +50,20 @@ let ppa_to_json (p : Flow.ppa) =
       ("drc_clean", Jsonout.Bool p.drc_clean);
     ]
 
-let number = function
-  | Jsonout.Int n -> float_of_int n
-  | Jsonout.Float f -> f
-  | _ -> failwith "cache entry: expected number"
+(* strict, unlike the wire's decoder: a missing or mistyped field is
+   corruption, and the store quarantines the entry *)
+let need what = function Some v -> v | None -> failwith ("cache entry: bad " ^ what)
 
 let ppa_of_json j : Flow.ppa =
-  let field k = match Jsonout.member k j with
-    | Some v -> v
-    | None -> failwith ("cache entry: ppa missing " ^ k)
-  in
+  let num k = need k (Jsonout.float k j) in
   {
-    area_um2 = number (field "area_um2");
-    cells = (match field "cells" with Jsonout.Int n -> n | _ -> failwith "cache entry: cells");
-    fmax_mhz = number (field "fmax_mhz");
-    wns_ps = number (field "wns_ps");
-    total_power_uw = number (field "total_power_uw");
-    wirelength_um = number (field "wirelength_um");
-    drc_clean = (match field "drc_clean" with Jsonout.Bool b -> b | _ -> failwith "cache entry: drc_clean");
+    area_um2 = num "area_um2";
+    cells = need "cells" (Jsonout.int "cells" j);
+    fmax_mhz = num "fmax_mhz";
+    wns_ps = num "wns_ps";
+    total_power_uw = num "total_power_uw";
+    wirelength_um = num "wirelength_um";
+    drc_clean = need "drc_clean" (Jsonout.bool "drc_clean" j);
   }
 
 let entry_to_json e =
@@ -81,24 +77,15 @@ let entry_to_json e =
     ]
 
 let entry_of_json j =
-  (match Jsonout.member "schema" j with
-  | Some (Jsonout.Int v) when v = schema -> ()
-  | _ -> failwith "cache entry: bad schema");
-  let str k = match Jsonout.member k j with
-    | Some (Jsonout.String s) -> s
-    | _ -> failwith ("cache entry: missing " ^ k)
-  in
+  if Jsonout.int "schema" j <> Some schema then failwith "cache entry: bad schema";
   {
-    key = str "key";
-    verdict = str "verdict";
+    key = need "key" (Jsonout.string "key" j);
+    verdict = need "verdict" (Jsonout.string "verdict" j);
     ppa =
       (match Jsonout.member "ppa" j with
       | Some Jsonout.Null | None -> None
       | Some p -> Some (ppa_of_json p));
-    record =
-      (match Jsonout.member "record" j with
-      | Some r -> Runlog.of_json r
-      | None -> failwith "cache entry: missing record");
+    record = Runlog.of_json (need "record" (Jsonout.member "record" j));
   }
 
 let store t e = Kv.put t e.key (entry_to_json e)

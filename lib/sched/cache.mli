@@ -56,6 +56,10 @@ type entry = {
       (** the full ledger record of the original run *)
 }
 
+val ppa_to_json : Educhip_flow.Flow.ppa -> Educhip_obs.Jsonout.t
+(** The PPA object as stored in an entry — and as sent on the wire,
+    which reuses it. *)
+
 val store : t -> entry -> unit
 (** Write (temp file + rename, so concurrent readers never see a
     partial entry), then evict oldest-mtime entries beyond the cap. *)

@@ -1,5 +1,6 @@
 module Mclock = Educhip_util.Mclock
 module Rng = Educhip_util.Rng
+module Files = Educhip_util.Files
 module Jsonout = Educhip_obs.Jsonout
 module Flow = Educhip_flow.Flow
 
@@ -49,141 +50,36 @@ let stats_json s =
       ("wall_ms", Jsonout.Float s.wall_ms);
     ]
 
-(* {1 Filesystem scraps} *)
-
 let ( / ) = Filename.concat
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (path / n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
 
 (* {1 Result identity}
 
-   The same verdict+PPA signature the serve smoke check uses: every
-   field that QoR determinism promises, rendered with %h so float
-   identity is exact, none of the fields (wall times, worker ids) that
-   legitimately differ between runs. *)
+   Verdict plus [Flow.ppa_signature], as in the serve smoke check: every
+   field that QoR determinism promises, none of the fields (wall times,
+   worker ids) that legitimately differ between runs. *)
 
 let lost_sig = "<lost>"
 
 let signature = function
   | Ok (Wire.Job_result { verdict; ppa; _ }) ->
-    let ppa =
-      match ppa with
-      | Some (p : Flow.ppa) ->
-        Printf.sprintf "cells=%d area=%h wns=%h wl=%h power=%h fmax=%h drc=%b"
-          p.Flow.cells p.Flow.area_um2 p.Flow.wns_ps p.Flow.wirelength_um
-          p.Flow.total_power_uw p.Flow.fmax_mhz p.Flow.drc_clean
-      | None -> "-"
-    in
+    let ppa = match ppa with Some p -> Flow.ppa_signature p | None -> "-" in
     Printf.sprintf "%s [%s]" verdict ppa
   | Ok (Wire.Rejected { reason = Wire.Unknown_id _; _ }) -> lost_sig
   | Ok r -> "unexpected: " ^ Wire.encode_response r
   | Error msg -> "error: " ^ msg
 
-(* {1 Daemon control} *)
-
-type daemon = { pid : int; socket : string }
-
-let daemon_log_tail log =
-  match read_file log with
-  | Some s ->
-    let n = String.length s in
-    if n <= 2000 then s else "..." ^ String.sub s (n - 2000) 2000
-  | None -> "(no daemon log)"
-
-let start_daemon cfg ~socket ~cache_dir ~journal ~log =
-  let args =
-    [
-      cfg.daemon; "--socket"; socket;
-      "--workers"; string_of_int cfg.workers;
-      "--cache-dir"; cache_dir;
-      (* the harness measures durability, not admission control: make
-         the gates roomy enough that nothing is ever refused *)
-      "--max-queue"; "1024";
-      "--basic-rate"; "100000"; "--basic-burst"; "100000";
-      "--basic-inflight"; "1024";
-    ]
-    @ (match journal with Some j -> [ "--journal"; j ] | None -> [])
-  in
-  let log_fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let pid =
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.close null;
-        Unix.close log_fd)
-      (fun () -> Unix.create_process cfg.daemon (Array.of_list args) null log_fd log_fd)
-  in
-  { pid; socket }
-
-(* Readiness doubles as recovery-completion: eduserved replays the
-   journal before it opens the socket, so the first successful connect
-   means every pre-crash job is terminal again. *)
-let wait_ready ?(timeout_ms = 60_000.0) d ~log =
-  let t0 = Mclock.now_ms () in
-  let rec loop () =
-    match Client.connect_unix d.socket with
-    | c -> Client.close c
-    | exception (Unix.Unix_error _ | Sys_error _) ->
-      (match Unix.waitpid [ Unix.WNOHANG ] d.pid with
-      | 0, _ -> ()
-      | _ | (exception Unix.Unix_error _) ->
-        failwith ("chaos: daemon died during startup:\n" ^ daemon_log_tail log));
-      if Mclock.elapsed_ms t0 > timeout_ms then
-        failwith ("chaos: daemon not ready in time:\n" ^ daemon_log_tail log)
-      else begin
-        Thread.delay 0.05;
-        loop ()
-      end
-  in
-  loop ()
-
-let sigkill d =
-  (try Unix.kill d.pid Sys.sigkill with Unix.Unix_error _ -> ());
-  try ignore (Unix.waitpid [] d.pid) with Unix.Unix_error _ -> ()
-
-let drain d =
-  (try
-     let c = Client.connect_unix d.socket in
-     ignore (Client.request c Wire.Drain);
-     Client.close c
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  try ignore (Unix.waitpid [] d.pid) with Unix.Unix_error _ -> ()
-
 let read_recovery path =
-  match read_file path with
+  match Files.read_file path with
   | None -> None
   | Some text -> (
     match Jsonout.of_string text with
     | exception Failure _ -> None
     | j ->
-      let int k = match Jsonout.member k j with Some (Jsonout.Int n) -> n | _ -> 0 in
-      let num k =
-        match Jsonout.member k j with
-        | Some (Jsonout.Float f) -> f
-        | Some (Jsonout.Int n) -> float_of_int n
-        | _ -> 0.0
-      in
-      Some (int "replayed", int "restored_completed", num "recovery_wall_ms"))
+      let int k = Option.value (Jsonout.int k j) ~default:0 in
+      Some
+        ( int "replayed",
+          int "restored_completed",
+          Option.value (Jsonout.float "recovery_wall_ms" j) ~default:0.0 ))
 
 (* submit through the retrying client: reconnect-and-resubmit is
    exactly the loop a real student-facing client runs, and with the
@@ -210,7 +106,7 @@ let run cfg =
   let t_start = Mclock.now_ms () in
   let n = List.length cfg.jobs in
   if n = 0 then invalid_arg "Chaos.run: empty job list";
-  mkdir_p cfg.state_dir;
+  Files.mkdir_p cfg.state_dir;
   let socket = cfg.state_dir / "chaos.sock" in
   let log = cfg.state_dir / "daemon.log" in
   let journal_path = cfg.state_dir / "journal.eduj" in
@@ -224,10 +120,16 @@ let run cfg =
 
   (* baseline: undisturbed run on fresh state — the reference answers *)
   let base_cache = cfg.state_dir / "cache-baseline" in
-  rm_rf base_cache;
-  rm_rf log;
-  let d = start_daemon cfg ~socket ~cache_dir:base_cache ~journal:None ~log in
-  wait_ready d ~log;
+  let start ~cache_dir ?journal () =
+    let d =
+      Daemon.start ~exe:cfg.daemon ~socket ~cache_dir ~log ~workers:cfg.workers ?journal ()
+    in
+    Daemon.wait_ready d;
+    d
+  in
+  Files.rm_rf base_cache;
+  Files.rm_rf log;
+  let d = start ~cache_dir:base_cache () in
   let baseline =
     let c = Client.connect_unix socket in
     Fun.protect
@@ -242,13 +144,13 @@ let run cfg =
             | Error msg -> failwith ("chaos: baseline submit failed: " ^ msg))
           keyed)
   in
-  drain d;
+  Daemon.drain d;
 
   (* chaos: same campaign, fresh state, SIGKILLs at seeded points *)
   let chaos_cache = cfg.state_dir / "cache-chaos" in
-  rm_rf chaos_cache;
-  rm_rf journal_path;
-  rm_rf recovery_json;
+  Files.rm_rf chaos_cache;
+  Files.rm_rf journal_path;
+  Files.rm_rf recovery_json;
   let journal = if cfg.use_journal then Some journal_path else None in
   let rng = Rng.create ~seed:cfg.seed in
   let kills = max 0 (min cfg.kills n) in
@@ -257,8 +159,7 @@ let run cfg =
     Rng.shuffle rng points;
     Array.sub points 0 kills |> Array.to_list |> List.sort_uniq compare
   in
-  let d = ref (start_daemon cfg ~socket ~cache_dir:chaos_cache ~journal ~log) in
-  wait_ready !d ~log;
+  let d = ref (start ~cache_dir:chaos_cache ?journal ()) in
   let ids = Array.make n None in
   let duplicate_probes = ref 0 and duplicates_suppressed = ref 0 in
   let recoveries = ref 0 and replayed_total = ref 0 and restored_total = ref 0 in
@@ -272,9 +173,8 @@ let run cfg =
       | Ok r -> failwith ("chaos: submit refused: " ^ Wire.encode_response r)
       | Error msg -> failwith ("chaos: submit failed: " ^ msg));
       if List.mem (i + 1) kill_set then begin
-        sigkill !d;
-        d := start_daemon cfg ~socket ~cache_dir:chaos_cache ~journal ~log;
-        wait_ready !d ~log;
+        Daemon.kill !d;
+        d := start ~cache_dir:chaos_cache ?journal ();
         incr recoveries;
         if cfg.use_journal then (
           match read_recovery recovery_json with
@@ -282,7 +182,8 @@ let run cfg =
             replayed_total := !replayed_total + rep;
             restored_total := !restored_total + res;
             recovery_wall := !recovery_wall +. wall
-          | None -> failwith ("chaos: no recovery stats after restart:\n" ^ daemon_log_tail log));
+          | None ->
+            failwith ("chaos: no recovery stats after restart:\n" ^ Daemon.log_tail !d));
         (* the client's view of the crash: the ack may or may not have
            arrived, so it resubmits the same key. Under a journal the
            daemon must answer with the original id, not a second run. *)
@@ -318,7 +219,7 @@ let run cfg =
             if s = lost_sig then incr lost
             else if s <> base_sig then incr mismatched)
         baseline);
-  drain !d;
+  Daemon.drain !d;
   {
     mode = (if cfg.use_journal then "journal" else "no_journal");
     jobs_total = n;

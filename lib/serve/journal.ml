@@ -1,5 +1,6 @@
 module Jsonout = Educhip_obs.Jsonout
 module Crc32 = Educhip_util.Crc32
+module Files = Educhip_util.Files
 
 let magic = "EDUJ1"
 
@@ -36,13 +37,10 @@ let entry_to_line e =
   Printf.sprintf "%s %s %s" magic (Crc32.to_hex (Crc32.digest payload)) payload
 
 let payload_of_json json =
-  let str k =
-    match Jsonout.member k json with Some (Jsonout.String s) -> Some s | _ -> None
-  in
-  match str "e" with
+  match Jsonout.string "e" json with
   | None -> Error "journal entry: missing e field"
   | Some kind -> (
-    match str "id" with
+    match Jsonout.string "id" json with
     | None -> Error "journal entry: missing id field"
     | Some id -> (
       match kind with
@@ -57,7 +55,7 @@ let payload_of_json json =
                (Wire.submit_of_json req)))
       | "started" -> Ok (Started { id })
       | "done" -> (
-        match str "verdict" with
+        match Jsonout.string "verdict" json with
         | Some verdict -> Ok (Done { id; verdict })
         | None -> Error "journal entry: done without verdict")
       | other -> Error (Printf.sprintf "journal entry: unknown kind %S" other)))
@@ -127,23 +125,18 @@ let path t = t.jpath
 type loaded = { entries : entry list; dropped : int }
 
 let load ~path =
-  match open_in_bin path with
-  | exception Sys_error _ -> { entries = []; dropped = 0 }
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let text = really_input_string ic (in_channel_length ic) in
-        let lines = String.split_on_char '\n' text in
-        let entries = ref [] and dropped = ref 0 in
-        List.iter
-          (fun line ->
-            if line <> "" then
-              match entry_of_line line with
-              | Ok e -> entries := e :: !entries
-              | Error _ -> incr dropped)
-          lines;
-        { entries = List.rev !entries; dropped = !dropped })
+  match Files.read_file path with
+  | None -> { entries = []; dropped = 0 }
+  | Some text ->
+    let entries = ref [] and dropped = ref 0 in
+    List.iter
+      (fun line ->
+        if line <> "" then
+          match entry_of_line line with
+          | Ok e -> entries := e :: !entries
+          | Error _ -> incr dropped)
+      (String.split_on_char '\n' text);
+    { entries = List.rev !entries; dropped = !dropped }
 
 type recovery = {
   pending : (string * Wire.submit_spec) list;

@@ -155,22 +155,6 @@ type response =
 
 (* {1 JSON helpers} *)
 
-let opt_member name json f = Option.bind (Jsonout.member name json) f
-
-let as_string = function Jsonout.String s -> Some s | _ -> None
-let as_int = function Jsonout.Int i -> Some i | _ -> None
-let as_bool = function Jsonout.Bool b -> Some b | _ -> None
-
-let as_float = function
-  | Jsonout.Float f -> Some f
-  | Jsonout.Int i -> Some (float_of_int i)
-  | _ -> None
-
-let str name json = opt_member name json as_string
-let int name json = opt_member name json as_int
-let flt name json = opt_member name json as_float
-let bool name json = opt_member name json as_bool
-
 (* members whose value is the field's default are elided on the wire *)
 let obj members = Jsonout.Obj (List.filter_map Fun.id members)
 let field name v = Some (name, v)
@@ -178,30 +162,20 @@ let opt_field name f = Option.map (fun v -> (name, f v))
 
 let versioned members = obj (field "schema" (Jsonout.Int schema_version) :: members)
 
-let ppa_to_json (p : Flow.ppa) =
-  Jsonout.Obj
-    [
-      ("area_um2", Jsonout.Float p.Flow.area_um2);
-      ("cells", Jsonout.Int p.Flow.cells);
-      ("fmax_mhz", Jsonout.Float p.Flow.fmax_mhz);
-      ("wns_ps", Jsonout.Float p.Flow.wns_ps);
-      ("total_power_uw", Jsonout.Float p.Flow.total_power_uw);
-      ("wirelength_um", Jsonout.Float p.Flow.wirelength_um);
-      ("drc_clean", Jsonout.Bool p.Flow.drc_clean);
-    ]
+let ppa_to_json = Educhip_sched.Cache.ppa_to_json
 
 let ppa_of_json json =
   match json with
   | Jsonout.Obj _ ->
     Some
       {
-        Flow.area_um2 = Option.value (flt "area_um2" json) ~default:0.0;
-        cells = Option.value (int "cells" json) ~default:0;
-        fmax_mhz = Option.value (flt "fmax_mhz" json) ~default:0.0;
-        wns_ps = Option.value (flt "wns_ps" json) ~default:0.0;
-        total_power_uw = Option.value (flt "total_power_uw" json) ~default:0.0;
-        wirelength_um = Option.value (flt "wirelength_um" json) ~default:0.0;
-        drc_clean = Option.value (bool "drc_clean" json) ~default:false;
+        Flow.area_um2 = Option.value (Jsonout.float "area_um2" json) ~default:0.0;
+        cells = Option.value (Jsonout.int "cells" json) ~default:0;
+        fmax_mhz = Option.value (Jsonout.float "fmax_mhz" json) ~default:0.0;
+        wns_ps = Option.value (Jsonout.float "wns_ps" json) ~default:0.0;
+        total_power_uw = Option.value (Jsonout.float "total_power_uw" json) ~default:0.0;
+        wirelength_um = Option.value (Jsonout.float "wirelength_um" json) ~default:0.0;
+        drc_clean = Option.value (Jsonout.bool "drc_clean" json) ~default:false;
       }
   | _ -> None
 
@@ -263,28 +237,30 @@ let encode_request req =
   Jsonout.to_string (versioned body)
 
 let check_schema json =
-  match int "schema" json with
+  match Jsonout.int "schema" json with
   | Some v when v = schema_version -> Ok ()
   | Some v -> Error (Printf.sprintf "unsupported schema version %d (speak %d)" v schema_version)
   | None -> Error "missing schema field"
 
 let require_id json k =
-  match str "id" json with Some id -> Ok (k id) | None -> Error "missing id field"
+  match Jsonout.string "id" json with
+  | Some id -> Ok (k id)
+  | None -> Error "missing id field"
 
 let decode_submit json =
-  match str "design" json with
+  match Jsonout.string "design" json with
   | None -> Error "submit: missing design field"
   | Some design -> (
     let dft = submit design in
     let inject =
       match Jsonout.member "inject" json with
-      | Some (Jsonout.List xs) -> List.filter_map as_string xs
+      | Some (Jsonout.List xs) -> List.filter_map Jsonout.as_string xs
       | _ -> []
     in
     let trace =
-      match str "trace_id" json with
+      match Jsonout.string "trace_id" json with
       | Some id when Tracectx.is_valid_id id ->
-        Ok (Some (Tracectx.make ?parent_span:(str "parent_span" json) id))
+        Ok (Some (Tracectx.make ?parent_span:(Jsonout.string "parent_span" json) id))
       | Some id -> Error (Printf.sprintf "submit: invalid trace_id %S" id)
       | None -> Ok None
     in
@@ -300,16 +276,16 @@ let decode_submit json =
       Ok
         {
           design;
-          tenant = Option.value (str "tenant" json) ~default:dft.tenant;
-          preset = Option.value (str "preset" json) ~default:dft.preset;
-          node = Option.value (str "node" json) ~default:dft.node;
-          clock_ps = flt "clock_ps" json;
-          priority = Option.value (int "priority" json) ~default:dft.priority;
-          fault_seed = Option.value (int "fault_seed" json) ~default:dft.fault_seed;
-          retries = int "retries" json;
+          tenant = Option.value (Jsonout.string "tenant" json) ~default:dft.tenant;
+          preset = Option.value (Jsonout.string "preset" json) ~default:dft.preset;
+          node = Option.value (Jsonout.string "node" json) ~default:dft.node;
+          clock_ps = Jsonout.float "clock_ps" json;
+          priority = Option.value (Jsonout.int "priority" json) ~default:dft.priority;
+          fault_seed = Option.value (Jsonout.int "fault_seed" json) ~default:dft.fault_seed;
+          retries = Jsonout.int "retries" json;
           inject;
-          deadline_ms = flt "deadline_ms" json;
-          idempotency_key = str "idempotency_key" json;
+          deadline_ms = Jsonout.float "deadline_ms" json;
+          idempotency_key = Jsonout.string "idempotency_key" json;
           trace;
           extra;
         })
@@ -318,7 +294,7 @@ let submit_of_json json =
   match check_schema json with
   | Error _ as e -> e
   | Ok () -> (
-    match str "op" json with
+    match Jsonout.string "op" json with
     | Some "submit" -> decode_submit json
     | Some other -> Error (Printf.sprintf "expected a submit request, got op %S" other)
     | None -> Error "missing op field")
@@ -330,7 +306,7 @@ let decode_request line =
     match check_schema json with
     | Error _ as e -> e
     | Ok () -> (
-      match str "op" json with
+      match Jsonout.string "op" json with
       | None -> Error "missing op field"
       | Some "submit" -> Result.map (fun s -> Submit s) (decode_submit json)
       | Some "status" -> require_id json (fun id -> Status id)
@@ -341,7 +317,7 @@ let decode_request line =
       | Some "drain" -> Ok Drain
       | Some "cluster_status" -> Ok Cluster_status
       | Some "drain_replica" -> (
-        match str "replica" json with
+        match Jsonout.string "replica" json with
         | Some name -> Ok (Drain_replica name)
         | None -> Error "drain_replica: missing replica field")
       | Some other -> Error (Printf.sprintf "unknown op %S" other)))
@@ -464,24 +440,27 @@ let decode_response line =
     match check_schema json with
     | Error _ as e -> e
     | Ok () -> (
-      match str "type" json with
+      match Jsonout.string "type" json with
       | None -> Error "missing type field"
       | Some "accepted" ->
         require_id json (fun id ->
             Accepted
               {
                 id;
-                tier = Option.value (str "tier" json) ~default:"basic";
-                cached = Option.value (bool "cached" json) ~default:false;
-                duplicate = Option.value (bool "duplicate" json) ~default:false;
+                tier = Option.value (Jsonout.string "tier" json) ~default:"basic";
+                cached = Option.value (Jsonout.bool "cached" json) ~default:false;
+                duplicate = Option.value (Jsonout.bool "duplicate" json) ~default:false;
               })
       | Some "status" -> (
-        match (str "id" json, Option.bind (str "state" json) state_of_name) with
-        | Some id, Some state -> Ok (Job_status { id; state; verdict = str "verdict" json })
+        let state = Option.bind (Jsonout.string "state" json) state_of_name in
+        match (Jsonout.string "id" json, state) with
+        | Some id, Some state ->
+          Ok (Job_status { id; state; verdict = Jsonout.string "verdict" json })
         | None, _ -> Error "status: missing id field"
         | _, None -> Error "status: missing or unknown state field")
       | Some "result" -> (
-        match (str "id" json, str "verdict" json, Jsonout.member "record" json) with
+        let id = Jsonout.string "id" json and verdict = Jsonout.string "verdict" json in
+        match (id, verdict, Jsonout.member "record" json) with
         | Some id, Some verdict, Some record_json -> (
           match Runlog.of_json record_json with
           | exception Failure msg -> Error (Printf.sprintf "result: bad record: %s" msg)
@@ -491,9 +470,9 @@ let decode_response line =
                  {
                    id;
                    verdict;
-                   from_cache = Option.value (bool "from_cache" json) ~default:false;
-                   exec_ms = Option.value (flt "exec_ms" json) ~default:0.0;
-                   wait_ms = Option.value (flt "wait_ms" json) ~default:0.0;
+                   from_cache = Option.value (Jsonout.bool "from_cache" json) ~default:false;
+                   exec_ms = Option.value (Jsonout.float "exec_ms" json) ~default:0.0;
+                   wait_ms = Option.value (Jsonout.float "wait_ms" json) ~default:0.0;
                    ppa = Option.bind (Jsonout.member "ppa" json) ppa_of_json;
                    record;
                    trace_events =
@@ -506,16 +485,17 @@ let decode_response line =
         Ok
           (Stats_report
              {
-               uptime_ms = Option.value (flt "uptime_ms" json) ~default:0.0;
-               queue_depth = Option.value (int "queue_depth" json) ~default:0;
-               running = Option.value (int "running" json) ~default:0;
-               completed = Option.value (int "completed" json) ~default:0;
-               failed = Option.value (int "failed" json) ~default:0;
+               uptime_ms = Option.value (Jsonout.float "uptime_ms" json) ~default:0.0;
+               queue_depth = Option.value (Jsonout.int "queue_depth" json) ~default:0;
+               running = Option.value (Jsonout.int "running" json) ~default:0;
+               completed = Option.value (Jsonout.int "completed" json) ~default:0;
+               failed = Option.value (Jsonout.int "failed" json) ~default:0;
                rejects =
                  (match Jsonout.member "rejects" json with
                  | Some (Jsonout.Obj members) ->
                    List.filter_map
-                     (fun (reason, v) -> Option.map (fun n -> (reason, n)) (as_int v))
+                     (fun (reason, v) ->
+                       Option.map (fun n -> (reason, n)) (Jsonout.as_int v))
                      members
                  | _ -> []);
                tenants =
@@ -527,14 +507,14 @@ let decode_response line =
                          (fun tenant ->
                            {
                              tenant;
-                             tier = Option.value (str "tier" t) ~default:"basic";
-                             inflight = Option.value (int "inflight" t) ~default:0;
-                             completed_n = Option.value (int "completed" t) ~default:0;
-                             failed_n = Option.value (int "failed" t) ~default:0;
-                             p50_ms = Option.value (flt "p50_ms" t) ~default:0.0;
-                             p99_ms = Option.value (flt "p99_ms" t) ~default:0.0;
+                             tier = Option.value (Jsonout.string "tier" t) ~default:"basic";
+                             inflight = Option.value (Jsonout.int "inflight" t) ~default:0;
+                             completed_n = Option.value (Jsonout.int "completed" t) ~default:0;
+                             failed_n = Option.value (Jsonout.int "failed" t) ~default:0;
+                             p50_ms = Option.value (Jsonout.float "p50_ms" t) ~default:0.0;
+                             p99_ms = Option.value (Jsonout.float "p99_ms" t) ~default:0.0;
                            })
-                         (str "tenant" t))
+                         (Jsonout.string "tenant" t))
                      xs
                  | _ -> []);
                slos =
@@ -546,20 +526,20 @@ let decode_response line =
         Ok
           (Health_report
              {
-               uptime_ms = Option.value (flt "uptime_ms" json) ~default:0.0;
-               queue_depth = Option.value (int "queue_depth" json) ~default:0;
-               running = Option.value (int "running" json) ~default:0;
-               completed = Option.value (int "completed" json) ~default:0;
-               failed = Option.value (int "failed" json) ~default:0;
-               draining = Option.value (bool "draining" json) ~default:false;
-               workers = Option.value (int "workers" json) ~default:0;
+               uptime_ms = Option.value (Jsonout.float "uptime_ms" json) ~default:0.0;
+               queue_depth = Option.value (Jsonout.int "queue_depth" json) ~default:0;
+               running = Option.value (Jsonout.int "running" json) ~default:0;
+               completed = Option.value (Jsonout.int "completed" json) ~default:0;
+               failed = Option.value (Jsonout.int "failed" json) ~default:0;
+               draining = Option.value (Jsonout.bool "draining" json) ~default:false;
+               workers = Option.value (Jsonout.int "workers" json) ~default:0;
              })
       | Some "metrics" -> (
-        match str "text" json with
+        match Jsonout.string "text" json with
         | Some text -> Ok (Metrics_text text)
         | None -> Error "metrics: missing text field")
       | Some "drain" ->
-        Ok (Drain_ack { pending = Option.value (int "pending" json) ~default:0 })
+        Ok (Drain_ack { pending = Option.value (Jsonout.int "pending" json) ~default:0 })
       | Some "cluster" ->
         Ok
           (Cluster_report
@@ -573,28 +553,28 @@ let decode_response line =
                          (fun r_name ->
                            {
                              r_name;
-                             r_addr = Option.value (str "addr" r) ~default:"";
-                             r_up = Option.value (bool "up" r) ~default:false;
+                             r_addr = Option.value (Jsonout.string "addr" r) ~default:"";
+                             r_up = Option.value (Jsonout.bool "up" r) ~default:false;
                              r_draining =
-                               Option.value (bool "draining" r) ~default:false;
+                               Option.value (Jsonout.bool "draining" r) ~default:false;
                              r_removed =
-                               Option.value (bool "removed" r) ~default:false;
-                             r_routed = Option.value (int "routed" r) ~default:0;
+                               Option.value (Jsonout.bool "removed" r) ~default:false;
+                             r_routed = Option.value (Jsonout.int "routed" r) ~default:0;
                              r_queue_depth =
-                               Option.value (int "queue_depth" r) ~default:0;
-                             r_running = Option.value (int "running" r) ~default:0;
+                               Option.value (Jsonout.int "queue_depth" r) ~default:0;
+                             r_running = Option.value (Jsonout.int "running" r) ~default:0;
                              r_completed =
-                               Option.value (int "completed" r) ~default:0;
-                             r_failed = Option.value (int "failed" r) ~default:0;
+                               Option.value (Jsonout.int "completed" r) ~default:0;
+                             r_failed = Option.value (Jsonout.int "failed" r) ~default:0;
                            })
-                         (str "name" r))
+                         (Jsonout.string "name" r))
                      xs
                  | _ -> []);
              })
       | Some "rejected" -> (
-        let detail = Option.value (str "detail" json) ~default:"" in
-        let retry_after_ms = flt "retry_after_ms" json in
-        match str "reason" json with
+        let detail = Option.value (Jsonout.string "detail" json) ~default:"" in
+        let retry_after_ms = Jsonout.float "retry_after_ms" json in
+        match Jsonout.string "reason" json with
         | Some "overloaded" -> Ok (Rejected { reason = Overloaded; retry_after_ms })
         | Some "rate_limited" -> Ok (Rejected { reason = Rate_limited; retry_after_ms })
         | Some "quota" -> Ok (Rejected { reason = Quota_exceeded; retry_after_ms })

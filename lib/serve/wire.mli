@@ -194,6 +194,7 @@ val submit_of_json : Educhip_obs.Jsonout.t -> (submit_spec, string) result
     {!decode_request}. *)
 
 val ppa_to_json : Educhip_flow.Flow.ppa -> Educhip_obs.Jsonout.t
-(** Exposed for tests and the bench harness. *)
+(** [Educhip_sched.Cache.ppa_to_json]: the wire and the result cache
+    carry the same bytes. Exposed for tests and the bench harness. *)
 
 val ppa_of_json : Educhip_obs.Jsonout.t -> Educhip_flow.Flow.ppa option

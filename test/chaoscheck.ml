@@ -9,14 +9,7 @@
 
 module Wire = Educhip_serve.Wire
 module Chaos = Educhip_serve.Chaos
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
+module Files = Educhip_util.Files
 
 let () =
   let daemon =
@@ -39,10 +32,10 @@ let () =
       ]
   in
   let state_dir = Filename.concat (Filename.get_temp_dir_name ()) "educhip-chaoscheck" in
-  rm_rf state_dir;
+  Files.rm_rf state_dir;
   let stats =
     Fun.protect
-      ~finally:(fun () -> rm_rf state_dir)
+      ~finally:(fun () -> Files.rm_rf state_dir)
       (fun () ->
         Chaos.run
           { Chaos.daemon; state_dir; workers = 2; jobs; kills = 2; seed = 3;

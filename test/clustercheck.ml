@@ -21,15 +21,8 @@ module Server = Educhip_serve.Server
 module Flow = Educhip_flow.Flow
 module Spec = Educhip_cluster.Spec
 module Router = Educhip_cluster.Router
-module Mclock = Educhip_util.Mclock
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
+module Daemon = Educhip_serve.Daemon
+module Files = Educhip_util.Files
 
 let dir = Filename.concat (Filename.get_temp_dir_name ()) "educhip-clustercheck"
 let path name = Filename.concat dir name
@@ -50,68 +43,20 @@ let spec_of (design, preset, tenant) =
 
 let result_signature = function
   | Ok (Wire.Job_result { verdict; ppa; _ }) ->
-    let ppa =
-      match ppa with
-      | Some (p : Flow.ppa) ->
-        Printf.sprintf "cells=%d area=%h wns=%h wl=%h power=%h fmax=%h drc=%b" p.cells
-          p.area_um2 p.wns_ps p.wirelength_um p.total_power_uw p.fmax_mhz p.drc_clean
-      | None -> "-"
-    in
+    let ppa = match ppa with Some p -> Flow.ppa_signature p | None -> "-" in
     Printf.sprintf "%s [%s]" verdict ppa
   | Ok r -> "unexpected: " ^ Wire.encode_response r
   | Error msg -> "error: " ^ msg
 
 (* {1 Real replica processes} *)
 
-type daemon = { pid : int; socket : string; log : string }
-
 let start_daemon exe ~name =
-  let socket = path (name ^ ".sock") in
-  let log = path (name ^ ".log") in
-  let args =
-    [|
-      exe; "--socket"; socket; "--workers"; "1";
-      "--cache-dir"; path ("cache-" ^ name);
-      "--max-queue"; "1024";
-      "--basic-rate"; "100000"; "--basic-burst"; "100000";
-      "--basic-inflight"; "1024";
-    |]
+  let d =
+    Daemon.start ~exe ~socket:(path (name ^ ".sock")) ~cache_dir:(path ("cache-" ^ name))
+      ~log:(path (name ^ ".log")) ~workers:1 ()
   in
-  let log_fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let pid =
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.close null;
-        Unix.close log_fd)
-      (fun () -> Unix.create_process exe args null log_fd log_fd)
-  in
-  { pid; socket; log }
-
-let wait_ready ?(timeout_ms = 60_000.0) d =
-  let t0 = Mclock.now_ms () in
-  let rec loop () =
-    match Client.connect_unix d.socket with
-    | c -> Client.close c
-    | exception (Unix.Unix_error _ | Sys_error _) ->
-      if Mclock.elapsed_ms t0 > timeout_ms then
-        failwith ("clustercheck: replica " ^ d.socket ^ " not ready in time")
-      else begin
-        Thread.delay 0.05;
-        loop ()
-      end
-  in
-  loop ()
-
-let stop_daemon d =
-  (try
-     let c = Client.connect_unix d.socket in
-     ignore (Client.request c Wire.Drain);
-     Client.close c
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  try ignore (Unix.waitpid [] d.pid) with Unix.Unix_error _ -> ()
-
-let reap d = try ignore (Unix.waitpid [] d.pid) with Unix.Unix_error _ -> ()
+  Daemon.wait_ready d;
+  d
 
 let () =
   (* a drained replica closes its socket under the in-process router;
@@ -125,7 +70,7 @@ let () =
       exit 2
     end
   in
-  rm_rf dir;
+  Files.rm_rf dir;
   Unix.mkdir dir 0o755;
   let failures = ref 0 in
   let check name ok =
@@ -135,7 +80,6 @@ let () =
 
   (* serial baseline: one plain replica, its own cold cache *)
   let base = start_daemon exe ~name:"base" in
-  wait_ready base;
   let baseline =
     let c = Client.connect_unix base.socket in
     let sigs =
@@ -150,14 +94,12 @@ let () =
     Client.close c;
     sigs
   in
-  stop_daemon base;
+  Daemon.drain base;
   check "serial baseline completed" (List.for_all (fun s -> s.[0] <> 'e') baseline);
 
   (* the cluster: two cold replicas behind an in-process router *)
   let r1 = start_daemon exe ~name:"r1" in
   let r2 = start_daemon exe ~name:"r2" in
-  wait_ready r1;
-  wait_ready r2;
   let cspec =
     {
       Spec.default with
@@ -280,7 +222,7 @@ let () =
   check "zero loss: all in-flight jobs resolved across the drain"
     (post_drain = baseline);
   (* the drained process has exited; reap it *)
-  (if victim = "r1" then reap r1 else reap r2);
+  Daemon.drain (if victim = "r1" then r1 else r2);
   (* new work lands on the survivor *)
   let survivor = if victim = "r1" then "r2" else "r1" in
   let post_submit =
@@ -309,8 +251,8 @@ let () =
   Thread.join serve_thread;
   Router.stop router;
   Unix.close listen_fd;
-  stop_daemon (if victim = "r1" then r2 else r1);
-  rm_rf dir;
+  Daemon.drain (if victim = "r1" then r2 else r1);
+  Files.rm_rf dir;
   if !failures > 0 then begin
     Printf.printf "clustercheck: %d check(s) FAILED\n" !failures;
     exit 1

@@ -23,6 +23,7 @@ module Artifact = Educhip_artifact.Artifact
 module Astore = Educhip_artifact.Store
 module Stepkey = Educhip_artifact.Stepkey
 module Gds = Educhip_gds.Gds
+module Files = Educhip_util.Files
 
 let failures = ref 0
 
@@ -35,14 +36,6 @@ let expect_int what expected got =
     (if got = expected then "ok" else Printf.sprintf "FAIL: got %d, want %d" got expected)
     got;
   if got <> expected then incr failures
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
 
 let contains needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -60,7 +53,7 @@ let () =
   let eduflow = if Array.length Sys.argv > 1 then Sys.argv.(1) else "eduflow" in
   let node = Educhip_pdk.Pdk.find_node "edu130" in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "educhip-incrcheck" in
-  rm_rf dir;
+  Files.rm_rf dir;
   let store = Astore.create ~dir () in
   let netlist = Designs.netlist (Designs.find "counter") in
   let base = Flow.config ~node Flow.Open_flow in
@@ -150,15 +143,15 @@ let () =
   expect "recomputed run bit-identical"
     (cold.Flow.ppa = recovered.Flow.ppa && cold.Flow.execs = recovered.Flow.execs);
 
-  rm_rf dir;
+  Files.rm_rf dir;
 
   (* 4: the CLI's resume announcement counts the stored steps only *)
   let cli_dir = Filename.concat (Filename.get_temp_dir_name ()) "educhip-incrcheck-cli" in
-  rm_rf cli_dir;
+  Files.rm_rf cli_dir;
   let cli () = run_cli eduflow [ "counter"; "--artifact-dir"; cli_dir ] in
   expect "first CLI run on a fresh dir is cold" (contains "artifacts: cold" (cli ()));
   expect "second CLI run is a full replay" (contains "artifacts: full replay" (cli ()));
-  rm_rf cli_dir;
+  Files.rm_rf cli_dir;
 
   if !failures > 0 then begin
     Printf.printf "incrcheck: %d check(s) failed\n" !failures;

@@ -8,6 +8,7 @@ module Manifest = Educhip_sched.Manifest
 module Cache = Educhip_sched.Cache
 module Sched = Educhip_sched.Sched
 module Flow = Educhip_flow.Flow
+module Files = Educhip_util.Files
 
 let manifest_text =
   {|
@@ -21,25 +22,10 @@ cmp16   tenant=uni-b preset=commercial
 lfsr16  tenant=uni-b inject=flow.routing:crash@1 retries=2
 |}
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
 let signature results =
   List.map
     (fun (r : Sched.job_result) ->
-      let ppa =
-        match r.ppa with
-        | Some (p : Flow.ppa) ->
-          Printf.sprintf "cells=%d area=%h wns=%h wl=%h power=%h fmax=%h drc=%b"
-            p.cells p.area_um2 p.wns_ps p.wirelength_um p.total_power_uw
-            p.fmax_mhz p.drc_clean
-        | None -> "-"
-      in
+      let ppa = match r.ppa with Some p -> Flow.ppa_signature p | None -> "-" in
       Printf.sprintf "#%d %s %s [%s]" r.job.Manifest.index r.job.Manifest.design
         r.verdict ppa)
     results
@@ -54,8 +40,8 @@ let () =
 
   let dir_serial = "schedcheck-cache-serial" in
   let dir_par = "schedcheck-cache-parallel" in
-  rm_rf dir_serial;
-  rm_rf dir_par;
+  Files.rm_rf dir_serial;
+  Files.rm_rf dir_par;
 
   let serial, s_serial =
     Sched.run ~workers:1 ~cache:(Cache.create ~dir:dir_serial ()) manifest
@@ -77,8 +63,8 @@ let () =
     (List.for_all (fun (r : Sched.job_result) -> r.from_cache) warm);
 
   List.iter print_endline (signature serial);
-  rm_rf dir_serial;
-  rm_rf dir_par;
+  Files.rm_rf dir_serial;
+  Files.rm_rf dir_par;
   if !failures > 0 then begin
     Printf.printf "schedcheck: %d check(s) failed\n" !failures;
     exit 1

@@ -28,14 +28,7 @@ module Ratelimit = Educhip_serve.Ratelimit
 module Server = Educhip_serve.Server
 module Client = Educhip_serve.Client
 module Fault = Educhip_fault.Fault
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
+module Files = Educhip_util.Files
 
 let socket = Filename.concat (Filename.get_temp_dir_name ()) "educhip-servecheck.sock"
 
@@ -67,13 +60,7 @@ let with_server cfg f =
 
 let result_signature = function
   | Ok (Wire.Job_result { verdict; ppa; _ }) ->
-    let ppa =
-      match ppa with
-      | Some (p : Flow.ppa) ->
-        Printf.sprintf "cells=%d area=%h wns=%h wl=%h power=%h fmax=%h drc=%b" p.cells
-          p.area_um2 p.wns_ps p.wirelength_um p.total_power_uw p.fmax_mhz p.drc_clean
-      | None -> "-"
-    in
+    let ppa = match ppa with Some p -> Flow.ppa_signature p | None -> "-" in
     Printf.sprintf "%s [%s]" verdict ppa
   | Ok r -> "unexpected: " ^ Wire.encode_response r
   | Error msg -> "error: " ^ msg
@@ -103,8 +90,8 @@ let () =
   in
 
   (* A: serial vs concurrent, plus a warm duplicate *)
-  rm_rf (cache_dir "serial");
-  rm_rf (cache_dir "conc");
+  Files.rm_rf (cache_dir "serial");
+  Files.rm_rf (cache_dir "conc");
   let serial =
     with_server (cfg ~cache:(Cache.create ~dir:(cache_dir "serial") ()) ()) (fun () ->
         let c = Client.connect_unix socket in
@@ -140,8 +127,8 @@ let () =
         Client.close c;
         (Array.to_list results, warm))
   in
-  rm_rf (cache_dir "serial");
-  rm_rf (cache_dir "conc");
+  Files.rm_rf (cache_dir "serial");
+  Files.rm_rf (cache_dir "conc");
   List.iteri
     (fun i (s, c) ->
       let name = Printf.sprintf "serial = concurrent (job %d)" i in
@@ -178,7 +165,7 @@ let () =
 
   (* C: drain under load loses no accepted job *)
   let ledger = "servecheck-ledger.jsonl" in
-  rm_rf ledger;
+  Files.rm_rf ledger;
   let roomy =
     { Ratelimit.rate_per_s = 100.0; burst = 16.0; max_inflight = 16; fair_weight = 1.0 }
   in
@@ -200,7 +187,7 @@ let () =
         accepted)
   in
   let records = Runlog.load ~path:ledger in
-  rm_rf ledger;
+  Files.rm_rf ledger;
   check
     (Printf.sprintf "drain kept all %d accepted jobs" (List.length accepted))
     (List.length accepted = 6

@@ -16,6 +16,7 @@ module Jsonout = Educhip_obs.Jsonout
 module Crc32 = Educhip_util.Crc32
 module Obs = Educhip_obs.Obs
 module Runlog = Educhip_obs.Runlog
+module Files = Educhip_util.Files
 
 let check = Alcotest.check
 
@@ -25,17 +26,9 @@ let temp_dir prefix =
   Unix.mkdir path 0o755;
   path
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
 let with_store_dir f =
   let dir = temp_dir "educhip_artifact_test" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Files.rm_rf dir) (fun () -> f dir)
 
 let node130 = Pdk.find_node "edu130"
 let counter = Designs.netlist (Designs.find "counter")

@@ -1,0 +1,69 @@
+(* The eduflow binary as a shell pipeline sees it. *)
+
+module Runlog = Educhip_obs.Runlog
+module Files = Educhip_util.Files
+
+let eduflow = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "eduflow.exe"
+
+(* Run [eduflow args] with stdout a pipe whose reader is already gone, as
+   in [eduflow ... | head -1] once head has its line; the exit status and
+   whatever reached stderr *)
+let run_closed_stdout args =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.close r;
+  let err = Filename.temp_file "educhip-cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+      let pid = Unix.create_process eduflow (Array.of_list (eduflow :: args)) null w err_fd in
+      List.iter Unix.close [ w; err_fd; null ];
+      let status = snd (Unix.waitpid [] pid) in
+      (status, In_channel.with_open_bin err In_channel.input_all))
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "educhip-cli" "" in
+  Fun.protect ~finally:(fun () -> Files.rm_rf dir) (fun () -> f dir)
+
+(* a closed stdout ends a clean run quietly: exit 0, not an uncaught
+   Broken-pipe exception from a stdout flush *)
+let test_closed_stdout () =
+  let status, err = run_closed_stdout [ "run"; "counter"; "--clock"; "900" ] in
+  Alcotest.(check string) "nothing on stderr" "" err;
+  Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0)
+
+(* ... but the command still finishes: its files are written and its own
+   exit code survives. cmp16 on the teaching preset has DRC violations. *)
+let test_closed_stdout_keeps_drc_exit () =
+  with_temp_dir (fun dir ->
+      let gds = Filename.concat dir "cmp16.gds" in
+      let status, err =
+        run_closed_stdout [ "run"; "cmp16"; "--preset"; "teaching"; "--gds"; gds ]
+      in
+      Alcotest.(check string) "nothing on stderr" "" err;
+      Alcotest.(check bool) "GDSII still written" true (Sys.file_exists gds);
+      Alcotest.(check bool) "exit 2 (DRC violations)" true (status = Unix.WEXITED 2))
+
+(* [eduflow compare ... | head -1] under pipefail must still fail the gate *)
+let test_closed_stdout_keeps_regression_exit () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "ledger.jsonl" in
+      let baseline =
+        Runlog.make ~design:"counter" ~node:"edu130" ~preset:"open" ~verdict:"ok"
+          ~total_wall_ms:100.0 ()
+      in
+      Runlog.append ~path baseline;
+      Runlog.append ~path { baseline with Runlog.total_wall_ms = 1500.0 };
+      let status, err = run_closed_stdout [ "compare"; "--ledger"; path ] in
+      Alcotest.(check string) "nothing on stderr" "" err;
+      Alcotest.(check bool) "exit 1 (regressed)" true (status = Unix.WEXITED 1))
+
+let suite =
+  [
+    Alcotest.test_case "eduflow with a closed stdout" `Quick test_closed_stdout;
+    Alcotest.test_case "closed stdout keeps the DRC exit and the GDS file" `Quick
+      test_closed_stdout_keeps_drc_exit;
+    Alcotest.test_case "closed stdout keeps the compare regression exit" `Quick
+      test_closed_stdout_keeps_regression_exit;
+  ]

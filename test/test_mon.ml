@@ -408,6 +408,18 @@ let test_alertlog_file () =
       check int_c "missing file is empty log" 0
         (List.length (Alertlog.load ~path:(path ^ ".nope"))))
 
+(* bytes written by the alert-log encoder before decoding moved onto
+   the shared accessors *)
+let golden_alert_line =
+  {|{"schema":1,"t_ms":12000.0,"tick":12,"rule":"reject-rate","labels":{"target":"b","tier":"basic"},"state":"firing","value":0.375,"threshold":0.25,"severity":"page","note":"x"}|}
+
+let test_alertlog_golden_line () =
+  match Alertlog.of_json (Jsonout.of_string golden_alert_line) with
+  | None -> Alcotest.fail "golden alert line did not decode"
+  | Some e ->
+    check Alcotest.string "re-encodes byte-identically" golden_alert_line
+      (Jsonout.to_string (Alertlog.to_json e))
+
 (* {1 Scrape.parse_exposition vs Obs.metrics_text} *)
 
 let test_exposition_round_trip () =
@@ -495,6 +507,7 @@ let suite =
     Alcotest.test_case "rules per-instance" `Quick test_rules_per_instance;
     Alcotest.test_case "alertlog round trip" `Quick test_alertlog_round_trip;
     Alcotest.test_case "alertlog file" `Quick test_alertlog_file;
+    Alcotest.test_case "alertlog golden line" `Quick test_alertlog_golden_line;
     Alcotest.test_case "exposition round trip" `Quick test_exposition_round_trip;
     Alcotest.test_case "relabel preserves incoming target" `Quick test_relabel;
     Alcotest.test_case "target specs" `Quick test_target_of_spec;

@@ -115,6 +115,22 @@ let test_load_skips_malformed () =
           [ record; { record with Runlog.preset = "teaching" };
             { record with Runlog.node = "edu16" } ]))
 
+(* bytes written by the ledger encoder before decoding moved onto the
+   shared accessors: decoding and re-encoding them, or appending the
+   decoded record, must reproduce them exactly *)
+let golden_ledger_line =
+  {|{"schema":2,"design":"alu8","node":"edu130","preset":"open","verdict":"degraded(routing)","total_wall_ms":85.0,"injected":["flow.routing:crash"],"fault_seed":7,"max_retries":2,"guard_retries":2,"guard_degraded":1,"steps":[{"step":"synthesis","wall_ms":8.2,"attempts":1,"rung":0},{"step":"routing","wall_ms":6.6,"attempts":3,"rung":1}],"qor":{"cells":268,"area_um2":1525.2,"wns_ps":-38.125,"wirelength_um":4461.3,"drc_violations":0},"trace_id":"0123456789abcdef","queue_wait_ms":1.5,"host":"lab-3"}|}
+
+let test_golden_ledger_line () =
+  let r = Runlog.of_json (Jsonout.of_string golden_ledger_line) in
+  check Alcotest.string "re-encodes byte-identically" golden_ledger_line
+    (Jsonout.to_string (Runlog.to_json r));
+  with_temp_ledger (fun path ->
+      Sys.remove path;
+      Runlog.append ~path r;
+      check Alcotest.string "ledger bytes on disk" (golden_ledger_line ^ "\n")
+        (In_channel.with_open_bin path In_channel.input_all))
+
 (* {1 Regression detection} *)
 
 let test_no_regression_on_identical () =
@@ -191,6 +207,8 @@ let suite =
       test_v1_line_forward_tolerant;
     Alcotest.test_case "append and load" `Quick test_append_load;
     Alcotest.test_case "malformed lines skipped" `Quick test_load_skips_malformed;
+    Alcotest.test_case "golden ledger line re-encodes identically" `Quick
+      test_golden_ledger_line;
     Alcotest.test_case "identical run: no regression" `Quick
       test_no_regression_on_identical;
     Alcotest.test_case "wall regression and noise floor" `Quick

@@ -6,6 +6,7 @@ module Jsonout = Educhip_obs.Jsonout
 module Runlog = Educhip_obs.Runlog
 module Tracectx = Educhip_obs.Tracectx
 module Slo = Educhip_obs.Slo
+module Daemon = Educhip_serve.Daemon
 
 let req_roundtrip r =
   match Wire.decode_request (Wire.encode_request r) with
@@ -181,6 +182,36 @@ let test_wire_tolerant_decode () =
     Alcotest.(check int) "priority default" 1 s.Wire.priority
   | Ok _ -> Alcotest.fail "decoded to the wrong request"
   | Error msg -> Alcotest.failf "tolerant decode failed: %s" msg
+
+(* every decoder reads fields through one accessor set; these coercions
+   are what the wire and the ledger promised before it existed *)
+let test_accessor_semantics () =
+  let submit extra =
+    Printf.sprintf {|{"schema":%d,"op":"submit","design":"counter",%s}|}
+      Wire.schema_version extra
+  in
+  let priority extra =
+    match Wire.decode_request (submit extra) with
+    | Ok (Wire.Submit s) -> s.Wire.priority
+    | _ -> Alcotest.fail "submit did not decode"
+  in
+  let dft = (Wire.submit "counter").Wire.priority in
+  Alcotest.(check int) "float priority is not an int" dft (priority {|"priority":2.0|});
+  Alcotest.(check int) "string priority is not parsed" dft (priority {|"priority":"3"|});
+  Alcotest.(check int) "int priority read" 3 (priority {|"priority":3|});
+  let record line = Runlog.of_json (Jsonout.of_string line) in
+  Alcotest.(check (float 0.0)) "int widens to a float field" 90.0
+    (record {|{"total_wall_ms":90}|}).Runlog.total_wall_ms;
+  Alcotest.(check (float 0.0)) "null float field takes its default" 0.0
+    (record {|{"total_wall_ms":null}|}).Runlog.total_wall_ms;
+  Alcotest.(check (option (float 0.0))) "null optional float is absent" None
+    (record {|{"queue_wait_ms":null}|}).Runlog.queue_wait_ms;
+  Alcotest.(check (option int)) "jsonout: float is not an int" None
+    (Jsonout.int "k" (Jsonout.of_string {|{"k":2.0}|}));
+  Alcotest.(check (option string)) "jsonout: first member wins" (Some "a")
+    (Jsonout.string "k" (Jsonout.of_string {|{"k":"a","k":"b"}|}));
+  Alcotest.(check (option bool)) "jsonout: non-object has no fields" None
+    (Jsonout.bool "k" (Jsonout.List [ Jsonout.Bool true ]))
 
 let contains ~needle hay =
   let n = String.length needle in
@@ -432,6 +463,30 @@ let test_server_idempotency () =
         Alcotest.(check bool) "different key is a fresh job" true (id <> id1)
       | r -> Alcotest.failf "second key: %s" (Wire.encode_response r))
 
+(* a daemon that dies before opening its socket is reported at once,
+   with its log, instead of after the full readiness timeout *)
+let test_daemon_early_death () =
+  let dir = Filename.temp_dir "educhip-daemon" "" in
+  Fun.protect
+    ~finally:(fun () -> Educhip_util.Files.rm_rf dir)
+    (fun () ->
+      let exe = Filename.concat dir "fake-eduserved" in
+      Out_channel.with_open_bin exe (fun oc ->
+          output_string oc "#!/bin/sh\necho \"refusing $1\" >&2\nexit 3\n");
+      Unix.chmod exe 0o755;
+      let d =
+        Daemon.start ~exe ~socket:(Filename.concat dir "d.sock")
+          ~cache_dir:(Filename.concat dir "cache") ~log:(Filename.concat dir "d.log")
+          ~workers:1 ()
+      in
+      let t0 = Unix.gettimeofday () in
+      (match Daemon.wait_ready d with
+      | () -> Alcotest.fail "a dead daemon reported ready"
+      | exception Failure msg ->
+        Alcotest.(check bool) "says it died" true (contains ~needle:"died during startup" msg);
+        Alcotest.(check bool) "quotes its log" true (contains ~needle:"refusing --socket" msg));
+      Alcotest.(check bool) "well before the timeout" true (Unix.gettimeofday () -. t0 < 30.0))
+
 (* crash replay: a server admits a keyed job into its journal and
    "crashes" (is dropped without executing anything); a second server on
    the same journal must replay it under the original id, answer
@@ -475,6 +530,7 @@ let suite =
     Alcotest.test_case "wire response round-trip" `Quick test_wire_response_roundtrip;
     Alcotest.test_case "wire schema gate" `Quick test_wire_schema_gate;
     Alcotest.test_case "wire tolerant decode" `Quick test_wire_tolerant_decode;
+    Alcotest.test_case "shared json accessor semantics" `Quick test_accessor_semantics;
     Alcotest.test_case "wire unknown members preserved" `Quick test_wire_extras_preserved;
     Alcotest.test_case "wire trace fields" `Quick test_wire_trace_fields;
     Alcotest.test_case "ratelimit token bucket" `Quick test_ratelimit_bucket;
@@ -484,4 +540,5 @@ let suite =
     Alcotest.test_case "server stats and slo reports" `Quick test_server_stats;
     Alcotest.test_case "server idempotent resubmission" `Quick test_server_idempotency;
     Alcotest.test_case "server journal crash replay" `Quick test_server_journal_replay;
+    Alcotest.test_case "daemon early death reported" `Quick test_daemon_early_death;
   ]
