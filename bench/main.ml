@@ -1801,11 +1801,9 @@ let chaos_bench () =
    prefix -> BENCH_incr.json. Gates: the warm rerun is >= 10x faster
    (median over the reps) and bit-identical to cold in everything but
    wall-clock. *)
-let incr_bench () =
-  banner "INCR"
-    "incremental artifacts: one-late-step edit, cold vs warm resume -> BENCH_incr.json";
-  let dir = "BENCH_incr_artifacts" in
-  Files.rm_rf dir;
+(* The cold populate and the edit reps against a store in [dir]; writes
+   BENCH_incr.json and returns what the gates check. *)
+let incr_measure ~dir =
   let store = Astore.create ~dir () in
   let design = "mult4" in
   let netlist = Designs.netlist (Designs.find design) in
@@ -1907,7 +1905,18 @@ let incr_bench () =
          ("speedup_limit", Jsonout.Float limit);
          ("all_bit_identical", Jsonout.Bool all_identical) ]);
   Printf.printf "wrote BENCH_incr.json (%d edits)\n" reps;
+  (all_identical, partial_resume, depths, speedup_med, limit)
+
+let incr_bench () =
+  banner "INCR"
+    "incremental artifacts: one-late-step edit, cold vs warm resume -> BENCH_incr.json";
+  let dir = "BENCH_incr_artifacts" in
   Files.rm_rf dir;
+  (* the scratch store goes whatever ends the run, a closed stdout
+     (EPIPE) included *)
+  let all_identical, partial_resume, depths, speedup_med, limit =
+    Fun.protect ~finally:(fun () -> Files.rm_rf dir) (fun () -> incr_measure ~dir)
+  in
   if not all_identical then begin
     Printf.eprintf "incr: warm resume diverged from cold rerun\n";
     exit 1
@@ -1935,6 +1944,11 @@ let modes =
   ]
 
 let () =
+  (* as in eduflow: [bench ... | head -3] surfaces as an EPIPE
+     [Sys_error] on the next stdout write, which unwinds through each
+     mode's clean-up, instead of a SIGPIPE that kills the process on
+     the spot *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* [--daemon PATH] (chaos, cluster) and [--no-micro] (full run) ride
      along; any other flag is a typo that must not silently run all 20
      experiments *)

@@ -365,7 +365,7 @@ let inject_arg =
     & info [ "inject" ] ~docv:"SITE:KIND[@N]"
         ~doc:
           "Arm a deterministic fault (repeatable): KIND is crash, hang, or corrupt; \
-           \\@N fires it N times. Example: --inject flow.routing:crash\\@2.")
+           @N fires it N times. Example: --inject flow.routing:crash@2.")
 
 let fault_seed_arg =
   Arg.(

@@ -259,10 +259,7 @@ let parse_string ?(source = "<rules>") text =
   List.rev !rules
 
 let load ~path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
+  let text = In_channel.with_open_bin path In_channel.input_all in
   parse_string ~source:path text
 
 (* {1 The state machine} *)

@@ -295,10 +295,7 @@ let parse source =
   | Invalid_argument message -> Result.Error { line = 0; message }
 
 let parse_file ~path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let source = really_input_string ic n in
-  close_in ic;
+  let source = In_channel.with_open_bin path In_channel.input_all in
   parse source
 
 let pp_parse_error ppf e = Format.fprintf ppf "line %d: %s" e.line e.message

@@ -79,22 +79,33 @@ let index_nets n nets =
   Array.iteri (fun i p -> index.(p.(0)) <- i) nets;
   index
 
+(* Manhattan distance between cells [i] and [j]; inlined so the float
+   stays unboxed. *)
+let[@inline] manhattan (xs : float array) (ys : float array) i j =
+  Float.abs (xs.(i) -. xs.(j)) +. Float.abs (ys.(i) -. ys.(j))
+
 (* Stores the HPWL of the net with pins [p] at coordinates [xs]/[ys] in
    [dst.(k)]. The one HPWL loop of the module: the anneal's cost cache
    and {!net_hpwl_um} both go through it, and storing into a float array
-   keeps the anneal's inner loop free of boxed floats. *)
+   keeps the anneal's inner loop free of boxed floats. A two-pin net
+   (about half of all net visits) takes |dx| + |dy| without branches:
+   round-to-nearest is symmetric, so [Float.abs (x1 -. x0)] is bit-equal
+   to [max -. min]. *)
 let hpwl_into (xs : float array) (ys : float array) (p : int array) (dst : float array) k =
   let d = p.(0) in
-  let min_x = ref xs.(d) and max_x = ref xs.(d) in
-  let min_y = ref ys.(d) and max_y = ref ys.(d) in
-  for i = 1 to Array.length p - 1 do
-    let x = xs.(p.(i)) and y = ys.(p.(i)) in
-    if x < !min_x then min_x := x;
-    if x > !max_x then max_x := x;
-    if y < !min_y then min_y := y;
-    if y > !max_y then max_y := y
-  done;
-  dst.(k) <- !max_x -. !min_x +. (!max_y -. !min_y)
+  if Array.length p = 2 then dst.(k) <- manhattan xs ys p.(1) d
+  else begin
+    let min_x = ref xs.(d) and max_x = ref xs.(d) in
+    let min_y = ref ys.(d) and max_y = ref ys.(d) in
+    for i = 1 to Array.length p - 1 do
+      let x = xs.(p.(i)) and y = ys.(p.(i)) in
+      if x < !min_x then min_x := x;
+      if x > !max_x then max_x := x;
+      if y < !min_y then min_y := y;
+      if y > !max_y then max_y := y
+    done;
+    dst.(k) <- !max_x -. !min_x +. (!max_y -. !min_y)
+  end
 
 (* Roles and total movable area are a pure function of (netlist, node):
    shared by {!place} and {!restore}, so artifact snapshots only need to
@@ -376,6 +387,7 @@ let place netlist ~node ?(utilization = 0.65) effort =
         if a <> b then begin
           union_len := 0;
           collect move a;
+          let split = !union_len in
           collect move b;
           let before = ref 0.0 in
           for k = 0 to !union_len - 1 do
@@ -386,15 +398,37 @@ let place netlist ~node ?(utilization = 0.65) effort =
           ys.(a) <- by;
           xs.(b) <- ax;
           ys.(b) <- ay;
-          let after = ref 0.0 in
+          let temp = Float.max 1e-6 !temperature in
+          (* Provable reject. A net's HPWL is at least the Manhattan
+             distance between any two of its pins, so each net gets the
+             distance from the mover that collected it to another pin,
+             at the swapped coordinates. Rounding and each float step
+             below are monotone, so the summed bound [lb] is <= the exact
+             "after" sum and the exponent below is >= the exact one.
+             Under -746 [exp] is exactly 0.0, so the exact path would
+             draw its [Rng.float] and reject: draw it, keeping the stream
+             aligned, and skip the full scan. *)
+          let lb = ref 0.0 in
           for k = 0 to !union_len - 1 do
-            hpwl_into xs ys nets.(union.(k)) fresh k;
-            after := !after +. fresh.(k)
+            let p = nets.(union.(k)) in
+            let mover = if k < split then a else b in
+            let other = if p.(0) = mover then p.(1) else p.(0) in
+            lb := !lb +. manhattan xs ys other mover
           done;
-          let delta = !after -. !before in
           let accept =
-            delta <= 0.0
-            || Rng.float rng 1.0 < exp (-.delta /. Float.max 1e-6 !temperature)
+            if -.(!lb -. !before) /. temp < -746.0 then begin
+              ignore (Rng.float rng 1.0);
+              false
+            end
+            else begin
+              let after = ref 0.0 in
+              for k = 0 to !union_len - 1 do
+                hpwl_into xs ys nets.(union.(k)) fresh k;
+                after := !after +. fresh.(k)
+              done;
+              let delta = !after -. !before in
+              delta <= 0.0 || Rng.float rng 1.0 < exp (-.delta /. temp)
+            end
           in
           if accept then begin
             incr accepted;

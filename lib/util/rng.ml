@@ -1,25 +1,35 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 counter lives in 8 bytes read and written with
+   [Bytes.get_int64_ne]/[set_int64_ne], which the native compiler keeps
+   unboxed, so drawing an [int] allocates nothing (a [mutable int64]
+   field would box every new state). *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_counter z =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 z;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_counter (Int64.of_int seed)
 
-(* splitmix64 finalizer: mixes the incremented counter into a well
-   distributed 64-bit value. *)
-let mix z =
+let copy = Bytes.copy
+
+(* Advances the counter and returns the splitmix64 finalizer of it, a
+   well distributed 64-bit value. Inlined into each caller so the
+   result stays unboxed. *)
+let[@inline] next t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let bits64 t = next t
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask = Int64.shift_right_logical (bits64 t) 1 in
+  let mask = Int64.shift_right_logical (next t) 1 in
   Int64.to_int (Int64.rem mask (Int64.of_int bound))
 
 let int_in t lo hi =
@@ -28,10 +38,10 @@ let int_in t lo hi =
 
 let float t bound =
   (* 53 random mantissa bits scaled into [0, bound). *)
-  let mantissa = Int64.shift_right_logical (bits64 t) 11 in
+  let mantissa = Int64.shift_right_logical (next t) 11 in
   Int64.to_float mantissa /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p =
   let p = Float.max 0.0 (Float.min 1.0 p) in
@@ -65,4 +75,4 @@ let choice t a =
   if Array.length a = 0 then invalid_arg "Rng.choice: empty array";
   a.(int t (Array.length a))
 
-let split t = { state = bits64 t }
+let split t = of_counter (next t)

@@ -5,22 +5,27 @@ module Files = Educhip_util.Files
 
 let eduflow = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "eduflow.exe"
 
-(* Run [eduflow args] with stdout a pipe whose reader is already gone, as
-   in [eduflow ... | head -1] once head has its line; the exit status and
-   whatever reached stderr *)
-let run_closed_stdout args =
-  let r, w = Unix.pipe ~cloexec:true () in
-  Unix.close r;
+(* Run [eduflow args] with stdin from /dev/null and stdout on [out]
+   (closed here once the child has it); the exit status and whatever
+   reached stderr *)
+let run_eduflow ~out args =
   let err = Filename.temp_file "educhip-cli" ".err" in
   Fun.protect
     ~finally:(fun () -> Sys.remove err)
     (fun () ->
       let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
       let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-      let pid = Unix.create_process eduflow (Array.of_list (eduflow :: args)) null w err_fd in
-      List.iter Unix.close [ w; err_fd; null ];
+      let pid = Unix.create_process eduflow (Array.of_list (eduflow :: args)) null out err_fd in
+      List.iter Unix.close [ out; err_fd; null ];
       let status = snd (Unix.waitpid [] pid) in
       (status, In_channel.with_open_bin err In_channel.input_all))
+
+(* stdout a pipe whose reader is already gone, as in [eduflow ... | head -1]
+   once head has its line *)
+let run_closed_stdout args =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.close r;
+  run_eduflow ~out:w args
 
 let with_temp_dir f =
   let dir = Filename.temp_dir "educhip-cli" "" in
@@ -59,6 +64,18 @@ let test_closed_stdout_keeps_regression_exit () =
       Alcotest.(check string) "nothing on stderr" "" err;
       Alcotest.(check bool) "exit 1 (regressed)" true (status = Unix.WEXITED 1))
 
+(* every doc string renders: cmdliner reports a markup error in one on
+   stderr, e.g. an escaped "\\@" in the --inject doc *)
+let test_help_renders_cleanly () =
+  List.iter
+    (fun args ->
+      let out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let status, err = run_eduflow ~out (args @ [ "--help=plain" ]) in
+      let what = String.concat " " ("eduflow" :: args) in
+      Alcotest.(check string) (what ^ " --help: nothing on stderr") "" err;
+      Alcotest.(check bool) (what ^ " --help: exit 0") true (status = Unix.WEXITED 0))
+    [ []; [ "run" ]; [ "submit" ]; [ "batch" ] ]
+
 let suite =
   [
     Alcotest.test_case "eduflow with a closed stdout" `Quick test_closed_stdout;
@@ -66,4 +83,5 @@ let suite =
       test_closed_stdout_keeps_drc_exit;
     Alcotest.test_case "closed stdout keeps the compare regression exit" `Quick
       test_closed_stdout_keeps_regression_exit;
+    Alcotest.test_case "--help leaves stderr empty" `Quick test_help_renders_cleanly;
   ]

@@ -256,6 +256,29 @@ let test_rules_parse_errors () =
   expect_error ~line:1 "slo-burn b threshold=1\n";
   expect_error ~line:1 "slo-burn b tier=advanced\n"
 
+(* [load] reads the whole file and parses it with the path as source; a
+   missing path raises the [Sys_error] that opening it raises *)
+let test_rules_load () =
+  let path = Filename.temp_file "educhip-rules" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "alert a metric=m fn=value op=> value=1\nwatch b\n");
+      (match Rules.load ~path with
+      | _ -> Alcotest.fail "load accepted a bad directive"
+      | exception Invalid_argument msg ->
+        let prefix = path ^ ":2:" in
+        check bool_c
+          (Printf.sprintf "error %S carries %S" msg prefix)
+          true
+          (String.length msg >= String.length prefix
+          && String.sub msg 0 (String.length prefix) = prefix));
+      Sys.remove path;
+      Alcotest.check_raises "missing file"
+        (Sys_error (path ^ ": No such file or directory"))
+        (fun () -> ignore (Rules.load ~path)))
+
 (* {1 Rules: the state machine} *)
 
 let eval_schedule rules values =
@@ -501,6 +524,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_delta_additive;
     Alcotest.test_case "rules parse" `Quick test_rules_parse;
     Alcotest.test_case "rules parse errors" `Quick test_rules_parse_errors;
+    Alcotest.test_case "rules load" `Quick test_rules_load;
     Alcotest.test_case "rules state machine" `Quick test_rules_state_machine;
     Alcotest.test_case "rules for=0" `Quick test_rules_for_zero;
     Alcotest.test_case "rules pending cancel" `Quick test_rules_pending_cancel;

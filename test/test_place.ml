@@ -3,6 +3,7 @@ module Synth = Educhip_synth.Synth
 module Pdk = Educhip_pdk.Pdk
 module Netlist = Educhip_netlist.Netlist
 module Designs = Educhip_designs.Designs
+module Obs = Educhip_obs.Obs
 
 let check = Alcotest.check
 
@@ -81,21 +82,54 @@ let test_determinism () =
   check Alcotest.bool "seed moves cells" true
     (s1.Place.snap_xs <> s3.Place.snap_xs || s1.Place.snap_ys <> s3.Place.snap_ys)
 
-(* Exact HPWL of the annealed commercial-preset placement, printed with
-   %.17g. A placer change that claims to be bit-identical must leave
-   these untouched; a deliberate QoR change updates them. *)
+(* Exact results of the annealed placement: HPWL printed with %.17g,
+   the accepted/rejected move counts, and an MD5 of every coordinate
+   printed with %h. The nine flow-commercial designs run at high effort
+   (120k moves), alu8 and acc_cpu8 also at the open preset's default
+   effort (20k moves). A placer change that claims to be bit-identical
+   must leave all of these untouched; a deliberate QoR change updates
+   them. *)
+let coordinate_digest placement =
+  let s = Place.snapshot placement in
+  let b = Buffer.create 4096 in
+  Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h;" x)) s.Place.snap_xs;
+  Array.iter (fun y -> Buffer.add_string b (Printf.sprintf "%h;" y)) s.Place.snap_ys;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let test_golden_hpwl () =
-  List.iter
-    (fun (name, expected) ->
-      let nl = Designs.netlist (Designs.find name) in
-      let mapped = fst (Synth.synthesize nl ~node Synth.high_effort_options) in
-      let placement = Place.place mapped ~node Place.high_effort in
-      check Alcotest.string (name ^ " hpwl") expected
-        (Printf.sprintf "%.17g" (Place.hpwl_um placement)))
+  let golden synth effort label cases =
+    List.iter
+      (fun (name, hpwl, accepted, rejected, digest) ->
+        let nl = Designs.netlist (Designs.find name) in
+        let mapped = fst (Synth.synthesize nl ~node synth) in
+        let c = Obs.create () in
+        let placement = Obs.with_collector c (fun () -> Place.place mapped ~node effort) in
+        let what = Printf.sprintf "%s %s " name label in
+        check Alcotest.string (what ^ "hpwl") hpwl
+          (Printf.sprintf "%.17g" (Place.hpwl_um placement));
+        check Alcotest.int (what ^ "accepted") accepted
+          (Obs.counter_value c "place.moves_accepted");
+        check Alcotest.int (what ^ "rejected") rejected
+          (Obs.counter_value c "place.moves_rejected");
+        check Alcotest.string (what ^ "coordinates") digest (coordinate_digest placement))
+      cases
+  in
+  golden Synth.high_effort_options Place.high_effort "high"
     [
-      ("alu8", "2908.7698309596349");
-      ("fir4x8", "4097.5722782743524");
-      ("xbar4x8", "3723.6068998710762");
+      ("adder8", "584.07577445686616", 1974, 115753, "df45d39edbe3f56543396988f4acf077");
+      ("mult4", "1021.5886181322862", 1397, 117288, "88a7dfa69b452f69342eb5320e52aa1c");
+      ("alu8", "2908.7698309596349", 1680, 117641, "f8ea62b1cdd1dde314fc39fe5e2013f0");
+      ("cmp16", "2670.6474456232427", 1563, 117723, "b8f5971216f70f44975c8be29ef2138c");
+      ("fir4x8", "4097.5722782743524", 1265, 118272, "af9b68f1bedcb3b8004cd6b5832cab98");
+      ("acc_cpu8", "2929.2799161864464", 1521, 117811, "ea699414ff773160bec5533a24da8481");
+      ("uart_tx", "1796.2108954793935", 1694, 117332, "7adf1d60ed5f3c0f244faa347289f707");
+      ("bshift16", "1499.8310619304532", 1935, 116842, "2af7bb170b291558080185a58a745754");
+      ("xbar4x8", "3723.6068998710762", 2697, 116601, "1f90d086fb45ee4081f8d804382a1a48");
+    ];
+  golden Synth.default_options Place.default_effort "default"
+    [
+      ("alu8", "3925.3841475316481", 605, 19326, "5fc591393f3dc169f7691f81f936bcfe");
+      ("acc_cpu8", "3813.5234947861941", 685, 19235, "2eaa5fbf34035bde705247bf7593f7f3");
     ]
 
 let test_die_scales_with_area () =

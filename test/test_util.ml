@@ -76,6 +76,47 @@ let test_rng_split_independent () =
   let ys = List.init 8 (fun _ -> Rng.int b 1000) in
   check Alcotest.bool "decorrelated" true (xs <> ys)
 
+(* The exact SplitMix64 stream, recorded before [Rng] was made
+   allocation-free. Placement, fault plans and every seeded experiment
+   replay this stream: a change to [Rng] must leave it untouched. *)
+let test_rng_stream_pinned () =
+  let rng = Rng.create ~seed:42 in
+  check
+    Alcotest.(list int64)
+    "bits64, seed 42"
+    [
+      -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+      6349198060258255764L; 701532786141963250L; -2430762948046562554L;
+      4028864712777624925L; -3677692746721775708L;
+    ]
+    (List.init 8 (fun _ -> Rng.bits64 rng));
+  let rng = Rng.create ~seed:42 in
+  check
+    Alcotest.(list int)
+    "int 1000, seed 42" [ 706; 145; 929; 882; 625; 531; 462; 954 ]
+    (List.init 8 (fun _ -> Rng.int rng 1000));
+  check
+    Alcotest.(list string)
+    "float 1.0 after the ints"
+    [
+      "0x1.5c16e1dc2cf5ep-2"; "0x1.3ca9ae7052feep-1"; "0x1.a3a39253bad8cp-3";
+      "0x1.f8d2283914594p-2";
+    ]
+    (List.init 4 (fun _ -> Printf.sprintf "%h" (Rng.float rng 1.0)));
+  let c = Rng.copy rng in
+  check Alcotest.int64 "copy continues the stream" (-8976257307478440218L) (Rng.bits64 c);
+  check Alcotest.int64 "original unaffected by copy" (-8976257307478440218L)
+    (Rng.bits64 rng);
+  let s = Rng.split rng in
+  check Alcotest.int64 "split child" (-3488306291974584913L) (Rng.bits64 s);
+  check Alcotest.int64 "parent after split" (-6176718654468026660L) (Rng.bits64 rng)
+
+(* The placer rejects a move without drawing on [exp] when the exponent
+   is below -746: that is exact only while [exp] underflows to 0 there. *)
+let test_exp_underflow_premise () =
+  check Alcotest.bool "exp (-746) = 0" true (exp (-746.0) = 0.0);
+  check Alcotest.bool "exp (-745) > 0" true (exp (-745.0) > 0.0)
+
 (* {1 Pqueue} *)
 
 let test_pqueue_sorted_pops () =
@@ -310,6 +351,8 @@ let suite =
     Alcotest.test_case "rng exponential mean" `Quick test_rng_exponential_mean;
     Alcotest.test_case "rng shuffle permutation" `Quick test_rng_shuffle_permutation;
     Alcotest.test_case "rng split independent" `Quick test_rng_split_independent;
+    Alcotest.test_case "rng stream pinned" `Quick test_rng_stream_pinned;
+    Alcotest.test_case "exp underflow premise" `Quick test_exp_underflow_premise;
     Alcotest.test_case "pqueue sorted pops" `Quick test_pqueue_sorted_pops;
     Alcotest.test_case "pqueue fifo ties" `Quick test_pqueue_fifo_ties;
     Alcotest.test_case "pqueue peek/clear" `Quick test_pqueue_peek;

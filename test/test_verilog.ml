@@ -97,7 +97,10 @@ let test_file_io () =
   (match Verilog.parse_file ~path with
   | Ok parsed -> check Alcotest.bool "file round trip" true (Cec.check nl parsed = Cec.Equivalent)
   | Result.Error e -> Alcotest.failf "%s" (Format.asprintf "%a" Verilog.pp_parse_error e));
-  Sys.remove path
+  Sys.remove path;
+  Alcotest.check_raises "missing file"
+    (Sys_error (path ^ ": No such file or directory"))
+    (fun () -> ignore (Verilog.parse_file ~path))
 
 let prop_random_round_trip =
   QCheck.Test.make ~name:"verilog round trip preserves semantics (random designs)"
