@@ -1,5 +1,6 @@
 module Netlist = Educhip_netlist.Netlist
 module Sat = Educhip_sat.Sat
+module Sim = Educhip_sim.Sim
 
 type trace = { length : int; steps : (string * bool) list array }
 
@@ -127,49 +128,18 @@ let check netlist ~property ~depth ?(induction = true) () =
 
 let replay netlist ~property trace =
   let prop = property_cell netlist property in
-  let order = Netlist.combinational_topo_order netlist in
-  let n = Netlist.cell_count netlist in
-  let values = Array.make n false in
-  let state = Hashtbl.create 16 in
-  List.iter (fun id -> Hashtbl.replace state id false) (Netlist.dffs netlist);
+  let sim = Sim.create netlist in
+  let inputs = Netlist.inputs netlist in
   let final = ref true in
   Array.iter
     (fun assignment ->
       List.iter
         (fun id ->
-          values.(id) <-
-            (match List.assoc_opt (Netlist.label netlist id) assignment with
-            | Some v -> v
-            | None -> false))
-        (Netlist.inputs netlist);
-      List.iter (fun id -> values.(id) <- Hashtbl.find state id) (Netlist.dffs netlist);
-      Array.iter
-        (fun id ->
-          let c = Netlist.cell netlist id in
-          let f i = values.(c.Netlist.fanins.(i)) in
-          match c.Netlist.kind with
-          | Netlist.Input | Netlist.Dff -> ()
-          | Netlist.Const b -> values.(id) <- b
-          | Netlist.Output | Netlist.Buf -> values.(id) <- f 0
-          | Netlist.Not -> values.(id) <- not (f 0)
-          | Netlist.And -> values.(id) <- f 0 && f 1
-          | Netlist.Or -> values.(id) <- f 0 || f 1
-          | Netlist.Xor -> values.(id) <- f 0 <> f 1
-          | Netlist.Nand -> values.(id) <- not (f 0 && f 1)
-          | Netlist.Nor -> values.(id) <- not (f 0 || f 1)
-          | Netlist.Xnor -> values.(id) <- f 0 = f 1
-          | Netlist.Mux -> values.(id) <- (if f 0 then f 2 else f 1)
-          | Netlist.Mapped m ->
-            let idx = ref 0 in
-            for j = 0 to m.Netlist.arity - 1 do
-              if f j then idx := !idx lor (1 lsl j)
-            done;
-            values.(id) <- (m.Netlist.table lsr !idx) land 1 = 1)
-        order;
-      final := values.(prop);
-      List.iter
-        (fun id -> Hashtbl.replace state id values.((Netlist.fanins netlist id).(0)))
-        (Netlist.dffs netlist))
+          Sim.set_input sim id
+            (Option.value ~default:false (List.assoc_opt (Netlist.label netlist id) assignment)))
+        inputs;
+      Sim.step sim;
+      final := Sim.value sim prop)
     trace.steps;
   not !final
 

@@ -43,7 +43,8 @@ val check :
     returns a model that fails the final consistency check. *)
 
 val replay : Educhip_netlist.Netlist.t -> property:string -> trace -> bool
-(** Confirm a counterexample by simulation-style evaluation: [true] when
+(** Confirm a counterexample on {!Educhip_sim.Sim}: from reset, drive each
+    cycle's inputs by label (a missing one is false) and clock; [true] when
     the property output is 0 on the trace's final cycle. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -1,5 +1,6 @@
 module Netlist = Educhip_netlist.Netlist
 module Sat = Educhip_sat.Sat
+module Sim = Educhip_sim.Sim
 module Rng = Educhip_util.Rng
 module Digraph = Educhip_util.Digraph
 
@@ -47,60 +48,12 @@ let enumerate_faults netlist =
                   :: !faults);
   List.rev !faults
 
-(* {1 Bit-parallel simulation}
+(* {1 Fault simulation}
 
-   One int word holds one pattern per bit (62 usable). Gates evaluate
-   wordwise; [Mapped] kinds expand their truth tables minterm by minterm. *)
+   On [Sim]'s word kernel: one pattern per bit, 62 usable so a batch is a
+   non-negative int. *)
 
 let word_bits = 62
-
-let eval_kind kind fanin_words =
-  match kind with
-  | Netlist.Buf -> fanin_words.(0)
-  | Netlist.Not -> lnot fanin_words.(0)
-  | Netlist.And -> fanin_words.(0) land fanin_words.(1)
-  | Netlist.Or -> fanin_words.(0) lor fanin_words.(1)
-  | Netlist.Xor -> fanin_words.(0) lxor fanin_words.(1)
-  | Netlist.Nand -> lnot (fanin_words.(0) land fanin_words.(1))
-  | Netlist.Nor -> lnot (fanin_words.(0) lor fanin_words.(1))
-  | Netlist.Xnor -> lnot (fanin_words.(0) lxor fanin_words.(1))
-  | Netlist.Mux ->
-    let s = fanin_words.(0) in
-    (s land fanin_words.(2)) lor (lnot s land fanin_words.(1))
-  | Netlist.Mapped m ->
-    let out = ref 0 in
-    for minterm = 0 to (1 lsl m.Netlist.arity) - 1 do
-      if (m.Netlist.table lsr minterm) land 1 = 1 then begin
-        let hit = ref (-1) (* all ones *) in
-        for j = 0 to m.Netlist.arity - 1 do
-          let w = fanin_words.(j) in
-          hit := !hit land (if (minterm lsr j) land 1 = 1 then w else lnot w)
-        done;
-        out := !out lor !hit
-      end
-    done;
-    !out
-  | Netlist.Input | Netlist.Output | Netlist.Const _ | Netlist.Dff -> 0
-
-(* evaluate the whole netlist for a batch; [input_words] is indexed like
-   [pseudo_inputs netlist] *)
-let simulate_batch netlist order input_words =
-  let n = Netlist.cell_count netlist in
-  let words = Array.make n 0 in
-  List.iteri (fun i id -> words.(id) <- input_words.(i)) (pseudo_inputs netlist);
-  Array.iter
-    (fun id ->
-      let c = Netlist.cell netlist id in
-      match c.Netlist.kind with
-      | Netlist.Input | Netlist.Dff -> ()
-      | Netlist.Const b -> words.(id) <- (if b then -1 else 0)
-      | Netlist.Output -> words.(id) <- words.(c.Netlist.fanins.(0))
-      | _ ->
-        words.(id) <- eval_kind c.Netlist.kind (Array.map (fun f -> words.(f)) c.Netlist.fanins))
-    order;
-  words
-
-(* {1 Fault simulation} *)
 
 (* fanout graph with register Q pins as cut points *)
 let fanout_graph netlist =
@@ -112,10 +65,23 @@ let fanout_graph netlist =
       | _ -> Array.iter (fun f -> Digraph.add_edge g f id) c.Netlist.fanins);
   g
 
-(* downstream cone of a net, in topological order *)
+(* cells downstream of a net, the net itself excluded, in topological order;
+   never an input, constant or flip-flop, as none has a fanin edge in [g] *)
 let fanout_cone g order net =
   let reachable = Digraph.reachable_from g [ net ] in
-  Array.to_list (Array.of_seq (Seq.filter (fun id -> reachable.(id)) (Array.to_seq order)))
+  Array.of_seq (Seq.filter (fun id -> id <> net && reachable.(id)) (Array.to_seq order))
+
+(* Evaluate the batch on a stuck-at: force the net, re-evaluate its cone,
+   [detected] compares the observables against [good], then the cone is
+   restored to [good]. *)
+let with_fault sim ~good ~cone fault detected =
+  let net = fault.fault_net in
+  Sim.force sim net (if fault.stuck_at then -1 else 0);
+  Sim.eval_cells sim cone;
+  let d = detected () in
+  Sim.force sim net good.(net);
+  Array.iter (fun id -> Sim.force sim id good.(id)) cone;
+  d
 
 let run ?(random_patterns = 256) ?(seed = 1) ?(sat_conflict_limit = 20_000) netlist =
   (match Netlist.validate netlist with
@@ -123,7 +89,6 @@ let run ?(random_patterns = 256) ?(seed = 1) ?(sat_conflict_limit = 20_000) netl
   | _ -> invalid_arg "Atpg.run: invalid netlist");
   let order = Netlist.combinational_topo_order netlist in
   let inputs = pseudo_inputs netlist in
-  let n_inputs = List.length inputs in
   let n = Netlist.cell_count netlist in
   let obs = observables netlist in
   let faults = enumerate_faults netlist in
@@ -140,50 +105,22 @@ let run ?(random_patterns = 256) ?(seed = 1) ?(sat_conflict_limit = 20_000) netl
       Hashtbl.replace cones net c;
       c
   in
-  (* random phase, in batches of [word_bits]; fault values live in a
-     generation-stamped scratch array so no per-fault allocation happens *)
-  let faulty_val = Array.make n 0 in
-  let stamp = Array.make n (-1) in
-  let generation = ref 0 in
+  (* random phase, in batches of [word_bits] *)
+  let sim = Sim.create netlist in
+  let mask = (1 lsl word_bits) - 1 in
   let batches = (random_patterns + word_bits - 1) / word_bits in
   for _ = 1 to batches do
-    let input_words =
-      Array.init n_inputs (fun _ ->
-          Int64.to_int (Int64.shift_right_logical (Rng.bits64 rng) 2))
-    in
-    let good = simulate_batch netlist order input_words in
-    let scratch = Array.make 6 0 in
+    List.iter
+      (fun id -> Sim.set_word sim id (Int64.to_int (Int64.shift_right_logical (Rng.bits64 rng) 2)))
+      inputs;
+    Sim.eval sim;
+    let good = Array.init n (Sim.word sim) in
     List.iter
       (fun fault ->
         if not (Hashtbl.mem status fault) then begin
-          let net = fault.fault_net in
-          let forced = if fault.stuck_at then -1 else 0 in
-          incr generation;
-          let gen = !generation in
-          let value id = if stamp.(id) = gen then faulty_val.(id) else good.(id) in
-          stamp.(net) <- gen;
-          faulty_val.(net) <- forced;
-          List.iter
-            (fun id ->
-              if id <> net then begin
-                let c = Netlist.cell netlist id in
-                match c.Netlist.kind with
-                | Netlist.Input | Netlist.Dff | Netlist.Const _ -> ()
-                | Netlist.Output ->
-                  stamp.(id) <- gen;
-                  faulty_val.(id) <- value c.Netlist.fanins.(0)
-                | _ ->
-                  let fanins = c.Netlist.fanins in
-                  for j = 0 to Array.length fanins - 1 do
-                    scratch.(j) <- value fanins.(j)
-                  done;
-                  stamp.(id) <- gen;
-                  faulty_val.(id) <- eval_kind c.Netlist.kind scratch
-              end)
-            (cone_of net);
-          let mask = (1 lsl word_bits) - 1 in
           let detected =
-            List.exists (fun o -> (value o lxor good.(o)) land mask <> 0) obs
+            with_fault sim ~good ~cone:(cone_of fault.fault_net) fault (fun () ->
+                List.exists (fun o -> (Sim.word sim o lxor good.(o)) land mask <> 0) obs)
           in
           if detected then Hashtbl.replace status fault `Random
         end)
@@ -200,7 +137,8 @@ let run ?(random_patterns = 256) ?(seed = 1) ?(sat_conflict_limit = 20_000) netl
       let net = fault.fault_net in
       let cone = cone_of net in
       let in_cone = Hashtbl.create 64 in
-      List.iter (fun id -> Hashtbl.replace in_cone id ()) cone;
+      Hashtbl.replace in_cone net ();
+      Array.iter (fun id -> Hashtbl.replace in_cone id ()) cone;
       let reached_obs = List.filter (Hashtbl.mem in_cone) obs in
       if reached_obs = [] then Hashtbl.replace status fault `Untestable
       else begin
@@ -261,15 +199,11 @@ let run ?(random_patterns = 256) ?(seed = 1) ?(sat_conflict_limit = 20_000) netl
         let fault_var = Sat.fresh_var solver in
         Hashtbl.replace faulty_var net fault_var;
         Sat.add_clause solver [ (if fault.stuck_at then fault_var else -fault_var) ];
-        List.iter
+        Array.iter
           (fun id ->
-            if id <> net && Hashtbl.mem support id then begin
-              let c = Netlist.cell netlist id in
-              match c.Netlist.kind with
-              | Netlist.Input | Netlist.Dff | Netlist.Const _ -> ()
-              | _ ->
-                Hashtbl.replace faulty_var id (Sat.fresh_var solver);
-                encode_cell fvar id c
+            if Hashtbl.mem support id then begin
+              Hashtbl.replace faulty_var id (Sat.fresh_var solver);
+              encode_cell fvar id (Netlist.cell netlist id)
             end)
           cone;
         let xors =
@@ -319,36 +253,20 @@ let run ?(random_patterns = 256) ?(seed = 1) ?(sat_conflict_limit = 20_000) netl
   }
 
 let detects netlist pat fault =
-  let order = Netlist.combinational_topo_order netlist in
-  let inputs = pseudo_inputs netlist in
-  let input_words =
-    Array.of_list
-      (List.map
-         (fun id ->
-           match List.assoc_opt id pat.assignment with
-           | Some true -> -1
-           | Some false | None -> 0)
-         inputs)
-  in
-  let good = simulate_batch netlist order input_words in
-  let net = fault.fault_net in
-  let forced = if fault.stuck_at then -1 else 0 in
-  let faulty = Hashtbl.create 32 in
-  Hashtbl.replace faulty net forced;
-  let value id = match Hashtbl.find_opt faulty id with Some w -> w | None -> good.(id) in
+  let sim = Sim.create netlist in
   List.iter
     (fun id ->
-      if id <> net then begin
-        let c = Netlist.cell netlist id in
-        match c.Netlist.kind with
-        | Netlist.Input | Netlist.Dff | Netlist.Const _ -> ()
-        | Netlist.Output -> Hashtbl.replace faulty id (value c.Netlist.fanins.(0))
-        | _ ->
-          Hashtbl.replace faulty id
-            (eval_kind c.Netlist.kind (Array.map value c.Netlist.fanins))
-      end)
-    (fanout_cone (fanout_graph netlist) order net);
-  List.exists (fun o -> value o land 1 <> good.(o) land 1) (observables netlist)
+      Sim.set_word sim id
+        (match List.assoc_opt id pat.assignment with Some true -> -1 | Some false | None -> 0))
+    (pseudo_inputs netlist);
+  Sim.eval sim;
+  let good = Array.init (Netlist.cell_count netlist) (Sim.word sim) in
+  let cone =
+    fanout_cone (fanout_graph netlist) (Netlist.combinational_topo_order netlist)
+      fault.fault_net
+  in
+  with_fault sim ~good ~cone fault (fun () ->
+      List.exists (fun o -> (Sim.word sim o lxor good.(o)) land 1 <> 0) (observables netlist))
 
 let pp_report ppf r =
   Format.fprintf ppf

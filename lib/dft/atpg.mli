@@ -9,9 +9,10 @@
 
     The engine is the classical two-phase one:
 
-    + {b fault simulation} — 64 random patterns at a time evaluated
-      bit-parallel over the whole netlist; a fault is detected when its
-      forced value propagates to an observable under some pattern;
+    + {b fault simulation} — 62 random patterns at a time, one per bit
+      of {!Educhip_sim.Sim}'s words; each fault is forced and only its
+      fanout cone re-evaluated, and it is detected when its forced value
+      propagates to an observable under some pattern;
     + {b SAT ATPG} — for each fault random simulation missed, a
       good-vs-faulty miter is solved; SAT yields a directed pattern,
       UNSAT proves the fault untestable (redundant logic).

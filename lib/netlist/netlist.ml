@@ -272,38 +272,21 @@ let validate t =
      violations := Combinational_cycle (List.rev !cyclic) :: !violations);
   List.rev !violations
 
-(* evaluation semantics shared with the simulator *)
-let eval_combinational kind pins =
-  match kind with
-  | Buf -> pins.(0)
-  | Not -> not pins.(0)
-  | And -> pins.(0) && pins.(1)
-  | Or -> pins.(0) || pins.(1)
-  | Xor -> pins.(0) <> pins.(1)
-  | Nand -> not (pins.(0) && pins.(1))
-  | Nor -> not (pins.(0) || pins.(1))
-  | Xnor -> pins.(0) = pins.(1)
-  | Mux -> if pins.(0) then pins.(2) else pins.(1)
-  | Mapped m ->
-    let idx = ref 0 in
-    for j = 0 to m.arity - 1 do
-      if pins.(j) then idx := !idx lor (1 lsl j)
-    done;
-    (m.table lsr !idx) land 1 = 1
-  | Input | Output | Const _ | Dff -> invalid_arg "Netlist.eval_combinational"
-
-let kind_table kind =
-  match kind with
+(* The one statement of gate semantics: bit [i] of a table is the output
+   when fanin [j] carries bit [j] of [i]. Mux fanins are [|sel; a; b|], so
+   sel is bit 0 of the index. *)
+let kind_table = function
   | Input | Output | Const _ | Dff -> None
+  | Buf -> Some (1, 0b10)
+  | Not -> Some (1, 0b01)
+  | And -> Some (2, 0b1000)
+  | Or -> Some (2, 0b1110)
+  | Xor -> Some (2, 0b0110)
+  | Nand -> Some (2, 0b0111)
+  | Nor -> Some (2, 0b0001)
+  | Xnor -> Some (2, 0b1001)
+  | Mux -> Some (3, 0xE4)
   | Mapped m -> Some (m.arity, m.table)
-  | Buf | Not | And | Or | Xor | Nand | Nor | Xnor | Mux ->
-    let arity = kind_arity kind in
-    let table = ref 0 in
-    for i = 0 to (1 lsl arity) - 1 do
-      let pins = Array.init arity (fun j -> (i lsr j) land 1 = 1) in
-      if eval_combinational kind pins then table := !table lor (1 lsl i)
-    done;
-    Some (arity, !table)
 
 let pp_summary ppf t =
   Format.fprintf ppf "netlist %s: %d cells (%d inputs, %d outputs, %d dffs, %d gates), depth %d"

@@ -152,10 +152,11 @@ val kind_name : kind -> string
 
 val kind_table : kind -> (int * int) option
 (** [(arity, truth table)] of a combinational kind — bit [i] of the table
-    is the output when fanin [j] carries bit [j] of [i]. Computed from the
-    same evaluation semantics the simulator uses, so SAT encoders and
-    fault simulators cannot drift from it. [None] for [Input], [Output],
-    [Const], and [Dff]. *)
+    is the output when fanin [j] carries bit [j] of [i]. The one statement
+    of gate semantics: the simulator (and through it power, scan, fault
+    simulation and counterexample replay) and every SAT encoder evaluate
+    gates from it, so they cannot drift apart. [None] for [Input],
+    [Output], [Const], and [Dff]. *)
 
 val restore : name:string -> cell array -> t
 (** Rebuild a netlist from its cell table — the inverse of dumping every

@@ -1,12 +1,18 @@
 (** Levelized cycle-based netlist simulator.
 
     Evaluates a {!Educhip_netlist.Netlist.t} — primitive gates or
-    technology-mapped cells alike — one clock cycle at a time. Cells are
-    evaluated in a precomputed combinational topological order, flip-flops
-    update atomically on {!step}, and all registers reset to zero. This is
-    the reference model used to check that synthesis and technology mapping
-    preserve design semantics, and the engine behind the testbench driver
-    used in examples.
+    technology-mapped cells alike — one clock cycle at a time. {!create}
+    compiles the netlist once: every combinational cell becomes its
+    {!Educhip_netlist.Netlist.kind_table} truth table, evaluated in a
+    precomputed topological order as a mux tree over constant masks. Each
+    net carries an [int] word and gates act lane-wise, so one sweep can
+    evaluate one pattern per bit (the {!section-words} access, used by
+    fault simulation); the bit-level API drives and reads words of all
+    zeros or all ones. Flip-flops update atomically on {!step}, and all
+    registers reset to zero. This is the reference model used to check
+    that synthesis and technology mapping preserve design semantics, and
+    the one gate evaluator behind power estimation, scan, fault
+    simulation, counterexample replay and the testbench driver.
 
     Buses follow the RTL labelling convention: a multi-bit port [x] appears
     as inputs/outputs labelled [x\[0\]], [x\[1\]], … *)
@@ -15,7 +21,7 @@ type t
 
 val create : Educhip_netlist.Netlist.t -> t
 (** Build a simulator. Registers start at zero, inputs at zero.
-    @raise Failure if the netlist has a combinational cycle. *)
+    @raise Invalid_argument if the netlist has a combinational cycle. *)
 
 val netlist : t -> Educhip_netlist.Netlist.t
 
@@ -45,6 +51,28 @@ val set_bus : t -> string -> int -> unit
 
 val read_bus : t -> string -> int
 (** Read an output bus as an unsigned integer (bus width must be ≤ 62). *)
+
+(** {1:words Word-level access}
+
+    One pattern per bit of an [int] word (63 lanes). The scalar functions
+    above read lane 0. *)
+
+val set_word : t -> Educhip_netlist.Netlist.cell_id -> int -> unit
+(** Drive a primary input, or load a flip-flop's state (published by the
+    next {!eval}), with a word of patterns.
+    @raise Invalid_argument for any other cell. *)
+
+val word : t -> Educhip_netlist.Netlist.cell_id -> int
+(** Current word of any net. *)
+
+val force : t -> Educhip_netlist.Netlist.cell_id -> int -> unit
+(** Overwrite a net's current word — a stuck-at fault, or its repair.
+    Nothing is re-evaluated. *)
+
+val eval_cells : t -> Educhip_netlist.Netlist.cell_id array -> unit
+(** Re-evaluate the given cells from the current words, in array order
+    (e.g. a fault's fanout cone, topologically sorted). Inputs and
+    flip-flops in the array are left as they are. *)
 
 (** {1 Evaluation} *)
 

@@ -118,6 +118,56 @@ let test_report_rendering () =
   let s = Format.asprintf "%a" Atpg.pp_report r in
   check Alcotest.bool "mentions coverage" true (String.length s > 30)
 
+(* Counts and directed patterns pinned, recorded before fault simulation
+   moved onto the compiled simulator: the random phase decides which
+   faults reach SAT, so the pattern digest covers both phases. *)
+let test_golden_reports () =
+  let scanned_uart () =
+    let scanned, _ = Dft.insert_scan (Educhip_rtl.Rtl.elaborate (Designs.uart_tx ())) in
+    fst (Synth.synthesize scanned ~node Synth.default_options)
+  in
+  let mapped name =
+    fst (Synth.synthesize (Designs.netlist (Designs.find name)) ~node Synth.default_options)
+  in
+  List.iter
+    (fun (label, nl, random_patterns, expected) ->
+      let r = Atpg.run ~random_patterns nl in
+      let b = Buffer.create 4096 in
+      List.iter
+        (fun p ->
+          List.iter (fun (id, v) -> Printf.bprintf b "%d=%b," id v) p.Atpg.assignment;
+          List.iter
+            (fun f -> Printf.bprintf b "/%d@%b" f.Atpg.fault_net f.Atpg.stuck_at)
+            p.Atpg.detects;
+          Buffer.add_char b ';')
+        r.Atpg.patterns;
+      List.iter
+        (fun p ->
+          List.iter
+            (fun f -> check Alcotest.bool (label ^ " pattern detects") true (Atpg.detects nl p f))
+            p.Atpg.detects)
+        r.Atpg.patterns;
+      check Alcotest.string label expected
+        (Printf.sprintf "%d %d %d %d %d %d %s" r.Atpg.total_faults r.Atpg.detected_random
+           r.Atpg.detected_sat r.Atpg.untestable r.Atpg.aborted
+           (List.length r.Atpg.patterns)
+           (Digest.to_hex (Digest.string (Buffer.contents b)))))
+    [
+      ( "adder8 rtl",
+        Designs.netlist (Designs.find "adder8"),
+        1,
+        "112 111 0 1 0 0 d41d8cd98f00b204e9800998ecf8427e" );
+      ("alu8 mapped", mapped "alu8", 64, "570 569 1 0 0 1 afd4f0a6dcabcfc0fe877b53e78480dd");
+      ( "acc_cpu8 rtl",
+        Designs.netlist (Designs.find "acc_cpu8"),
+        64,
+        "390 368 9 13 0 9 1031503abb5f260b6f6ea9ea7124d679" );
+      ( "uart_tx scan mapped",
+        scanned_uart (),
+        1,
+        "318 293 24 1 0 24 9377060d146496357db5c9a37d4a7542" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "fault enumeration" `Quick test_fault_enumeration;
@@ -131,4 +181,5 @@ let suite =
     Alcotest.test_case "counts consistent" `Quick test_counts_consistent;
     Alcotest.test_case "scan uart coverage" `Slow test_scan_uart_coverage;
     Alcotest.test_case "report rendering" `Quick test_report_rendering;
+    Alcotest.test_case "golden reports" `Slow test_golden_reports;
   ]

@@ -105,6 +105,20 @@ let test_sticky_flag_violation_timing () =
     check Alcotest.bool "replays" true (Bmc.replay nl ~property:"prop" trace)
   | v -> Alcotest.failf "expected violation, got %s" (Format.asprintf "%a" Bmc.pp_verdict v)
 
+(* the sticky flag's counterexample cut to its first cycle: the flag is
+   still clear there, so the property holds and the replay must say so *)
+let test_truncated_trace_does_not_replay () =
+  let d = Rtl.create ~name:"sticky" in
+  let q = Rtl.reg_feedback d ~width:1 (fun q -> Rtl.bor d q (Rtl.lit d ~width:1 1)) in
+  Rtl.output d "prop" (Rtl.bnot d q);
+  let nl = Rtl.elaborate d in
+  match Bmc.check nl ~property:"prop" ~depth:4 () with
+  | Bmc.Violated trace ->
+    let first = { Bmc.length = 1; steps = Array.sub trace.Bmc.steps 0 1 } in
+    check Alcotest.bool "full trace replays" true (Bmc.replay nl ~property:"prop" trace);
+    check Alcotest.bool "first cycle does not" false (Bmc.replay nl ~property:"prop" first)
+  | v -> Alcotest.failf "expected violation, got %s" (Format.asprintf "%a" Bmc.pp_verdict v)
+
 let test_bad_args () =
   let nl = frozen_register () in
   Alcotest.check_raises "unknown property"
@@ -122,5 +136,7 @@ let suite =
     Alcotest.test_case "bad monitor caught" `Quick test_bad_monitor_caught;
     Alcotest.test_case "pipeline monitor proved" `Quick test_pipeline_monitor;
     Alcotest.test_case "sticky flag violation timing" `Quick test_sticky_flag_violation_timing;
+    Alcotest.test_case "truncated trace does not replay" `Quick
+      test_truncated_trace_does_not_replay;
     Alcotest.test_case "bad args" `Quick test_bad_args;
   ]

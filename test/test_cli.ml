@@ -3,7 +3,11 @@
 module Runlog = Educhip_obs.Runlog
 module Files = Educhip_util.Files
 
-let eduflow = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "eduflow.exe"
+(* next to the test binary's directory, so the suite runs from any cwd *)
+let eduflow =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "eduflow.exe" ]
 
 (* Run [eduflow args] with stdin from /dev/null and stdout on [out]
    (closed here once the child has it); the exit status and whatever

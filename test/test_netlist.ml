@@ -180,6 +180,32 @@ let test_kind_tables () =
     [ Netlist.Buf; Netlist.Not; Netlist.And; Netlist.Or; Netlist.Xor; Netlist.Nand;
       Netlist.Nor; Netlist.Xnor; Netlist.Mux ]
 
+(* An independent statement of the same semantics: the edu130 cell each
+   primitive maps to carries a table computed from its PDK template's own
+   function, not from [kind_table]. *)
+let test_kind_tables_match_pdk () =
+  let module Pdk = Educhip_pdk.Pdk in
+  let node = Pdk.find_node "edu130" in
+  List.iter
+    (fun (kind, cell_name) ->
+      let cell = Pdk.find_cell node cell_name in
+      check
+        Alcotest.(option (pair int int))
+        (Netlist.kind_name kind ^ " = " ^ cell_name)
+        (Some (cell.Pdk.arity, cell.Pdk.table))
+        (Netlist.kind_table kind))
+    [
+      (Netlist.Not, "INV_X1");
+      (Netlist.Buf, "BUF_X1");
+      (Netlist.And, "AND2_X1");
+      (Netlist.Or, "OR2_X1");
+      (Netlist.Xor, "XOR2_X1");
+      (Netlist.Nand, "NAND2_X1");
+      (Netlist.Nor, "NOR2_X1");
+      (Netlist.Xnor, "XNOR2_X1");
+      (Netlist.Mux, "MUX2_X1");
+    ]
+
 let test_summary_format () =
   let n = full_adder () in
   let s = Format.asprintf "%a" Netlist.pp_summary n in
@@ -202,5 +228,6 @@ let suite =
     Alcotest.test_case "mapped cell" `Quick test_mapped_cell;
     Alcotest.test_case "mapped arity bounds" `Quick test_mapped_arity_bounds;
     Alcotest.test_case "kind tables match simulator" `Quick test_kind_tables;
+    Alcotest.test_case "kind tables match pdk cells" `Quick test_kind_tables_match_pdk;
     Alcotest.test_case "summary format" `Quick test_summary_format;
   ]

@@ -107,6 +107,47 @@ let test_clock_gating_bad_args () =
     (Invalid_argument "Power.clock_gating: enable_duty must be in [0,1]") (fun () ->
       ignore (Power.clock_gating m ~node ~clock_mhz:100.0 ~enable_duty:1.5 ()))
 
+(* Every report field at %h on the mapped netlists the flow presets produce,
+   recorded before the simulator moved to compiled word evaluation. A
+   synthetic per-net wire length gives every net its own weight, so a
+   changed toggle count on any net moves [dynamic_uw]; fir4x8, acc_cpu8
+   and uart_tx are sequential. *)
+let test_golden_reports () =
+  let module Flow = Educhip_flow.Flow in
+  List.iter
+    (fun (name, preset, expected) ->
+      let cfg = Flow.config ~node preset in
+      let nl = Designs.netlist (Designs.find name) in
+      let m, _ = Synth.synthesize nl ~node cfg.Flow.synth_options in
+      let r =
+        Power.estimate m ~node ~clock_mhz:(1e6 /. cfg.Flow.clock_period_ps)
+          ~wire_length_of_net:(fun id -> float_of_int (id mod 13))
+          ~cycles:cfg.Flow.power_cycles ()
+      in
+      check Alcotest.string name expected
+        (Printf.sprintf "%h %h %h %h %h %d" r.Power.dynamic_uw r.Power.leakage_uw
+           r.Power.clock_uw r.Power.total_uw r.Power.mean_activity r.Power.cycles_simulated))
+    [
+      ( "adder8",
+        Flow.Commercial_flow,
+        "0x1.1117540f7dd7bp+6 0x1.b6f71554a9427p-4 0x0p+0 0x1.118511d4d302p+6 0x1.f280772807728p-2 400" );
+      ( "alu8",
+        Flow.Commercial_flow,
+        "0x1.c45fc503249cfp+7 0x1.a66059bbe1604p-2 0x0p+0 0x1.c532f530028dap+7 0x1.dceb05dd99ff6p-2 400" );
+      ( "fir4x8",
+        Flow.Commercial_flow,
+        "0x1.055ee0ee2560ap+8 0x1.77297ee1a87a5p-1 0x1.490809fbe21dp+7 0x1.aa9e7aab87436p+8 0x1.c1dad3ad9dc65p-2 400" );
+      ( "acc_cpu8",
+        Flow.Commercial_flow,
+        "0x1.9fc2814c414eep+7 0x1.d00fa0b88251bp-2 0x1.b6b562a52d7c1p+4 0x1.d7813571433f9p+7 0x1.ab4b025eef33dp-2 400" );
+      ( "uart_tx",
+        Flow.Commercial_flow,
+        "0x1.99f85ca719009p+5 0x1.3461ac812e796p-2 0x1.7fdeb65087cc9p+5 0x1.8e1feb285195p+6 0x1.341fb88d0cdbap-3 400" );
+      ( "mult8",
+        Flow.Teaching_flow,
+        "0x1.ca24e6f74d44ep+6 0x1.a782b9b4d2994p-1 0x0p+0 0x1.cd73ec6ab6ea1p+6 0x1.6a2b89ca3efedp-2 100" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "components positive" `Quick test_components_positive;
@@ -119,4 +160,5 @@ let suite =
     Alcotest.test_case "clock gating detects enables" `Quick test_clock_gating_detects_enables;
     Alcotest.test_case "clock gating duty scaling" `Quick test_clock_gating_on_mapped;
     Alcotest.test_case "clock gating bad args" `Quick test_clock_gating_bad_args;
+    Alcotest.test_case "golden reports" `Quick test_golden_reports;
   ]
