@@ -40,6 +40,7 @@ module Astore = Educhip_artifact.Store
 module Wire = Educhip_serve.Wire
 module Ratelimit = Educhip_serve.Ratelimit
 module Server = Educhip_serve.Server
+module Listener = Educhip_serve.Listener
 module Scrape = Educhip_mon.Scrape
 module Client = Educhip_serve.Client
 module Chaos = Educhip_serve.Chaos
@@ -1245,7 +1246,7 @@ let serve_bench () =
   in
   let run_level clients =
     let server = Server.create cfg in
-    let listen_fd = Server.listen_unix ~path:socket in
+    let listen_fd = Listener.listen_unix ~path:socket in
     let server_thread = Thread.create (fun () -> Server.serve server listen_fd) () in
     let mutex = Mutex.create () in
     let latencies = ref [] in
@@ -1396,7 +1397,7 @@ let serve_bench () =
     overhead_clients n_slices slice_ms;
   let run_overhead () =
   let server = Server.create overhead_cfg in
-  let listen_fd = Server.listen_unix ~path:socket in
+  let listen_fd = Listener.listen_unix ~path:socket in
   let server_thread = Thread.create (fun () -> Server.serve server listen_fd) () in
   let snap0 = Option.map Obs.snapshot (Obs.installed ()) in
   let slice_jobs = Array.make n_slices 0 in
@@ -1628,7 +1629,7 @@ let cluster_bench () =
     in
     let router = Router.create (Router.config cspec) in
     let router_socket = Filename.concat root (Printf.sprintf "eduroute-n%d.sock" n_replicas) in
-    let listen_fd = Server.listen_unix ~path:router_socket in
+    let listen_fd = Listener.listen_unix ~path:router_socket in
     let serve_thread = Thread.create (fun () -> Router.serve router listen_fd) () in
     let mutex = Mutex.create () in
     let latencies = ref [] in

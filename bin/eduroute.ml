@@ -13,7 +13,6 @@
    keep running — they may be shared. *)
 
 module Wire = Educhip_serve.Wire
-module Server = Educhip_serve.Server
 module Spec = Educhip_cluster.Spec
 module Router = Educhip_cluster.Router
 
@@ -82,23 +81,23 @@ let run socket tcp_port spec_path replicas vnodes seed probe_interval staleness
         (Sys.Signal_handle (fun _ -> Router.request_drain router)))
     [ Sys.sigint; Sys.sigterm ];
   if not no_probe then Router.start_prober router;
-  let listen_fd, where =
-    match tcp_port with
-    | Some port -> (Server.listen_tcp ~port (), Printf.sprintf "tcp 127.0.0.1:%d" port)
-    | None -> (Server.listen_unix ~path:socket, Printf.sprintf "unix %s" socket)
+  let served =
+    Educhip_serve.Listener.with_socket ~socket ~tcp:tcp_port (fun listen_fd where ->
+        Printf.printf
+          "eduroute: listening on %s (%d replicas, %d vnodes, hash seed %d, probing %s)\n%!"
+          where
+          (List.length spec.Spec.replicas)
+          spec.Spec.vnodes spec.Spec.seed
+          (if no_probe then "off"
+           else Printf.sprintf "every %.0f ms" spec.Spec.probe_interval_ms);
+        Router.serve router listen_fd)
   in
-  Printf.printf
-    "eduroute: listening on %s (%d replicas, %d vnodes, hash seed %d, probing %s)\n%!"
-    where
-    (List.length spec.Spec.replicas)
-    spec.Spec.vnodes spec.Spec.seed
-    (if no_probe then "off"
-     else Printf.sprintf "every %.0f ms" spec.Spec.probe_interval_ms);
-  Router.serve router listen_fd;
   Router.stop router;
-  Unix.close listen_fd;
-  if tcp_port = None && Sys.file_exists socket then Sys.remove socket;
-  Printf.printf "eduroute: drained, shutting down\n%!"
+  match served with
+  | Ok () -> Printf.printf "eduroute: drained, shutting down\n%!"
+  | Error msg ->
+    Printf.eprintf "eduroute: %s\n" msg;
+    exit 2
 
 let socket_arg =
   Arg.(

@@ -23,7 +23,7 @@ open Cmdliner
 
 let run socket tcp_port workers max_queue no_cache cache_dir cache_max artifact_dir
     artifact_max ledger
-    journal default_deadline read_timeout_ms max_line_bytes inject wire_fault_seed
+    journal default_deadline inject wire_fault_seed
     advanced_tenants basic_rate basic_burst basic_inflight
     advanced_rate advanced_burst advanced_inflight slo_basic_p99 slo_advanced_p99
     slo_success_rate slo_window trace_path metrics_path prom_path =
@@ -66,8 +66,6 @@ let run socket tcp_port workers max_queue no_cache cache_dir cache_max artifact_
       ledger;
       journal;
       default_deadline_ms = default_deadline;
-      read_timeout_ms = (if read_timeout_ms <= 0.0 then None else Some read_timeout_ms);
-      max_line_bytes;
       slo =
         List.map
           (fun (tier, (o : Slo.objective)) ->
@@ -121,24 +119,24 @@ let run socket tcp_port workers max_queue no_cache cache_dir cache_max artifact_
       stats.Server.restored_completed stats.Server.replayed
       stats.Server.started_incomplete stats.Server.dropped_lines
       stats.Server.recovery_wall_ms);
-  let listen_fd, where =
-    match tcp_port with
-    | Some port -> (Server.listen_tcp ~port (), Printf.sprintf "tcp 127.0.0.1:%d" port)
-    | None -> (Server.listen_unix ~path:socket, Printf.sprintf "unix %s" socket)
+  let served =
+    Educhip_serve.Listener.with_socket ~socket ~tcp:tcp_port (fun listen_fd where ->
+        Printf.printf
+          "eduserved: listening on %s (%d workers, queue bound %d, cache %s, artifacts %s)\n%!"
+          where workers max_queue
+          (match cfg.Server.cache with
+          | Some _ -> Printf.sprintf "on (%s, max %d entries)" cache_dir cache_max
+          | None -> "off")
+          (match artifact_dir with
+          | Some dir -> Printf.sprintf "on (%s, max %d entries)" dir artifact_max
+          | None -> "off");
+        Server.serve server listen_fd)
   in
-  Printf.printf
-    "eduserved: listening on %s (%d workers, queue bound %d, cache %s, artifacts %s)\n%!"
-    where workers max_queue
-    (match cfg.Server.cache with
-    | Some _ -> Printf.sprintf "on (%s, max %d entries)" cache_dir cache_max
-    | None -> "off")
-    (match artifact_dir with
-    | Some dir -> Printf.sprintf "on (%s, max %d entries)" dir artifact_max
-    | None -> "off");
-  Server.serve server listen_fd;
-  Unix.close listen_fd;
-  if tcp_port = None && Sys.file_exists socket then Sys.remove socket;
-  Printf.printf "eduserved: drained, shutting down\n%!"
+  match served with
+  | Ok () -> Printf.printf "eduserved: drained, shutting down\n%!"
+  | Error msg ->
+    Printf.eprintf "eduserved: %s\n" msg;
+    exit 2
 
 let socket_arg =
   Arg.(
@@ -218,24 +216,6 @@ let journal_arg =
            it is acknowledged. On startup, unfinished entries are replayed \
            (recovery stats land in $(docv).recovery.json) so an acknowledged \
            submission survives kill -9.")
-
-let read_timeout_arg =
-  Arg.(
-    value
-    & opt float
-        (Option.value Server.default_config.Server.read_timeout_ms ~default:30_000.0)
-    & info [ "read-timeout-ms" ] ~docv:"MS"
-        ~doc:
-          "Disconnect a client silent for $(docv) milliseconds (0 or negative: \
-           wait forever).")
-
-let max_line_bytes_arg =
-  Arg.(
-    value & opt int Server.default_config.Server.max_line_bytes
-    & info [ "max-line-bytes" ] ~docv:"N"
-        ~doc:
-          "Reject (typed bad_request) and disconnect a client whose request line \
-           exceeds $(docv) bytes.")
 
 let inject_arg =
   Arg.(
@@ -354,7 +334,7 @@ let cmd =
       const run $ socket_arg $ tcp_arg $ workers_arg $ max_queue_arg $ no_cache_arg
       $ cache_dir_arg $ cache_max_arg $ artifact_dir_arg $ artifact_max_arg
       $ ledger_arg $ journal_arg $ deadline_arg
-      $ read_timeout_arg $ max_line_bytes_arg $ inject_arg $ wire_fault_seed_arg
+      $ inject_arg $ wire_fault_seed_arg
       $ advanced_arg
       $ basic_rate_arg $ basic_burst_arg $ basic_inflight_arg $ advanced_rate_arg
       $ advanced_burst_arg $ advanced_inflight_arg $ slo_basic_p99_arg

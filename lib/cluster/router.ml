@@ -9,8 +9,6 @@ type config = {
   retry : Client.retry_policy;
   connect_timeout_ms : float;
   read_timeout_ms : float;
-  conn_read_timeout_ms : float option;
-  max_line_bytes : int;
   drain_await_timeout_ms : float;
   stash_max : int;
 }
@@ -21,8 +19,6 @@ let config spec =
     retry = { Client.default_retry_policy with Client.seed = spec.Spec.seed };
     connect_timeout_ms = 1000.0;
     read_timeout_ms = 30_000.0;
-    conn_read_timeout_ms = Some 30_000.0;
-    max_line_bytes = 64 * 1024;
     drain_await_timeout_ms = 60_000.0;
     stash_max = 512;
   }
@@ -544,59 +540,7 @@ let stop t =
 
 (* {1 Serving} *)
 
-let handle_connection t fd =
-  let oc = Unix.out_channel_of_descr fd in
-  let pending = Buffer.create 256 in
-  let respond resp =
-    output_string oc (Wire.encode_response resp);
-    output_char oc '\n';
-    flush oc
-  in
-  (try
-     let rec loop () =
-       match
-         Server.read_request_line fd ~pending ~max_bytes:t.cfg.max_line_bytes
-           ~timeout_ms:t.cfg.conn_read_timeout_ms
-       with
-       | Server.Eof | Server.Timed_out -> ()
-       | Server.Oversized ->
-         let reason =
-           Wire.Bad_request
-             (Printf.sprintf "request line exceeds %d bytes" t.cfg.max_line_bytes)
-         in
-         count_reject t reason;
-         respond (Wire.Rejected { reason; retry_after_ms = None })
-       | Server.Line line ->
-         if String.trim line = "" then loop ()
-         else begin
-           let resp =
-             match Wire.decode_request line with
-             | Error msg ->
-               count_reject t (Wire.Bad_request msg);
-               Wire.Rejected { reason = Wire.Bad_request msg; retry_after_ms = None }
-             | Ok req -> handle t req
-           in
-           respond resp;
-           loop ()
-         end
-     in
-     loop ()
-   with
-  | End_of_file | Sys_error _ | Exit -> ()
-  | Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
 let serve t listen_fd =
-  let rec accept_loop () =
-    if not (Atomic.get t.drain_flag || Atomic.get t.stop_flag) then begin
-      (match Unix.select [ listen_fd ] [] [] 0.05 with
-      | [], _, _ -> ()
-      | _ -> (
-        match Unix.accept listen_fd with
-        | fd, _ -> ignore (Thread.create (handle_connection t) fd)
-        | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      accept_loop ()
-    end
-  in
-  accept_loop ()
+  Educhip_serve.Listener.serve
+    ~stop:(fun () -> Atomic.get t.drain_flag || Atomic.get t.stop_flag)
+    ~reject:(count_reject t) ~handle:(handle t) listen_fd

@@ -29,10 +29,10 @@
       is gone), drain the replica itself, then remap its ring segment.
       Zero accepted jobs are lost.
 
-    Thread model: like the server, connection handling is
-    thread-per-client over {!handle}, which takes the router's lock
-    only around state — never across replica I/O. Health probing runs
-    on one background thread ({!start_prober}) built on
+    Thread model: as under the server, {!Educhip_serve.Listener} runs
+    a thread per client connection over {!handle}, which takes the
+    router's lock only around state — never across replica I/O. Health
+    probing runs on one background thread ({!start_prober}) built on
     {!Educhip_mon.Scrape} (persistent connections, staleness-window
     liveness); {!handle} works without it, marking replicas down on
     submit-path transport errors and up again on any successful
@@ -45,8 +45,6 @@ type config = {
           next live ring successor *)
   connect_timeout_ms : float;  (** router → replica *)
   read_timeout_ms : float;  (** router → replica *)
-  conn_read_timeout_ms : float option;  (** client → router; [None] = no deadline *)
-  max_line_bytes : int;  (** client request-line bound, as the server's *)
   drain_await_timeout_ms : float;
       (** rolling drain: how long to wait for one inflight job to reach
           a terminal state before the drain gives up (the replica is
@@ -62,8 +60,7 @@ type config = {
 val config : Spec.t -> config
 (** Defaults around a spec: the client module's default retry policy
     reseeded from the spec's hash seed, 1 s connect / 30 s read toward
-    replicas, 30 s client read deadline, 64 KiB lines, 60 s drain
-    await, 512-entry result stash. *)
+    replicas, 60 s drain await, 512-entry result stash. *)
 
 type t
 
@@ -103,11 +100,10 @@ val request_drain : t -> unit
     Replicas are left running — they may be shared. *)
 
 val serve : t -> Unix.file_descr -> unit
-(** Accept loop on a listening socket (from
-    {!Educhip_serve.Server.listen_unix} / [listen_tcp]),
-    thread-per-connection over {!handle}. Returns once a drain has been
-    requested and in-flight connections have been answered. The
-    listener is not closed — the caller owns it. *)
+(** {!Educhip_serve.Listener.serve} over {!handle} on a listening
+    socket. Returns once a drain or {!stop} has been requested and no
+    request is still being answered. The listener is not closed — the
+    caller owns it. *)
 
 val stop : t -> unit
 (** Stop and join the prober (closing its probe connections). Idempotent. *)

@@ -49,8 +49,8 @@ let arming_to_string a =
   if a.count = 1 then Printf.sprintf "%s:%s" a.site (kind_name a.fault)
   else Printf.sprintf "%s:%s@%d" a.site (kind_name a.fault) a.count
 
-(* Wire-level fault sites probed by the service's connection handling
-   (Educhip_serve.Server), alongside the flow/kernel sites probed inside
+(* Wire-level fault sites probed by the daemons' connection layer
+   (Educhip_serve.Listener), alongside the flow/kernel sites probed inside
    jobs. Same injector machinery; the serving process arms them in its
    accept-loop domain, so connection threads share one budget and worker
    domains (which arm per-job flow plans) never see them. *)

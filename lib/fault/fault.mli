@@ -57,13 +57,13 @@ val arming_to_string : arming -> string
 
 (** {2 Wire-level fault sites}
 
-    Probed by the flow service's connection handling
-    ([Educhip_serve.Server]) rather than inside jobs — they model the
-    {e transport} misbehaving, the way the flow sites model tools
-    misbehaving. Arm them in the serving process (the [eduserved]
-    [--inject] flag, or {!arm} before [Server.serve]); connection
-    threads share the accept-loop domain's injector, worker domains
-    never see it. Kind semantics at these sites:
+    Probed by the daemons' connection layer ([Educhip_serve.Listener],
+    under both [eduserved] and [eduroute]) rather than inside jobs —
+    they model the {e transport} misbehaving, the way the flow sites
+    model tools misbehaving. Arm them in the serving process (the
+    [eduserved] [--inject] flag, or {!arm} before [Server.serve]);
+    connection threads share the accept-loop domain's injector, worker
+    domains never see it. Kind semantics at these sites:
 
     - {!serve_accept} + [Crash]: a freshly accepted connection is
       closed before reading a byte.

@@ -27,8 +27,6 @@ type config = {
   default_deadline_ms : float option;
   slo : (string * Slo.objective) list;
   slo_window : int;
-  read_timeout_ms : float option;
-  max_line_bytes : int;
 }
 
 let default_config =
@@ -45,8 +43,6 @@ let default_config =
     default_deadline_ms = None;
     slo = Slo.default_objectives;
     slo_window = 256;
-    read_timeout_ms = Some 30_000.0;
-    max_line_bytes = 65_536;
   }
 
 let metric_names =
@@ -107,13 +103,8 @@ type t = {
   mutable deadline_expired : int;
   mutable idem_hits : int;  (* under [mutex] *)
   mutable replayed : int;  (* set once by [recover], before [serve] *)
-  (* connection-thread and worker-domain counters: atomics, because
-     they are bumped outside the mutex on the hot read/write path *)
-  journal_appends : int Atomic.t;
-  conn_opened : int Atomic.t;
-  conn_closed : int Atomic.t;
-  conn_timeouts : int Atomic.t;
-  conn_oversized : int Atomic.t;
+  journal_appends : int Atomic.t;  (* bumped by worker domains *)
+  conn : Listener.counts;
   mutable journal : Journal.t option;
       (* opened by [recover] (after compaction) or lazily by the first
          append; [None] when [cfg.journal] is [None] *)
@@ -168,10 +159,7 @@ let create cfg =
     idem_hits = 0;
     replayed = 0;
     journal_appends = Atomic.make 0;
-    conn_opened = Atomic.make 0;
-    conn_closed = Atomic.make 0;
-    conn_timeouts = Atomic.make 0;
-    conn_oversized = Atomic.make 0;
+    conn = Listener.counts ();
     journal = None;
     idem = Hashtbl.create 64;
     rejected = Hashtbl.create 8;
@@ -230,12 +218,7 @@ let sync_counter t ?(labels = []) name current =
   end
 
 let sync_metrics t =
-  List.iter Obs.declare_counter [ "serve.admitted"; "serve.cache_hits";
-                                  "serve.jobs_completed"; "serve.jobs_failed";
-                                  "serve.deadline_expired"; "serve.idempotent_hits";
-                                  "serve.journal_appends"; "serve.replayed";
-                                  "serve.conn_opened"; "serve.conn_closed";
-                                  "serve.conn_timeouts"; "serve.conn_oversized" ];
+  List.iter Obs.declare_counter (List.filter (( <> ) "serve.rejected") metric_names);
   (* one zero-registered family per reject reason, so a scraper can
      tell "no rejects yet" (a flat counter) from "series missing" *)
   List.iter
@@ -250,10 +233,10 @@ let sync_metrics t =
   sync_counter t "serve.idempotent_hits" t.idem_hits;
   sync_counter t "serve.journal_appends" (Atomic.get t.journal_appends);
   sync_counter t "serve.replayed" t.replayed;
-  sync_counter t "serve.conn_opened" (Atomic.get t.conn_opened);
-  sync_counter t "serve.conn_closed" (Atomic.get t.conn_closed);
-  sync_counter t "serve.conn_timeouts" (Atomic.get t.conn_timeouts);
-  sync_counter t "serve.conn_oversized" (Atomic.get t.conn_oversized);
+  sync_counter t "serve.conn_opened" (Atomic.get t.conn.Listener.opened);
+  sync_counter t "serve.conn_closed" (Atomic.get t.conn.Listener.closed);
+  sync_counter t "serve.conn_timeouts" (Atomic.get t.conn.Listener.timeouts);
+  sync_counter t "serve.conn_oversized" (Atomic.get t.conn.Listener.oversized);
   Hashtbl.iter
     (fun reason n -> sync_counter t ~labels:[ ("reason", reason) ] "serve.rejected" n)
     t.rejected;
@@ -942,21 +925,7 @@ let recover t =
         recovery_wall_ms = Mclock.now_ms () -. t0;
       }
 
-(* {1 Sockets and the accept loop} *)
-
-let listen_unix ~path =
-  if Sys.file_exists path then Sys.remove path;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  fd
-
-let listen_tcp ?(host = "127.0.0.1") ~port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen fd 64;
-  fd
+(* {1 Serving} *)
 
 let op_label = function
   | Wire.Submit _ -> "submit"
@@ -969,137 +938,23 @@ let op_label = function
   | Wire.Cluster_status -> "cluster_status"
   | Wire.Drain_replica _ -> "drain_replica"
 
-(* Route drain signals to the accept loop: a SIGTERM delivered to a
-   thread parked in [Condition.wait] or [input_line] never reaches an
-   OCaml safepoint, so its handler — and the drain — would never run.
-   With the signals blocked everywhere but the main thread, the kernel
-   delivers them there, where select returns EINTR and the loop polls
-   the drain flag. *)
-let block_drain_signals () =
-  ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigint; Sys.sigterm ])
-
-(* Bounded, deadline-aware line reader over the raw fd. [input_line]
-   over a channel can neither bound the line (a hostile peer could feed
-   gigabytes before the first newline) nor time out (a silent peer
-   parks the thread forever), so the connection loop reads the fd
-   directly: select for the deadline, read in chunks, carve lines out
-   of [pending]. *)
-type conn_read = Line of string | Eof | Timed_out | Oversized
-
-let read_request_line fd ~pending ~max_bytes ~timeout_ms =
-  let chunk = Bytes.create 4096 in
-  let rec loop () =
-    let data = Buffer.contents pending in
-    match String.index_opt data '\n' with
-    | Some i ->
-      let line = String.sub data 0 i in
-      Buffer.clear pending;
-      Buffer.add_substring pending data (i + 1) (String.length data - i - 1);
-      Line line
-    | None ->
-      if String.length data > max_bytes then Oversized
-      else
-        let ready =
-          match timeout_ms with
-          | None -> true
-          | Some ms -> (
-            match Unix.select [ fd ] [] [] (ms /. 1000.0) with
-            | [], _, _ -> false
-            | _ -> true)
-        in
-        if not ready then Timed_out
-        else (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> Eof
-          | n ->
-            Buffer.add_subbytes pending chunk 0 n;
-            loop ()
-          | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> Eof)
-  in
-  loop ()
-
-let handle_connection t fd =
-  block_drain_signals ();
-  Atomic.incr t.conn_opened;
-  let oc = Unix.out_channel_of_descr fd in
-  let pending = Buffer.create 256 in
-  let respond resp =
-    let line = Wire.encode_response resp in
-    (* serve.write faults: [Crash] drops the connection before any
-       response byte, [Corrupt] emits a torn prefix — the client's
-       decoder must reject it and (with an idempotency key) resubmit *)
-    Fault.check Fault.serve_write;
-    if Fault.corrupted Fault.serve_write then begin
-      output_string oc (String.sub line 0 (String.length line / 2));
-      flush oc;
-      raise Exit
-    end
-    else begin
-      output_string oc line;
-      output_char oc '\n';
-      flush oc
-    end
-  in
-  (try
-     Fault.check Fault.serve_accept;
-     let rec loop () =
-       match
-         read_request_line fd ~pending ~max_bytes:t.cfg.max_line_bytes
-           ~timeout_ms:t.cfg.read_timeout_ms
-       with
-       | Eof -> ()
-       | Timed_out -> Atomic.incr t.conn_timeouts
-       | Oversized ->
-         (* typed refusal, then close: the peer is outside protocol
-            bounds and the rest of its buffer is not worth reading *)
-         Atomic.incr t.conn_oversized;
-         let reason =
-           Wire.Bad_request
-             (Printf.sprintf "request line exceeds %d bytes" t.cfg.max_line_bytes)
-         in
-         Mutex.protect t.mutex (fun () -> count_reject t reason);
-         respond (Wire.Rejected { reason; retry_after_ms = None })
-       | Line line ->
-         if String.trim line = "" then loop ()
-         else begin
-           (* serve.read faults: the request was read, then the
-              connection dies ([Crash], propagates to the close below)
-              or stalls ([Hang]) before processing *)
-           (match Fault.check Fault.serve_read with
-           | () -> ()
-           | exception Fault.Injected (_, Fault.Hang) ->
-             Thread.delay 1.0;
-             raise Exit);
-           let t0 = Mclock.now_ms () in
-           let op, resp =
-             match Wire.decode_request line with
-             | Error msg ->
-               Mutex.protect t.mutex (fun () -> count_reject t (Wire.Bad_request msg));
-               ( "invalid",
-                 Wire.Rejected { reason = Wire.Bad_request msg; retry_after_ms = None } )
-             | Ok req -> (op_label req, handle t req)
-           in
-           respond resp;
-           Mutex.protect t.mutex (fun () ->
-               Obs.observe ~labels:[ ("op", op) ] "serve.request_ms"
-                 (Mclock.elapsed_ms t0));
-           loop ()
-         end
-     in
-     loop ()
-   with
-  | End_of_file | Sys_error _ | Exit -> ()
-  | Unix.Unix_error _ -> ()
-  | Fault.Injected _ -> ());
-  Atomic.incr t.conn_closed;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+(* the listener's [handle]: request latency by op, response write
+   excluded *)
+let handle_timed t req =
+  let t0 = Mclock.now_ms () in
+  let resp = handle t req in
+  Mutex.protect t.mutex (fun () ->
+      Obs.observe ~labels:[ ("op", op_label req) ] "serve.request_ms" (Mclock.elapsed_ms t0));
+  resp
 
 let serve t listen_fd =
   let telemetry = Obs.enabled () in
   let workers =
     List.init t.cfg.workers (fun wid ->
         Domain.spawn (fun () ->
-            block_drain_signals ();
+            (* drain signals go to the accept loop's thread, as the
+               listener's connection threads also arrange *)
+            ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigint; Sys.sigterm ]);
             if telemetry then begin
               let c = Obs.create () in
               Obs.with_collector c (fun () -> worker_loop t wid);
@@ -1120,21 +975,9 @@ let serve t listen_fd =
         end;
         t.draining && t.queued = 0 && t.running = 0)
   in
-  let rec accept_loop () =
-    if not (drained ()) then begin
-      (* the 50ms timeout bounds how long a signal-handler drain waits
-         to be noticed; EINTR just means a signal landed mid-select *)
-      (try
-         match Unix.select [ listen_fd ] [] [] 0.05 with
-         | [], _, _ -> ()
-         | _ :: _, _, _ ->
-           let fd, _ = Unix.accept listen_fd in
-           ignore (Thread.create (fun () -> handle_connection t fd) ())
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      accept_loop ()
-    end
-  in
-  accept_loop ();
+  Listener.serve ~counts:t.conn ~stop:drained
+    ~reject:(fun reason -> Mutex.protect t.mutex (fun () -> count_reject t reason))
+    ~handle:(handle_timed t) listen_fd;
   let collectors = List.map Domain.join workers in
   List.iter (function Some c -> Obs.merge ~into:t.collector c | None -> ()) collectors;
   Mutex.protect t.mutex (fun () ->

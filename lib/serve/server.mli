@@ -14,10 +14,10 @@
     loop until a drain (wire [drain] request, or {!request_drain} from
     a signal handler) has been honored — new submits are refused, every
     accepted job still finishes, worker telemetry is merged into the
-    server's collector — then returns. Connection handling is
-    thread-per-client (requests are cheap: admission arithmetic and
-    table lookups; only workers run flows), worker parallelism is
-    domain-per-worker. *)
+    server's collector — then returns. Connections are {!Listener}'s
+    (thread per client under a cap; requests are cheap: admission
+    arithmetic and table lookups; only workers run flows), worker
+    parallelism is domain-per-worker. *)
 
 type config = {
   workers : int;  (** worker domains executing admitted jobs *)
@@ -49,23 +49,13 @@ type config = {
           [stats] wire verb *)
   slo_window : int;  (** completed requests retained per tier (and per
                          tenant for the stats latency percentiles) *)
-  read_timeout_ms : float option;
-      (** per-connection read deadline: a peer silent this long is
-          disconnected ([serve.conn_timeouts]), so stalled clients
-          cannot pin connection threads forever. [None] = wait
-          forever *)
-  max_line_bytes : int;
-      (** request-line bound: a line still unterminated past this many
-          bytes draws a typed [bad_request] and a close
-          ([serve.conn_oversized]) instead of unbounded buffering *)
 }
 
 val default_config : config
 (** [Sched.default_workers ()] workers, queue bound 64, default tier
     limits, no cache, no artifact store, no ledger, no journal, no
     default deadline,
-    {!Educhip_obs.Slo.default_objectives} over a 256-request window,
-    30 s read timeout, 64 KiB line bound. *)
+    {!Educhip_obs.Slo.default_objectives} over a 256-request window. *)
 
 type t
 
@@ -76,18 +66,11 @@ val create : config -> t
     worker flow telemetry accumulate there.
     @raise Invalid_argument on [workers < 1] or [max_queue < 0]. *)
 
-val listen_unix : path:string -> Unix.file_descr
-(** Bind and listen on a Unix-domain socket, replacing a stale socket
-    file if one exists. *)
-
-val listen_tcp : ?host:string -> port:int -> unit -> Unix.file_descr
-(** Bind and listen on TCP (default host ["127.0.0.1"]), [SO_REUSEADDR]
-    set. *)
-
 val serve : t -> Unix.file_descr -> unit
-(** Start the worker pool and run the accept loop on a listening
+(** Start the worker pool and run {!Listener.serve} on a listening
     socket. Blocks until a drain completes: every accepted job has a
-    terminal state, workers have exited and their telemetry is merged.
+    terminal state, no request is being answered, workers have exited
+    and their telemetry is merged.
     The listener is {e not} closed — the caller owns it. A [t] serves
     once; create a fresh one to serve again. *)
 
@@ -150,21 +133,6 @@ val handle : t -> Wire.request -> Wire.response
     SLO window and the tenant's latency sample, which the [stats] verb
     reports. *)
 
-type conn_read = Line of string | Eof | Timed_out | Oversized
-
-val read_request_line :
-  Unix.file_descr ->
-  pending:Buffer.t ->
-  max_bytes:int ->
-  timeout_ms:float option ->
-  conn_read
-(** The bounded, deadline-aware line reader the connection threads use:
-    select for the deadline, read in chunks, carve newline-framed lines
-    out of [pending] (which carries the partial tail between calls —
-    one buffer per connection). Exposed so the cluster router's
-    connection loop inherits the same hygiene — a silent or hostile
-    peer can pin neither a replica's thread nor the router's. *)
-
 val validate_spec :
   Wire.submit_spec -> (Educhip_sched.Manifest.job, string) result
 (** Elaborate a wire submission into the job it would run: design,
@@ -193,6 +161,7 @@ val metric_names : string list
     [serve.journal_appends], [serve.replayed] (jobs re-executed by
     {!recover}), and the connection-hygiene counters
     [serve.conn_opened] / [serve.conn_closed] / [serve.conn_timeouts]
-    / [serve.conn_oversized]. It also maintains the
-    [serve.queue_depth] / [serve.running] gauges and the
-    [serve.request_ms] histogram labeled by [op]. *)
+    / [serve.conn_oversized] ({!Listener.counts}). It also maintains
+    the [serve.queue_depth] / [serve.running] gauges and the
+    [serve.request_ms] histogram labeled by [op]: a decoded request's
+    time in the server, its response write excluded. *)

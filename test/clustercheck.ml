@@ -13,11 +13,15 @@
       the in-flight jobs out, keep every accepted job's result
       fetchable from the router afterwards (zero loss, signatures
       matching the baseline), and remap new submissions onto the
-      surviving replica. *)
+      surviving replica.
+   D) Connection cap: with Listener.max_connections router connections
+      open and answered, one more connection's request waits
+      unanswered until one of them closes, and the router stays
+      healthy. *)
 
 module Wire = Educhip_serve.Wire
 module Client = Educhip_serve.Client
-module Server = Educhip_serve.Server
+module Listener = Educhip_serve.Listener
 module Flow = Educhip_flow.Flow
 module Spec = Educhip_cluster.Spec
 module Router = Educhip_cluster.Router
@@ -111,7 +115,7 @@ let () =
   let router = Router.create (Router.config cspec) in
   Router.start_prober router;
   let router_socket = path "eduroute.sock" in
-  let listen_fd = Server.listen_unix ~path:router_socket in
+  let listen_fd = Listener.listen_unix ~path:router_socket in
   let serve_thread = Thread.create (fun () -> Router.serve router listen_fd) () in
   let connect () = Client.connect_unix router_socket in
 
@@ -243,6 +247,14 @@ let () =
       String.length id > String.length survivor
       && String.sub id 0 (String.length survivor + 1) = survivor ^ "/"
     | Error _ -> false);
+
+  (* D: the router's connection cap *)
+  let cap = Conncap.probe router_socket in
+  check (Printf.sprintf "%d router connections answered" Listener.max_connections)
+    cap.Conncap.all_answered;
+  check "one more waits unanswered 200 ms" cap.Conncap.extra_waited;
+  check "answered once a slot frees" cap.Conncap.extra_answered;
+  check "router healthy after the cap" cap.Conncap.healthy;
 
   (* shut the cluster down *)
   let c = connect () in

@@ -20,6 +20,7 @@
 module Wire = Educhip_serve.Wire
 module Ratelimit = Educhip_serve.Ratelimit
 module Server = Educhip_serve.Server
+module Listener = Educhip_serve.Listener
 module Client = Educhip_serve.Client
 module Scrape = Educhip_mon.Scrape
 module Tsdb = Educhip_mon.Tsdb
@@ -111,8 +112,8 @@ let () =
   (* each daemon lives in its own domain: Server.create installs the
      domain's collector there, so "a" and "b" keep separate registries
      inside one test process — exactly the multi-daemon shape *)
-  let fd_a = Server.listen_unix ~path:(sock "a") in
-  let fd_b = Server.listen_unix ~path:(sock "b") in
+  let fd_a = Listener.listen_unix ~path:(sock "a") in
+  let fd_b = Listener.listen_unix ~path:(sock "b") in
   let daemon fd =
     Domain.spawn (fun () ->
         let server = Server.create cfg in

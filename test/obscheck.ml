@@ -17,6 +17,7 @@ module Slo = Educhip_obs.Slo
 module Mclock = Educhip_util.Mclock
 module Wire = Educhip_serve.Wire
 module Server = Educhip_serve.Server
+module Listener = Educhip_serve.Listener
 module Client = Educhip_serve.Client
 
 let socket = Filename.concat (Filename.get_temp_dir_name ()) "educhip-obscheck.sock"
@@ -31,7 +32,7 @@ let () =
 
   let cfg = { Server.default_config with Server.workers = 1; slo_window = 32 } in
   let server = Server.create cfg in
-  let listen_fd = Server.listen_unix ~path:socket in
+  let listen_fd = Listener.listen_unix ~path:socket in
   let thread = Thread.create (fun () -> Server.serve server listen_fd) () in
 
   let c = Client.connect_unix socket in

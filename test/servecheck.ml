@@ -17,7 +17,11 @@
    E) Wire faults: with a one-shot corrupt arming on serve.write the
       first response is torn mid-line; the retrying client resubmits
       under the same idempotency key and must get the original job
-      back (duplicate=true) — the crash-retry loop executes once. *)
+      back (duplicate=true) — the crash-retry loop executes once.
+   F) Connection cap: with Listener.max_connections connections open
+      and answered, one more connection's request waits unanswered in
+      the backlog until one of them closes, and the daemon stays
+      healthy. *)
 
 module Cache = Educhip_sched.Cache
 module Sched = Educhip_sched.Sched
@@ -26,6 +30,7 @@ module Runlog = Educhip_obs.Runlog
 module Wire = Educhip_serve.Wire
 module Ratelimit = Educhip_serve.Ratelimit
 module Server = Educhip_serve.Server
+module Listener = Educhip_serve.Listener
 module Client = Educhip_serve.Client
 module Fault = Educhip_fault.Fault
 module Files = Educhip_util.Files
@@ -47,7 +52,7 @@ let spec (design, preset, tenant) = { (Wire.submit ~tenant design) with Wire.pre
 (* run one server around [f]; returns [f]'s result after a clean drain *)
 let with_server cfg f =
   let server = Server.create cfg in
-  let listen_fd = Server.listen_unix ~path:socket in
+  let listen_fd = Listener.listen_unix ~path:socket in
   let thread = Thread.create (fun () -> Server.serve server listen_fd) () in
   let result = f () in
   let c = Client.connect_unix socket in
@@ -253,6 +258,14 @@ let () =
               false))
   in
   check "torn write retried idempotently" torn_write_retry;
+
+  (* F: past the cap the next connection waits, it is not refused *)
+  let cap = with_server (cfg ()) (fun () -> Conncap.probe socket) in
+  check (Printf.sprintf "%d connections answered" Listener.max_connections)
+    cap.Conncap.all_answered;
+  check "one more waits unanswered 200 ms" cap.Conncap.extra_waited;
+  check "answered once a slot frees" cap.Conncap.extra_answered;
+  check "daemon healthy after the cap" cap.Conncap.healthy;
 
   if !failures > 0 then begin
     Printf.printf "servecheck: %d check(s) FAILED\n" !failures;

@@ -1,7 +1,8 @@
 (* Cluster subsystem units: ring placement properties (determinism,
    fair-share distribution, minimal remap), spec parsing, response
    aggregation semantics, the new wire admin verbs, and the router's
-   socket-free request handling against unreachable replicas. *)
+   request handling against unreachable replicas, socket-free and over
+   a real socket. *)
 
 module Ring = Educhip_cluster.Ring
 module Spec = Educhip_cluster.Spec
@@ -9,6 +10,8 @@ module Aggregate = Educhip_cluster.Aggregate
 module Router = Educhip_cluster.Router
 module Wire = Educhip_serve.Wire
 module Client = Educhip_serve.Client
+module Listener = Educhip_serve.Listener
+module Files = Educhip_util.Files
 module Slo = Educhip_obs.Slo
 
 let check = Alcotest.check
@@ -448,6 +451,53 @@ let test_router_dead_replicas () =
       && List.assoc "bad_request" s.rejects >= 1)
   | _ -> Alcotest.fail "expected Stats_report"
 
+(* over a real socket, hostile lines get typed rejects from the
+   router's listener, and the stats verb counts them *)
+let test_router_wire_hygiene () =
+  let r = dead_router () in
+  let dir = Filename.temp_dir "educhip-router" "" in
+  let path = Filename.concat dir "rt.sock" in
+  let listen_fd = Listener.listen_unix ~path in
+  let serving = Thread.create (fun () -> Router.serve r listen_fd) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.request_drain r;
+      Thread.join serving;
+      Unix.close listen_fd;
+      Files.rm_rf dir)
+    (fun () ->
+      (* one connection, one raw payload, the decoded first answer *)
+      let exchange payload =
+        let c = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect c (Unix.ADDR_UNIX path);
+        let writer =
+          Thread.create
+            (fun () -> ignore (Unix.write_substring c payload 0 (String.length payload)))
+            ()
+        in
+        let answer =
+          Listener.read_request_line c ~pending:(Buffer.create 64) ~timeout_ms:5000.0
+        in
+        Thread.join writer;
+        Unix.close c;
+        match answer with
+        | Listener.Line l -> Wire.decode_response l
+        | _ -> Error "no answer"
+      in
+      let bad_request = function
+        | Ok (Wire.Rejected { reason = Wire.Bad_request _; _ }) -> true
+        | _ -> false
+      in
+      check Alcotest.bool "oversized line: bad_request" true
+        (bad_request (exchange (String.make (Listener.max_line_bytes + 1) 'x' ^ "\n")));
+      check Alcotest.bool "garbage line: bad_request" true
+        (bad_request (exchange "garbage\n"));
+      match exchange (Wire.encode_request Wire.Stats ^ "\n") with
+      | Ok (Wire.Stats_report s) ->
+        check Alcotest.int "both counted under bad_request" 2
+          (List.assoc "bad_request" s.rejects)
+      | _ -> Alcotest.fail "expected Stats_report")
+
 let suite =
   [
     Alcotest.test_case "ring determinism and order-independence" `Quick test_ring_basics;
@@ -465,4 +515,5 @@ let suite =
     Alcotest.test_case "wire admin verbs round-trip" `Quick test_wire_admin_roundtrip;
     Alcotest.test_case "router stash cap config" `Quick test_router_stash_config;
     Alcotest.test_case "router with unreachable replicas" `Quick test_router_dead_replicas;
+    Alcotest.test_case "router wire hygiene over a socket" `Quick test_router_wire_hygiene;
   ]
