@@ -33,6 +33,7 @@ module Stepkey = Educhip_artifact.Stepkey
 module Sched = Educhip_sched.Sched
 module Wire = Educhip_serve.Wire
 module Client = Educhip_serve.Client
+module Server = Educhip_serve.Server
 module Tracectx = Educhip_obs.Tracectx
 module Slo = Educhip_obs.Slo
 module Mclock = Educhip_util.Mclock
@@ -609,19 +610,10 @@ let compare_cmd =
 
 (* {1 Campaign batch runs} *)
 
-let batch_job_key (j : Manifest.job) =
-  let netlist = Designs.netlist (Designs.find j.Manifest.design) in
-  let node = Pdk.find_node j.Manifest.node in
-  let cfg = Flow.config ~node ?clock_period_ps:j.Manifest.clock_ps j.Manifest.preset in
-  Cache.job_key ~netlist ~cfg ~inject:j.Manifest.inject
-    ~fault_seed:j.Manifest.fault_seed ~retries:j.Manifest.retries
-
 (* Per-job artifact resume prediction for --dry-run: the step the flow
    would resume at, by the same consecutive-hit rule the replay uses. *)
 let batch_artifact_depth store (j : Manifest.job) =
-  let netlist = Designs.netlist (Designs.find j.Manifest.design) in
-  let node = Pdk.find_node j.Manifest.node in
-  let cfg = Flow.config ~node ?clock_period_ps:j.Manifest.clock_ps j.Manifest.preset in
+  let netlist, cfg = Sched.elaborate j in
   Artifact.warm_prefix ~store ~netlist ~cfg ~inject:j.Manifest.inject
     ~fault_seed:j.Manifest.fault_seed ~retries:j.Manifest.retries
 
@@ -668,7 +660,7 @@ let run_batch manifest_path jobs_opt no_cache cache_dir cache_max artifact_dir
     let n_steps = List.length Flow.stored_step_names in
     let predict (j : Manifest.job) =
       match cache with
-      | Some c when Cache.probe c (batch_job_key j) -> "hit "
+      | Some c when Cache.probe c (Server.job_key j) -> "hit "
       | _ -> (
         match artifacts with
         | None -> if cache = None then "run " else "miss"

@@ -62,7 +62,7 @@ let default_workers () = min 16 (Domain.recommended_domain_count ())
 
 type shared = {
   mutex : Mutex.t;
-  queue : Fairshare.t;
+  pool : Pool.t;
   results : job_result option array;  (* indexed by job.index *)
   waits : float option array;  (* campaign start -> first dispatch *)
   crash_counts : int array;  (* sched.worker injections per job so far *)
@@ -78,40 +78,45 @@ type shared = {
   stop : unit -> bool;
 }
 
-(* Live scheduling state published to the worker domain's collector:
-   admission controllers and batch summaries read these as gauges. *)
-let publish_load ~depth ~tenant ~tenant_inflight =
-  if Obs.enabled () then begin
-    Obs.set_gauge "sched.queue_depth" (float_of_int depth);
-    Obs.set_gauge ~labels:[ ("tenant", tenant) ] "sched.inflight"
-      (float_of_int tenant_inflight)
-  end
-
 let is_failed verdict =
   String.length verdict >= 6 && String.sub verdict 0 6 = "failed"
 
-(* A result that never reached (or never finished) the flow: worker
-   crashes past the requeue budget, or an engine-level exception.
-   Deliberately not cached — the crash budget is scheduler state, not
-   part of the job's content key. *)
-let engine_failure (job : Manifest.job) reason =
-  let verdict = Printf.sprintf "failed(%s)" reason in
-  ( verdict,
-    None,
-    Runlog.make ~design:job.design ~node:job.node
-      ~preset:(Flow.preset_name job.preset) ~verdict ~total_wall_ms:0.0
-      ~injected:(List.map Fault.arming_to_string job.inject)
-      ~fault_seed:job.fault_seed ~max_retries:job.retries (),
-    false )
-
-(* Run one job to a (verdict, ppa, record, from_cache) in the calling
-   domain, or signal a worker crash by raising Fault.Injected
-   (fault_site, _) when [crashes_left > 0]. Shared by the campaign
-   engine's workers and {!run_one} (the service daemon's entry point). *)
-let exec_flow ?cache ?artifacts ~crashes_left (job : Manifest.job) =
-  let netlist = Designs.netlist (Designs.find job.design) in
+let elaborate (job : Manifest.job) =
   let node = Pdk.find_node job.node in
-  let cfg = Flow.config ~node ?clock_period_ps:job.clock_ps job.preset in
+  ( Designs.netlist (Designs.find job.design),
+    Flow.config ~node ?clock_period_ps:job.clock_ps job.preset )
+
+let result (job : Manifest.job) ~from_cache verdict ppa record =
+  {
+    job;
+    verdict;
+    ppa;
+    record;
+    from_cache;
+    requeues = 0;
+    worker = -1;
+    exec_ms = 0.0;
+    wait_ms = 0.0;
+    trace_events = [];
+  }
+
+(* Deliberately never cached: why a job never reached (or never
+   finished) its flow — a crash budget, a deadline, a cancellation — is
+   scheduler state, not part of the job's content key. *)
+let failed_result (job : Manifest.job) reason =
+  let verdict = Printf.sprintf "failed(%s)" reason in
+  result job ~from_cache:false verdict None
+    (Runlog.make ~design:job.design ~node:job.node
+       ~preset:(Flow.preset_name job.preset) ~verdict ~total_wall_ms:0.0
+       ~injected:(List.map Fault.arming_to_string job.inject)
+       ~fault_seed:job.fault_seed ~max_retries:job.retries ())
+
+(* Run one job to a result in the calling domain, or signal a worker
+   crash by raising Fault.Injected (fault_site, _) when
+   [crashes_left > 0]. Shared by the campaign engine's workers and
+   {!run_one} (the service daemon's entry point). *)
+let exec_flow ?cache ?artifacts ~crashes_left (job : Manifest.job) =
+  let netlist, cfg = elaborate job in
   let key =
     Option.map
       (fun _ ->
@@ -133,7 +138,7 @@ let exec_flow ?cache ?artifacts ~crashes_left (job : Manifest.job) =
         | _ -> None
       in
       match cached with
-      | Some (e : Cache.entry) -> (e.verdict, e.ppa, e.record, true)
+      | Some (e : Cache.entry) -> result job ~from_cache:true e.verdict e.ppa e.record
       | None ->
         let policy = { Guard.default_policy with Guard.max_retries = job.retries } in
         (* the per-step artifact layer sits under the whole-job cache: a
@@ -166,17 +171,7 @@ let exec_flow ?cache ?artifacts ~crashes_left (job : Manifest.job) =
         (match (cache, key) with
         | Some cache, Some key -> Cache.store cache { Cache.key; verdict; ppa; record }
         | _ -> ());
-        (verdict, ppa, record, false))
-
-let execute s (job : Manifest.job) =
-  let crashes_left = job.crash_workers - s.crash_counts.(job.index) in
-  let ((_, _, _, from_cache) as r) =
-    exec_flow ?cache:s.cache ?artifacts:s.artifacts ~crashes_left job
-  in
-  if s.cache <> None then
-    Mutex.protect s.mutex (fun () ->
-        if from_cache then s.hits <- s.hits + 1 else s.misses <- s.misses + 1);
-  r
+        result job ~from_cache:false verdict ppa record)
 
 let run_one ?cache ?artifacts ?(worker = 0) ?trace (job : Manifest.job) =
   let t0 = Mclock.now_ms () in
@@ -187,9 +182,9 @@ let run_one ?cache ?artifacts ?(worker = 0) ?trace (job : Manifest.job) =
   let exec () =
     match exec_flow ?cache ?artifacts ~crashes_left:0 job with
     | r -> r
-    | exception exn -> engine_failure job (Printexc.to_string exn)
+    | exception exn -> failed_result job (Printexc.to_string exn)
   in
-  let (verdict, ppa, record, from_cache), trace_events =
+  let r, trace_events =
     match trace with
     | None -> (exec (), [])
     | Some ctx ->
@@ -202,90 +197,67 @@ let run_one ?cache ?artifacts ?(worker = 0) ?trace (job : Manifest.job) =
       (match outer with Some main -> Obs.merge ~into:main sub | None -> ());
       (r, events)
   in
-  {
-    job;
-    verdict;
-    ppa;
-    record;
-    from_cache;
-    requeues = 0;
-    worker;
-    exec_ms = Mclock.elapsed_ms t0;
-    wait_ms = 0.0;
-    trace_events;
-  }
+  { r with worker; exec_ms = Mclock.elapsed_ms t0; trace_events }
 
-let tenant_inflight s tenant =
-  Option.value (Hashtbl.find_opt s.inflight tenant) ~default:0
+(* Under [s.mutex]: a job enters its tenant's inflight count at
+   dispatch and leaves it at its result or requeue. The live load is
+   published to the worker domain's collector as gauges. *)
+let dispatched s (job : Manifest.job) delta =
+  let n = max 0 (Option.value (Hashtbl.find_opt s.inflight job.tenant) ~default:0 + delta) in
+  Hashtbl.replace s.inflight job.tenant n;
+  if Obs.enabled () then begin
+    Obs.set_gauge "sched.queue_depth" (float_of_int (Pool.depth s.pool));
+    Obs.set_gauge ~labels:[ ("tenant", job.tenant) ] "sched.inflight" (float_of_int n)
+  end
 
-let worker s id =
-  let rec loop () =
-    let job =
-      Mutex.protect s.mutex (fun () ->
-          if s.stop () then None
-          else
-            match Fairshare.pop s.queue with
-            | Some j ->
-              if s.waits.(j.Manifest.index) = None then
-                s.waits.(j.Manifest.index) <- Some (Mclock.elapsed_ms s.start_ms);
-              s.depth_samples <- float_of_int (Fairshare.depth s.queue) :: s.depth_samples;
-              let t = j.Manifest.tenant in
-              Hashtbl.replace s.inflight t (tenant_inflight s t + 1);
-              publish_load ~depth:(Fairshare.depth s.queue) ~tenant:t
-                ~tenant_inflight:(tenant_inflight s t);
-              Some j
-            | None -> None)
-    in
-    match job with
-    | None -> ()
-    | Some job ->
-      let t0 = Mclock.now_ms () in
-      let finish (verdict, ppa, record, from_cache) =
-        let result =
-          {
-            job;
-            verdict;
-            ppa;
-            record;
-            from_cache;
-            requeues = s.crash_counts.(job.index);
-            worker = id;
-            exec_ms = Mclock.elapsed_ms t0;
-            wait_ms = Option.value s.waits.(job.index) ~default:0.0;
-            trace_events = [];
-          }
-        in
-        Mutex.protect s.mutex (fun () ->
-            s.results.(job.index) <- Some result;
-            let t = job.Manifest.tenant in
-            Hashtbl.replace s.inflight t (max 0 (tenant_inflight s t - 1));
-            publish_load ~depth:(Fairshare.depth s.queue) ~tenant:t
-              ~tenant_inflight:(tenant_inflight s t))
+(* The pool callback. Once [stop] holds, popped jobs are dropped
+   unrun; [run] reports them cancelled. *)
+let run_job s ~worker (job : Manifest.job) =
+  if not (s.stop ()) then begin
+    Mutex.protect s.mutex (fun () ->
+        if s.waits.(job.index) = None then
+          s.waits.(job.index) <- Some (Mclock.elapsed_ms s.start_ms);
+        s.depth_samples <- float_of_int (Pool.depth s.pool) :: s.depth_samples;
+        dispatched s job 1);
+    let t0 = Mclock.now_ms () in
+    let finish r =
+      let r =
+        {
+          r with
+          requeues = s.crash_counts.(job.index);
+          worker;
+          exec_ms = Mclock.elapsed_ms t0;
+          wait_ms = Option.value s.waits.(job.index) ~default:0.0;
+        }
       in
-      (match execute s job with
-      | outcome -> finish outcome
-      | exception Fault.Injected (site, _) when site = fault_site ->
-        let retry =
-          Mutex.protect s.mutex (fun () ->
-              s.crash_counts.(job.index) <- s.crash_counts.(job.index) + 1;
-              s.requeues <- s.requeues + 1;
-              if s.crash_counts.(job.index) <= s.max_requeues then begin
-                Fairshare.requeue s.queue job;
-                let t = job.Manifest.tenant in
-                Hashtbl.replace s.inflight t (max 0 (tenant_inflight s t - 1));
-                true
-              end
-              else false)
-        in
-        if not retry then
-          finish
-            (engine_failure job
-               (Printf.sprintf "worker crashed %d times, requeue budget %d exhausted"
-                  s.crash_counts.(job.index) s.max_requeues))
-      | exception exn -> finish (engine_failure job (Printexc.to_string exn)));
-      loop ()
-  in
-  loop ()
+      Mutex.protect s.mutex (fun () ->
+          s.results.(job.index) <- Some r;
+          dispatched s job (-1))
+    in
+    let crashes_left = job.crash_workers - s.crash_counts.(job.index) in
+    match exec_flow ?cache:s.cache ?artifacts:s.artifacts ~crashes_left job with
+    | r ->
+      if s.cache <> None then
+        Mutex.protect s.mutex (fun () ->
+            if r.from_cache then s.hits <- s.hits + 1 else s.misses <- s.misses + 1);
+      finish r
+    | exception Fault.Injected (site, _) when site = fault_site ->
+      let retry =
+        Mutex.protect s.mutex (fun () ->
+            s.crash_counts.(job.index) <- s.crash_counts.(job.index) + 1;
+            s.requeues <- s.requeues + 1;
+            let retry = s.crash_counts.(job.index) <= s.max_requeues in
+            if retry then dispatched s job (-1);
+            retry)
+      in
+      if retry then Pool.requeue s.pool job
+      else
+        finish
+          (failed_result job
+             (Printf.sprintf "worker crashed %d times, requeue budget %d exhausted"
+                s.crash_counts.(job.index) s.max_requeues))
+    | exception exn -> finish (failed_result job (Printexc.to_string exn))
+  end
 
 let build_summary s ~workers results =
   let makespan_ms = Mclock.elapsed_ms s.start_ms in
@@ -358,7 +330,7 @@ let run ?workers ?cache ?artifacts ?(max_requeues = 2) ?(stop = fun () -> false)
   let s =
     {
       mutex = Mutex.create ();
-      queue = Fairshare.create ~weights:manifest.Manifest.weights jobs;
+      pool = Pool.create (Fairshare.create ~weights:manifest.Manifest.weights jobs);
       results = Array.make n None;
       waits = Array.make n None;
       crash_counts = Array.make n 0;
@@ -374,27 +346,10 @@ let run ?workers ?cache ?artifacts ?(max_requeues = 2) ?(stop = fun () -> false)
       stop;
     }
   in
-  let telemetry = Obs.enabled () in
-  (* every execution happens in a spawned domain, even with one worker,
-     so serial and parallel campaigns run identical code *)
-  let domains =
-    List.init (min workers n) (fun id ->
-        Domain.spawn (fun () ->
-            if telemetry then begin
-              let c = Obs.create () in
-              Obs.with_collector c (fun () -> worker s id);
-              Some c
-            end
-            else begin
-              worker s id;
-              None
-            end))
-  in
-  let collectors = List.map Domain.join domains in
-  (match Obs.installed () with
-  | Some main ->
-    List.iter (function Some c -> Obs.merge ~into:main c | None -> ()) collectors
-  | None -> ());
+  (* the campaign is fixed up front: drain the queue, then exit *)
+  Pool.close s.pool;
+  Pool.start s.pool ~workers:(min workers n) (run_job s);
+  Pool.join s.pool;
   let job_by_index = Array.of_list jobs in
   let results =
     Array.to_list s.results
@@ -405,13 +360,8 @@ let run ?workers ?cache ?artifacts ?(max_requeues = 2) ?(stop = fun () -> false)
              (* cooperative shutdown drained the workers before this job
                 was dispatched: report it cancelled, never silently drop
                 an accepted job *)
-             let job = job_by_index.(i) in
-             let verdict, ppa, record, from_cache =
-               engine_failure job "cancelled before execution"
-             in
-             { job; verdict; ppa; record; from_cache;
-               requeues = s.crash_counts.(i); worker = -1; exec_ms = 0.0;
-               wait_ms = 0.0; trace_events = [] }
+             { (failed_result job_by_index.(i) "cancelled before execution") with
+               requeues = s.crash_counts.(i) }
            | None -> failwith (Printf.sprintf "Sched.run: job %d produced no result" i))
   in
   let summary = build_summary s ~workers results in

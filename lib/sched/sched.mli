@@ -1,7 +1,7 @@
 (** Domain-parallel campaign engine.
 
-    Runs a {!Manifest} of flow jobs on a pool of OCaml 5 domains,
-    dispatching through the {!Fairshare} queue and short-circuiting
+    Runs a {!Manifest} of flow jobs on the {!Pool} of OCaml 5 domains,
+    dispatching through its {!Fairshare} queue and short-circuiting
     repeated work through the {!Cache}. The engine is built so that
     {e what} a campaign computes is independent of {e how} it is
     scheduled: each job's result depends only on its own (netlist,
@@ -66,6 +66,15 @@ val is_failed : string -> bool
 val default_workers : unit -> int
 (** [Domain.recommended_domain_count ()], capped to 16. *)
 
+val elaborate : Manifest.job -> Educhip_netlist.Netlist.t * Educhip_flow.Flow.config
+(** The job's netlist (elaborated from RTL) and flow config: the one
+    place a job becomes flow inputs. @raise Not_found on an unknown
+    design or node. *)
+
+val failed_result : Manifest.job -> string -> job_result
+(** The uncached result of a job whose flow never ran or never
+    finished: verdict ["failed(reason)"], no PPA or QoR, [worker = -1]. *)
+
 val run :
   ?workers:int ->
   ?cache:Cache.t ->
@@ -76,18 +85,20 @@ val run :
   job_result list * summary
 (** Execute the campaign. Results come back in manifest job-index order
     regardless of completion order. Every job execution happens in a
-    spawned worker domain — even with [~workers:1] — so serial and
+    {!Pool} worker domain — even with [~workers:1] — so serial and
     parallel runs exercise identical code. [max_requeues] (default 2)
     bounds per-job worker-crash requeues; past it the job fails.
 
-    [stop] is polled by every worker between jobs (default: never
-    stop). Once it returns [true], in-flight jobs finish normally,
-    nothing further is dispatched, and undispatched jobs come back
-    with verdict ["failed(cancelled before execution)"] (counted in
+    [stop] is polled by a worker before each job it pops (default:
+    never stop). Once it returns [true], in-flight jobs finish
+    normally, nothing further runs, and undispatched jobs come back
+    as {!failed_result}[ job "cancelled before execution"] (counted in
     {!summary.failed}) — the hook a SIGINT/SIGTERM handler needs to
-    drain the pool and still flush ledgers and telemetry. Make the
-    hook read an [Atomic.t]: plain [ref] writes have no cross-domain
-    visibility guarantee.
+    drain the pool and still flush ledgers and telemetry. Workers block
+    both signals and the calling domain polls while it waits, so the
+    handler runs in the caller within ~10 ms. Make the hook read an
+    [Atomic.t]: plain [ref] writes have no cross-domain visibility
+    guarantee.
 
     [artifacts] layers the per-step incremental store
     ([Educhip_artifact]) under the whole-job [cache]: a job-cache miss
@@ -122,7 +133,7 @@ val run_one :
     incremental-store layer as {!run}'s — a daemon pointing at the
     directory a batch campaign populated resumes from its artifacts,
     and vice versa. Engine-level exceptions are
-    folded into a ["failed(...)"] verdict; [worker] (default 0) is
+    folded into a {!failed_result}; [worker] (default 0) is
     recorded in the result. [wait_ms] is 0 — queue wait is the
     caller's to account.
 

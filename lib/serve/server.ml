@@ -1,11 +1,11 @@
 module Manifest = Educhip_sched.Manifest
 module Fairshare = Educhip_sched.Fairshare
+module Pool = Educhip_sched.Pool
 module Cache = Educhip_sched.Cache
 module Artifact = Educhip_artifact.Artifact
 module Sched = Educhip_sched.Sched
 module Designs = Educhip_designs.Designs
 module Pdk = Educhip_pdk.Pdk
-module Flow = Educhip_flow.Flow
 module Fault = Educhip_fault.Fault
 module Obs = Educhip_obs.Obs
 module Tracectx = Educhip_obs.Tracectx
@@ -80,9 +80,7 @@ type entry = {
 type t = {
   cfg : config;
   mutex : Mutex.t;
-  work : Condition.t;  (* signalled on enqueue and on drain *)
-  idle : Condition.t;  (* signalled on job completion *)
-  queue : Fairshare.t;
+  pool : Pool.t;  (* closed, under [mutex], when [draining] is set *)
   jobs : (string, entry) Hashtbl.t;
   limiter : Ratelimit.t;
   inflight : (string, int) Hashtbl.t;  (* tenant -> queued + running *)
@@ -90,8 +88,6 @@ type t = {
   drain_flag : bool Atomic.t;  (* set by signal handlers / wire drain *)
   mutable draining : bool;  (* drain_flag acknowledged under the mutex *)
   mutable next_id : int;
-  mutable queued : int;
-  mutable running : int;
   mutable completed : int;
   mutable failed : int;
   (* raw counts mirrored into [collector] by [sync_metrics]: completions
@@ -139,9 +135,7 @@ let create cfg =
   {
     cfg;
     mutex = Mutex.create ();
-    work = Condition.create ();
-    idle = Condition.create ();
-    queue = Fairshare.create [];
+    pool = Pool.create (Fairshare.create []);
     jobs = Hashtbl.create 64;
     limiter = Ratelimit.create ~basic:cfg.basic ~advanced:cfg.advanced ~tiers:cfg.tiers ();
     inflight = Hashtbl.create 16;
@@ -149,8 +143,6 @@ let create cfg =
     drain_flag = Atomic.make false;
     draining = false;
     next_id = 0;
-    queued = 0;
-    running = 0;
     completed = 0;
     failed = 0;
     admitted = 0;
@@ -240,8 +232,8 @@ let sync_metrics t =
   Hashtbl.iter
     (fun reason n -> sync_counter t ~labels:[ ("reason", reason) ] "serve.rejected" n)
     t.rejected;
-  Obs.set_gauge "serve.queue_depth" (float_of_int t.queued);
-  Obs.set_gauge "serve.running" (float_of_int t.running)
+  Obs.set_gauge "serve.queue_depth" (float_of_int (Pool.depth t.pool));
+  Obs.set_gauge "serve.running" (float_of_int (Pool.running t.pool))
 
 let count_reject t reason =
   let name = Wire.reject_reason_name reason in
@@ -292,8 +284,6 @@ let journal_append t entry =
     Journal.append j entry;
     Atomic.incr t.journal_appends
 
-let entry_verdict e = Option.map (fun (r : Sched.job_result) -> r.Sched.verdict) e.result
-
 let finish t e (result : Sched.job_result) =
   (* The ledger gets the per-request view — trace id and queue wait —
      while the cache (which already stored the record inside the
@@ -311,13 +301,11 @@ let finish t e (result : Sched.job_result) =
       e.result <- Some result;
       e.trace_events <- e.trace_events @ result.Sched.trace_events;
       e.state <- (if failed then Wire.Failed else Wire.Done);
-      t.running <- t.running - 1;
       if failed then t.failed <- t.failed + 1 else t.completed <- t.completed + 1;
       account_completion t ~tenant:e.job.Manifest.tenant
         ~latency_ms:(Mclock.now_ms () -. e.submitted_ms) ~ok:(not failed);
       Hashtbl.replace t.inflight e.job.Manifest.tenant
-        (max 0 (tenant_inflight t e.job.Manifest.tenant - 1));
-      Condition.broadcast t.idle);
+        (max 0 (tenant_inflight t e.job.Manifest.tenant - 1)));
   (* [Sched.run_one] stored the result in the cache before returning,
      so once this Done is on disk a replay of the same journal will hit
      the cache instead of recomputing *)
@@ -326,110 +314,43 @@ let finish t e (result : Sched.job_result) =
   | Some path -> Runlog.append ~path record
   | None -> ()
 
-let expired_result (e : entry) =
-  let job = e.job in
-  let verdict = "failed(deadline_exceeded)" in
-  {
-    Sched.job;
-    verdict;
-    ppa = None;
-    record =
-      Runlog.make ~design:job.Manifest.design ~node:job.Manifest.node
-        ~preset:(Flow.preset_name job.Manifest.preset) ~verdict ~total_wall_ms:0.0
-        ~injected:(List.map Fault.arming_to_string job.Manifest.inject)
-        ~fault_seed:job.Manifest.fault_seed ~max_retries:job.Manifest.retries ();
-    from_cache = false;
-    requeues = 0;
-    worker = -1;
-    exec_ms = 0.0;
-    wait_ms = e.wait_ms;
-    trace_events = [];
-  }
+(* {1 Workers}
 
-(* {1 Workers} *)
+   The pool callback: dispatch bookkeeping under the lock, then one
+   completion path whether the job ran or its deadline expired while it
+   waited in the queue. *)
 
-let worker_loop t wid =
-  let rec take () =
-    match
-      Mutex.protect t.mutex (fun () ->
-          let rec pop () =
-            match Fairshare.pop t.queue with
-            | Some job ->
-              t.queued <- t.queued - 1;
-              Some job
-            | None ->
-              if t.draining then None
-              else begin
-                Condition.wait t.work t.mutex;
-                pop ()
-              end
-          in
-          match pop () with
-          | None -> None
-          | Some job ->
-            let e = Hashtbl.find t.jobs (Printf.sprintf "j-%06d" job.Manifest.index) in
-            let now = Mclock.now_ms () in
-            e.wait_ms <- now -. e.submitted_ms;
-            (match e.trace with
-            | Some ctx ->
-              e.trace_events <-
-                e.trace_events
-                @ [
-                    Tracectx.event ~name:"serve.queue_wait"
-                      ~args:
-                        [
-                          ("tenant", Obs.Str job.Manifest.tenant);
-                          ("job", Obs.Str e.id);
-                        ]
-                      ~start_ms:e.submitted_ms ~stop_ms:now ctx;
-                  ]
-            | None -> ());
-            if match e.deadline_at with Some d -> now > d | None -> false then begin
-              t.deadline_expired <- t.deadline_expired + 1;
-              (* never ran: it leaves the running count alone but must
-                 release the tenant's inflight slot and reach a terminal
-                 state *)
-              Some (e, `Expired)
-            end
-            else begin
-              e.state <- Wire.Running;
-              t.running <- t.running + 1;
-              Some (e, `Run)
-            end)
-    with
-    | None -> ()
-    | Some (e, `Expired) ->
-      let result = expired_result e in
-      let record =
-        {
-          result.Sched.record with
-          Runlog.trace_id = Option.map Tracectx.trace_id e.trace;
-          queue_wait_ms = Some e.wait_ms;
-        }
-      in
-      let result = { result with Sched.record } in
-      Mutex.protect t.mutex (fun () ->
-          e.result <- Some result;
-          e.state <- Wire.Failed;
-          t.failed <- t.failed + 1;
-          account_completion t ~tenant:e.job.Manifest.tenant ~latency_ms:e.wait_ms
-            ~ok:false;
-          Hashtbl.replace t.inflight e.job.Manifest.tenant
-            (max 0 (tenant_inflight t e.job.Manifest.tenant - 1));
-          Condition.broadcast t.idle);
-      journal_append t (Journal.Done { id = e.id; verdict = result.Sched.verdict });
-      (match t.cfg.ledger with
-      | Some path -> Runlog.append ~path record
-      | None -> ());
-      take ()
-    | Some (e, `Run) ->
-      journal_append t (Journal.Started { id = e.id });
-      finish t e
-        (Sched.run_one ?cache:t.cfg.cache ?artifacts:t.cfg.artifacts ~worker:wid
-           ?trace:e.trace e.job);
-      take ()
+let run_job t ~worker (job : Manifest.job) =
+  let e, expired =
+    Mutex.protect t.mutex (fun () ->
+        let e = Hashtbl.find t.jobs (Printf.sprintf "j-%06d" job.Manifest.index) in
+        let now = Mclock.now_ms () in
+        e.wait_ms <- now -. e.submitted_ms;
+        (match e.trace with
+        | Some ctx ->
+          e.trace_events <-
+            e.trace_events
+            @ [
+                Tracectx.event ~name:"serve.queue_wait"
+                  ~args:
+                    [
+                      ("tenant", Obs.Str job.Manifest.tenant);
+                      ("job", Obs.Str e.id);
+                    ]
+                  ~start_ms:e.submitted_ms ~stop_ms:now ctx;
+              ]
+        | None -> ());
+        let expired = match e.deadline_at with Some d -> now > d | None -> false in
+        if expired then t.deadline_expired <- t.deadline_expired + 1
+        else e.state <- Wire.Running;
+        (e, expired))
   in
-  take ()
+  finish t e
+    (if expired then Sched.failed_result job "deadline_exceeded"
+     else begin
+       journal_append t (Journal.Started { id = e.id });
+       Sched.run_one ?cache:t.cfg.cache ?artifacts:t.cfg.artifacts ~worker ?trace:e.trace job
+     end)
 
 (* {1 Request handling} *)
 
@@ -472,9 +393,7 @@ let validate_spec (s : Wire.submit_spec) =
    key, and (because equal keys mean bit-identical results) the routing
    key a cluster router shards submissions by. *)
 let job_key (job : Manifest.job) =
-  let netlist = Designs.netlist (Designs.find job.Manifest.design) in
-  let node = Pdk.find_node job.Manifest.node in
-  let cfg = Flow.config ~node ?clock_period_ps:job.Manifest.clock_ps job.Manifest.preset in
+  let netlist, cfg = Sched.elaborate job in
   Cache.job_key ~netlist ~cfg ~inject:job.Manifest.inject
     ~fault_seed:job.Manifest.fault_seed ~retries:job.Manifest.retries
 
@@ -637,10 +556,13 @@ let handle_submit t (spec : Wire.submit_spec) =
                 count_reject t Wire.Quota_exceeded;
                 Wire.Rejected { reason = Wire.Quota_exceeded; retry_after_ms = None }
               end
-              else if t.queued >= t.cfg.max_queue then begin
+              else if t.draining || Pool.depth t.pool >= t.cfg.max_queue then begin
+                (* a drain that began after the gate: the pool is
+                   closed, so nothing may be pushed *)
+                let reason = if t.draining then Wire.Draining else Wire.Overloaded in
                 Ratelimit.refund t.limiter tenant;
-                count_reject t Wire.Overloaded;
-                Wire.Rejected { reason = Wire.Overloaded; retry_after_ms = None }
+                count_reject t reason;
+                Wire.Rejected { reason; retry_after_ms = None }
               end
               else begin
                 let id = fresh_id t in
@@ -671,12 +593,9 @@ let handle_submit t (spec : Wire.submit_spec) =
                    mutex still prevents any worker from popping the
                    job, so [started]/[done] can never precede it *)
                 journal_append_locked t (Journal.Accepted { id; spec });
-                Fairshare.add_tenant t.queue ~weight:limits.Ratelimit.fair_weight tenant;
-                Fairshare.push t.queue job;
-                t.queued <- t.queued + 1;
+                Pool.push t.pool ~weight:limits.Ratelimit.fair_weight job;
                 t.admitted <- t.admitted + 1;
                 Hashtbl.replace t.inflight tenant (tenant_inflight t tenant + 1);
-                Condition.signal t.work;
                 Wire.Accepted { id; tier; cached = false; duplicate = false }
               end)
         in
@@ -685,42 +604,35 @@ let handle_submit t (spec : Wire.submit_spec) =
 let handle t (req : Wire.request) =
   match req with
   | Wire.Submit spec -> handle_submit t spec
-  | Wire.Status id ->
+  | Wire.Status id | Wire.Result id ->
     Mutex.protect t.mutex (fun () ->
-        match Hashtbl.find_opt t.jobs id with
-        | None ->
+        match (Hashtbl.find_opt t.jobs id, req) with
+        | None, _ ->
           count_reject t (Wire.Unknown_id id);
           Wire.Rejected { reason = Wire.Unknown_id id; retry_after_ms = None }
-        | Some e -> Wire.Job_status { id; state = e.state; verdict = entry_verdict e })
-  | Wire.Result id ->
-    Mutex.protect t.mutex (fun () ->
-        match Hashtbl.find_opt t.jobs id with
-        | None ->
-          count_reject t (Wire.Unknown_id id);
-          Wire.Rejected { reason = Wire.Unknown_id id; retry_after_ms = None }
-        | Some e -> (
-          match e.result with
-          | Some (r : Sched.job_result) ->
-            Wire.Job_result
-              {
-                id;
-                verdict = r.Sched.verdict;
-                from_cache = r.Sched.from_cache;
-                exec_ms = r.Sched.exec_ms;
-                wait_ms = r.Sched.wait_ms;
-                ppa = r.Sched.ppa;
-                record = r.Sched.record;
-                trace_events = e.trace_events;
-              }
-          | None -> Wire.Job_status { id; state = e.state; verdict = None }))
+        | Some { result = Some r; trace_events; _ }, Wire.Result _ ->
+          Wire.Job_result
+            {
+              id;
+              verdict = r.Sched.verdict;
+              from_cache = r.Sched.from_cache;
+              exec_ms = r.Sched.exec_ms;
+              wait_ms = r.Sched.wait_ms;
+              ppa = r.Sched.ppa;
+              record = r.Sched.record;
+              trace_events;
+            }
+        | Some e, _ ->
+          Wire.Job_status
+            { id; state = e.state; verdict = Option.map (fun r -> r.Sched.verdict) e.result })
   | Wire.Health ->
     Mutex.protect t.mutex (fun () ->
         sync_metrics t;
         Wire.Health_report
           {
             uptime_ms = Mclock.elapsed_ms t.start_ms;
-            queue_depth = t.queued;
-            running = t.running;
+            queue_depth = Pool.depth t.pool;
+            running = Pool.running t.pool;
             completed = t.completed;
             failed = t.failed;
             draining = t.draining || Atomic.get t.drain_flag;
@@ -770,8 +682,8 @@ let handle t (req : Wire.request) =
         Wire.Stats_report
           {
             uptime_ms = Mclock.elapsed_ms t.start_ms;
-            queue_depth = t.queued;
-            running = t.running;
+            queue_depth = Pool.depth t.pool;
+            running = Pool.running t.pool;
             completed = t.completed;
             failed = t.failed;
             rejects;
@@ -782,8 +694,8 @@ let handle t (req : Wire.request) =
     request_drain t;
     Mutex.protect t.mutex (fun () ->
         t.draining <- true;
-        Condition.broadcast t.work;
-        Wire.Drain_ack { pending = t.queued + t.running })
+        Pool.close t.pool;
+        Wire.Drain_ack { pending = Pool.depth t.pool + Pool.running t.pool })
   | Wire.Cluster_status | Wire.Drain_replica _ ->
     (* router-only admin surface: a single replica has no membership
        table, so answer typed rather than pretending to be a cluster *)
@@ -948,38 +860,21 @@ let handle_timed t req =
   resp
 
 let serve t listen_fd =
-  let telemetry = Obs.enabled () in
-  let workers =
-    List.init t.cfg.workers (fun wid ->
-        Domain.spawn (fun () ->
-            (* drain signals go to the accept loop's thread, as the
-               listener's connection threads also arrange *)
-            ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigint; Sys.sigterm ]);
-            if telemetry then begin
-              let c = Obs.create () in
-              Obs.with_collector c (fun () -> worker_loop t wid);
-              Some c
-            end
-            else begin
-              worker_loop t wid;
-              None
-            end))
-  in
+  Pool.start t.pool ~workers:t.cfg.workers (run_job t);
   let drained () =
     Mutex.protect t.mutex (fun () ->
         (* fold an async drain request (signal handler) into the locked
-           state and wake the workers *)
+           state and close the pool *)
         if Atomic.get t.drain_flag && not t.draining then begin
           t.draining <- true;
-          Condition.broadcast t.work
+          Pool.close t.pool
         end;
-        t.draining && t.queued = 0 && t.running = 0)
+        t.draining && Pool.idle t.pool)
   in
   Listener.serve ~counts:t.conn ~stop:drained
     ~reject:(fun reason -> Mutex.protect t.mutex (fun () -> count_reject t reason))
     ~handle:(handle_timed t) listen_fd;
-  let collectors = List.map Domain.join workers in
-  List.iter (function Some c -> Obs.merge ~into:t.collector c | None -> ()) collectors;
+  Pool.join t.pool;
   Mutex.protect t.mutex (fun () ->
       (* every accepted job is terminal here, so the journal's work is
          done for this life of the process *)

@@ -6,9 +6,13 @@
     clients submit flow jobs over a socket ({!Wire}), admission control
     rejects — with typed, retryable responses — what the service cannot
     absorb (token buckets and inflight quotas per tenant tier, a hard
-    queue-depth bound for backpressure), and a pool of worker domains
-    executes admitted jobs through {!Educhip_sched.Sched.run_one}, so a
+    queue-depth bound for backpressure), and the worker domains of an
+    {!Educhip_sched.Pool} (the same pool [eduflow batch] runs on)
+    execute admitted jobs through {!Educhip_sched.Sched.run_one}, so a
     served result is bit-identical to the same job in a batch campaign.
+    A job whose deadline passed while it was queued ends, unrun, as
+    {!Educhip_sched.Sched.failed_result} through the same completion
+    path: journal [Done], ledger record, SLO and inflight accounting.
 
     Life cycle: {!create} builds the state, {!serve} runs the accept
     loop until a drain (wire [drain] request, or {!request_drain} from
@@ -16,8 +20,7 @@
     accepted job still finishes, worker telemetry is merged into the
     server's collector — then returns. Connections are {!Listener}'s
     (thread per client under a cap; requests are cheap: admission
-    arithmetic and table lookups; only workers run flows), worker
-    parallelism is domain-per-worker. *)
+    arithmetic and table lookups; only workers run flows). *)
 
 type config = {
   workers : int;  (** worker domains executing admitted jobs *)
@@ -68,16 +71,17 @@ val create : config -> t
 
 val serve : t -> Unix.file_descr -> unit
 (** Start the worker pool and run {!Listener.serve} on a listening
-    socket. Blocks until a drain completes: every accepted job has a
-    terminal state, no request is being answered, workers have exited
-    and their telemetry is merged.
+    socket. Blocks until a drain completes: the pool is idle, so every
+    accepted job has a terminal state, its journal and ledger writes
+    included; no request is being answered; workers have exited and
+    their telemetry is merged.
     The listener is {e not} closed — the caller owns it. A [t] serves
     once; create a fresh one to serve again. *)
 
 val request_drain : t -> unit
 (** Stop admitting, let accepted jobs finish, make {!serve} return.
     Async-signal-safe enough for a [Sys.Signal_handle]: sets an atomic
-    flag that the accept loop and workers poll. *)
+    flag that the accept loop polls; it then closes the pool. *)
 
 (** {1 Crash recovery}
 

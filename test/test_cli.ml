@@ -80,6 +80,41 @@ let test_help_renders_cleanly () =
       Alcotest.(check bool) (what ^ " --help: exit 0") true (status = Unix.WEXITED 0))
     [ []; [ "run" ]; [ "submit" ]; [ "batch" ] ]
 
+(* SIGINT drains a campaign rather than aborting it or being ignored:
+   the in-flight job finishes, the rest come back cancelled, exit 130.
+   The campaign runs for seconds, so a handler that only runs once every
+   worker has exited shows up as a run to the end with nothing
+   cancelled. *)
+let test_batch_interrupt_drains () =
+  with_temp_dir (fun dir ->
+      let manifest = Filename.concat dir "campaign.txt" in
+      Out_channel.with_open_bin manifest (fun oc ->
+          output_string oc "alu8 preset=commercial repeat=64\n");
+      let out = Filename.concat dir "out.txt" in
+      let err = Filename.concat dir "err.txt" in
+      let open_w path =
+        Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+      in
+      let out_fd = open_w out and err_fd = open_w err in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+      let args = [ eduflow; "batch"; manifest; "--jobs"; "1"; "--no-cache" ] in
+      let pid = Unix.create_process eduflow (Array.of_list args) null out_fd err_fd in
+      List.iter Unix.close [ out_fd; err_fd; null ];
+      Unix.sleepf 0.3;
+      Unix.kill pid Sys.sigint;
+      let status = snd (Unix.waitpid [] pid) in
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      let contains ~needle s =
+        let n = String.length needle in
+        let rec go i = i + n <= String.length s && (String.sub s i n = needle || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) "exit 130" true (status = Unix.WEXITED 130);
+      Alcotest.(check bool) "says it drains" true
+        (contains ~needle:"interrupt: draining workers" (read err));
+      Alcotest.(check bool) "undispatched jobs cancelled" true
+        (contains ~needle:"cancelled before execution" (read out)))
+
 let suite =
   [
     Alcotest.test_case "eduflow with a closed stdout" `Quick test_closed_stdout;
@@ -88,4 +123,5 @@ let suite =
     Alcotest.test_case "closed stdout keeps the compare regression exit" `Quick
       test_closed_stdout_keeps_regression_exit;
     Alcotest.test_case "--help leaves stderr empty" `Quick test_help_renders_cleanly;
+    Alcotest.test_case "batch SIGINT drains and exits 130" `Quick test_batch_interrupt_drains;
   ]

@@ -369,6 +369,28 @@ let test_sched_telemetry_merge () =
        (fun s -> Obs.span_name s = "flow.run")
        (Obs.root_spans c))
 
+(* a stop that holds from the start dispatches nothing: every job comes
+   back cancelled, in manifest order, and no flow or cache probe runs *)
+let test_sched_stop_cancels_everything () =
+  with_cache_dir (fun dir ->
+      let cache = Cache.create ~dir () in
+      let results, summary =
+        Sched.run ~workers:2 ~cache ~stop:(fun () -> true) campaign_manifest
+      in
+      check Alcotest.(list int) "manifest order" [ 0; 1; 2; 3 ]
+        (List.map (fun (r : Sched.job_result) -> r.Sched.job.Manifest.index) results);
+      List.iter
+        (fun (r : Sched.job_result) ->
+          check Alcotest.string "cancelled" "failed(cancelled before execution)"
+            r.Sched.verdict;
+          check Alcotest.bool "no ppa" true (r.Sched.ppa = None);
+          check Alcotest.int "no worker" (-1) r.Sched.worker)
+        results;
+      check Alcotest.int "all failed" 4 summary.Sched.failed;
+      check Alcotest.int "none completed" 0 summary.Sched.completed;
+      check Alcotest.int "no cache probe" 0
+        (summary.Sched.cache_hits + summary.Sched.cache_misses))
+
 (* {2 Concurrent ledger appends} *)
 
 (* the documented no-torn-lines promise: domains appending to one ledger
@@ -430,6 +452,8 @@ let suite =
       test_sched_worker_crash_requeues;
     Alcotest.test_case "sched: telemetry merges into the caller" `Quick
       test_sched_telemetry_merge;
+    Alcotest.test_case "sched: stop before dispatch cancels every job" `Quick
+      test_sched_stop_cancels_everything;
     Alcotest.test_case "runlog: concurrent appends stay line-atomic" `Quick
       test_runlog_concurrent_append;
   ]

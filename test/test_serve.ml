@@ -7,6 +7,9 @@ module Runlog = Educhip_obs.Runlog
 module Tracectx = Educhip_obs.Tracectx
 module Slo = Educhip_obs.Slo
 module Daemon = Educhip_serve.Daemon
+module Listener = Educhip_serve.Listener
+module Client = Educhip_serve.Client
+module Journal = Educhip_serve.Journal
 
 let req_roundtrip r =
   match Wire.decode_request (Wire.encode_request r) with
@@ -524,6 +527,99 @@ let test_server_journal_replay () =
             Alcotest.(check string) "key survives the crash" id1 id
           | r -> Alcotest.failf "resubmission after replay: %s" (Wire.encode_response r)))
 
+(* a job whose queue-wait budget runs out behind another job on the one
+   worker reaches a terminal failed state through the same completion
+   path as a run: counted, its tenant's inflight slot released, its
+   [Done] journaled and its ledger record carrying the wait *)
+let test_server_deadline_expiry () =
+  let dir = Filename.temp_dir "educhip-deadline" "" in
+  Fun.protect
+    ~finally:(fun () -> Educhip_util.Files.rm_rf dir)
+    (fun () ->
+      let socket = Filename.concat dir "s.sock" in
+      let journal = Filename.concat dir "j.eduj" in
+      let ledger = Filename.concat dir "l.jsonl" in
+      let cfg =
+        {
+          Server.default_config with
+          Server.workers = 1;
+          journal = Some journal;
+          ledger = Some ledger;
+        }
+      in
+      let c = Obs.create () in
+      let expired_id, tenants =
+        Obs.with_collector c (fun () ->
+            let t = Server.create cfg in
+            let listen_fd = Listener.listen_unix ~path:socket in
+            let thread = Thread.create (fun () -> Server.serve t listen_fd) () in
+            let client = Client.connect_unix socket in
+            let submit spec =
+              match Client.submit client spec with
+              | Ok (Wire.Accepted { id; _ }) -> id
+              | Ok r -> Alcotest.failf "submit: %s" (Wire.encode_response r)
+              | Error e -> Alcotest.failf "submit: %s" e
+            in
+            (* the blocker occupies the only worker for tens of ms *)
+            let blocker =
+              submit { (Wire.submit ~tenant:"uni-a" "alu8") with Wire.preset = "commercial" }
+            in
+            let id =
+              submit { (Wire.submit ~tenant:"uni-b" "counter") with Wire.deadline_ms = Some 1.0 }
+            in
+            let await id =
+              match Client.await ~poll_ms:5.0 ~timeout_ms:60_000.0 client id with
+              | Ok r -> r
+              | Error e -> Alcotest.failf "await %s: %s" id e
+            in
+            (match await blocker with
+            | Wire.Job_result { verdict; _ } ->
+              Alcotest.(check string) "blocker ran" "ok" verdict
+            | r -> Alcotest.failf "blocker: %s" (Wire.encode_response r));
+            (match await id with
+            | Wire.Job_result { verdict; ppa; wait_ms; _ } ->
+              Alcotest.(check string) "expired verdict" "failed(deadline_exceeded)" verdict;
+              Alcotest.(check bool) "no ppa" true (ppa = None);
+              Alcotest.(check bool) "waited past its budget" true (wait_ms > 1.0)
+            | r -> Alcotest.failf "expired job: %s" (Wire.encode_response r));
+            let tenants =
+              match Client.request client Wire.Stats with
+              | Ok (Wire.Stats_report { tenants; _ }) -> tenants
+              | Ok r -> Alcotest.failf "stats: %s" (Wire.encode_response r)
+              | Error e -> Alcotest.failf "stats: %s" e
+            in
+            ignore (Client.request client Wire.Drain);
+            Client.close client;
+            Thread.join thread;
+            Unix.close listen_fd;
+            (id, tenants))
+      in
+      Alcotest.(check int) "serve.deadline_expired" 1
+        (Obs.counter_value c "serve.deadline_expired");
+      (match
+         List.find_opt (fun (ts : Wire.tenant_stats) -> ts.Wire.tenant = "uni-b") tenants
+       with
+      | Some ts ->
+        Alcotest.(check int) "inflight released" 0 ts.Wire.inflight;
+        Alcotest.(check int) "counted failed" 1 ts.Wire.failed_n
+      | None -> Alcotest.fail "stats: no uni-b row");
+      Alcotest.(check bool) "journal holds its Done" true
+        (List.exists
+           (function
+             | Journal.Done { id; verdict } ->
+               id = expired_id && verdict = "failed(deadline_exceeded)"
+             | _ -> false)
+           (Journal.load ~path:journal).Journal.entries);
+      match
+        List.find_opt
+          (fun (r : Runlog.record) -> r.Runlog.verdict = "failed(deadline_exceeded)")
+          (Runlog.load ~path:ledger)
+      with
+      | Some r ->
+        Alcotest.(check bool) "ledger carries the wait" true
+          (match r.Runlog.queue_wait_ms with Some w -> w > 1.0 | None -> false)
+      | None -> Alcotest.fail "ledger: no expired record")
+
 let suite =
   [
     Alcotest.test_case "wire request round-trip" `Quick test_wire_request_roundtrip;
@@ -540,5 +636,7 @@ let suite =
     Alcotest.test_case "server stats and slo reports" `Quick test_server_stats;
     Alcotest.test_case "server idempotent resubmission" `Quick test_server_idempotency;
     Alcotest.test_case "server journal crash replay" `Quick test_server_journal_replay;
+    Alcotest.test_case "server deadline expiry over a socket" `Quick
+      test_server_deadline_expiry;
     Alcotest.test_case "daemon early death reported" `Quick test_daemon_early_death;
   ]
