@@ -1098,219 +1098,180 @@ let sparkline values =
            String.make 1 spark_glyphs.(max 0 (min 8 i)))
          vs)
 
-let trend ?(width = 16) db ?labels name =
-  match Tsdb.find db ?labels name with
-  | None -> ""
-  | Some s ->
-    let vs = List.map snd (Tsdb.samples s) in
-    let skip = max 0 (List.length vs - width) in
-    sparkline (List.filteri (fun i _ -> i >= skip) vs)
-
-let render_top ~throughput (h : (float * int * int * int * int * int))
-    ~rejects ~(tenants : Wire.tenant_stats list) ~(slos : Slo.report list)
-    ~(db : Tsdb.t) ~(alerts : Rules.instance list option) =
-  let uptime_ms, queue_depth, running, completed, failed, workers = h in
-  Printf.printf "eduserved — up %.0f s, %d workers | queue %d, running %d | done %d, failed %d | %.2f jobs/s\n"
-    (uptime_ms /. 1000.0) workers queue_depth running completed failed throughput;
-  Printf.printf "trend: done [%s]  queue [%s]  rejects [%s]\n"
-    (trend db "health.completed")
-    (trend db "health.queue_depth")
-    (trend db ~labels:[ ("reason", "rate_limited") ] "stats.rejects");
-  (match rejects with
-  | [] -> Printf.printf "rejects: none\n"
-  | rs ->
-    Printf.printf "rejects: %s\n"
-      (String.concat ", " (List.map (fun (r, n) -> Printf.sprintf "%s %d" r n) rs)));
-  print_newline ();
-  let tenant_table =
-    Table.create ~title:"Tenants"
-      ~columns:
-        [
-          ("tenant", Table.Left);
-          ("tier", Table.Left);
-          ("inflight", Table.Right);
-          ("done", Table.Right);
-          ("failed", Table.Right);
-          ("p50 ms", Table.Right);
-          ("p99 ms", Table.Right);
-        ]
+(* the pane reads one scrape target: its last reports for the tables and
+   its series for throughput and the trends *)
+let render_top scraper target ~now_ms ~interval ~(alerts : Rules.instance list option) =
+  let db = Scrape.tsdb scraper in
+  let target_labels = [ ("target", target) ] in
+  (* sparkline over the newest 16 samples of one of the target's series *)
+  let trend ?(labels = []) name =
+    match Tsdb.find db ~labels:(target_labels @ labels) name with
+    | None -> ""
+    | Some s ->
+      let vs = List.map snd (Tsdb.samples s) in
+      let skip = max 0 (List.length vs - 16) in
+      sparkline (List.filteri (fun i _ -> i >= skip) vs)
   in
-  List.iter
-    (fun (t : Wire.tenant_stats) ->
-      Table.add_row tenant_table
-        [
-          t.Wire.tenant;
-          t.Wire.tier;
-          Table.cell_int t.Wire.inflight;
-          Table.cell_int t.Wire.completed_n;
-          Table.cell_int t.Wire.failed_n;
-          Table.cell_float ~decimals:1 t.Wire.p50_ms;
-          Table.cell_float ~decimals:1 t.Wire.p99_ms;
-        ])
-    tenants;
-  if tenants <> [] then Printf.printf "%s\n" (Table.render tenant_table)
-  else Printf.printf "no completed jobs yet\n\n";
-  let slo_table =
-    Table.create ~title:"SLO error budgets"
-      ~columns:
-        [
-          ("tier", Table.Left);
-          ("target p99", Table.Right);
-          ("p99 ms", Table.Right);
-          ("ok %", Table.Right);
-          ("samples", Table.Right);
-          ("budget", Table.Left);
-          ("burn", Table.Right);
-          ("burn trend", Table.Left);
-        ]
-  in
-  List.iter
-    (fun (r : Slo.report) ->
-      let budget = Float.min r.Slo.latency_budget r.Slo.success_budget in
-      Table.add_row slo_table
-        [
-          r.Slo.tier;
-          Table.cell_float ~decimals:0 r.Slo.objective.Slo.p99_ms;
-          Table.cell_float ~decimals:1 r.Slo.p99_ms;
-          Table.cell_float ~decimals:1 (pct r.Slo.ok_rate);
-          Table.cell_int r.Slo.samples;
-          Printf.sprintf "%s %3.0f%%" (budget_bar budget) (pct budget);
-          Table.cell_float ~decimals:2 r.Slo.burn_rate;
-          trend db ~labels:[ ("tier", r.Slo.tier) ] "slo.burn_rate";
-        ])
-    slos;
-  Printf.printf "%s" (Table.render slo_table);
-  (match alerts with
-  | None -> ()
-  | Some [] -> Printf.printf "\nalerts: none pending or firing\n"
-  | Some insts ->
-    Printf.printf "\nAlerts\n";
+  match Scrape.last_reports scraper target with
+  | Some
+      ( Wire.Health_report { uptime_ms; queue_depth; running; completed; failed; workers; _ },
+        Wire.Stats_report { rejects; tenants; slos; _ } ) ->
+    (* one definition of throughput: the Tsdb rate of the completed
+       counter over the last few polls *)
+    let throughput =
+      match Tsdb.find db ~labels:target_labels "health.completed" with
+      | Some s ->
+        Option.value
+          (Tsdb.rate s ~window_ms:(5.0 *. interval *. 1000.0) ~now_ms)
+          ~default:0.0
+      | None -> 0.0
+    in
+    Printf.printf "eduserved — up %.0f s, %d workers | queue %d, running %d | done %d, failed %d | %.2f jobs/s\n"
+      (uptime_ms /. 1000.0) workers queue_depth running completed failed throughput;
+    Printf.printf "trend: done [%s]  queue [%s]  rejects [%s]\n"
+      (trend "health.completed")
+      (trend "health.queue_depth")
+      (trend ~labels:[ ("reason", "rate_limited") ] "stats.rejects");
+    (match rejects with
+    | [] -> Printf.printf "rejects: none\n"
+    | rs ->
+      Printf.printf "rejects: %s\n"
+        (String.concat ", " (List.map (fun (r, n) -> Printf.sprintf "%s %d" r n) rs)));
+    print_newline ();
+    let tenant_table =
+      Table.create ~title:"Tenants"
+        ~columns:
+          [
+            ("tenant", Table.Left);
+            ("tier", Table.Left);
+            ("inflight", Table.Right);
+            ("done", Table.Right);
+            ("failed", Table.Right);
+            ("p50 ms", Table.Right);
+            ("p99 ms", Table.Right);
+          ]
+    in
     List.iter
-      (fun (i : Rules.instance) ->
-        let labels =
-          match i.Rules.inst_labels with
-          | [] -> ""
-          | ls ->
-            "{"
-            ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
-            ^ "}"
-        in
-        Printf.printf "  %-8s %s%s  value %.3g %s %.3g  [%s]\n"
-          (String.uppercase_ascii (Alertlog.state_name i.Rules.inst_state))
-          i.Rules.inst_rule.Rules.rule_name labels i.Rules.last_value
-          (Rules.op_name i.Rules.inst_rule.Rules.op)
-          i.Rules.inst_rule.Rules.threshold i.Rules.inst_rule.Rules.severity)
-      insts);
-  flush_stdout ()
+      (fun (t : Wire.tenant_stats) ->
+        Table.add_row tenant_table
+          [
+            t.Wire.tenant;
+            t.Wire.tier;
+            Table.cell_int t.Wire.inflight;
+            Table.cell_int t.Wire.completed_n;
+            Table.cell_int t.Wire.failed_n;
+            Table.cell_float ~decimals:1 t.Wire.p50_ms;
+            Table.cell_float ~decimals:1 t.Wire.p99_ms;
+          ])
+      tenants;
+    if tenants <> [] then Printf.printf "%s\n" (Table.render tenant_table)
+    else Printf.printf "no completed jobs yet\n\n";
+    let slo_table =
+      Table.create ~title:"SLO error budgets"
+        ~columns:
+          [
+            ("tier", Table.Left);
+            ("target p99", Table.Right);
+            ("p99 ms", Table.Right);
+            ("ok %", Table.Right);
+            ("samples", Table.Right);
+            ("budget", Table.Left);
+            ("burn", Table.Right);
+            ("burn trend", Table.Left);
+          ]
+    in
+    List.iter
+      (fun (r : Slo.report) ->
+        let budget = Float.min r.Slo.latency_budget r.Slo.success_budget in
+        Table.add_row slo_table
+          [
+            r.Slo.tier;
+            Table.cell_float ~decimals:0 r.Slo.objective.Slo.p99_ms;
+            Table.cell_float ~decimals:1 r.Slo.p99_ms;
+            Table.cell_float ~decimals:1 (pct r.Slo.ok_rate);
+            Table.cell_int r.Slo.samples;
+            Printf.sprintf "%s %3.0f%%" (budget_bar budget) (pct budget);
+            Table.cell_float ~decimals:2 r.Slo.burn_rate;
+            trend ~labels:[ ("tier", r.Slo.tier) ] "slo.burn_rate";
+          ])
+      slos;
+    Printf.printf "%s" (Table.render slo_table);
+    (match alerts with
+    | None -> ()
+    | Some [] -> Printf.printf "\nalerts: none pending or firing\n"
+    | Some insts ->
+      Printf.printf "\nAlerts\n";
+      (* every series here carries the one target's label: not shown *)
+      List.iter
+        (fun (i : Rules.instance) ->
+          Printf.printf "  %-8s %s%s  value %.3g %s %.3g  [%s]\n"
+            (String.uppercase_ascii (Alertlog.state_name i.Rules.inst_state))
+            i.Rules.inst_rule.Rules.rule_name
+            (Tsdb.show_labels (List.remove_assoc "target" i.Rules.inst_labels))
+            i.Rules.last_value
+            (Rules.op_name i.Rules.inst_rule.Rules.op)
+            i.Rules.inst_rule.Rules.threshold i.Rules.inst_rule.Rules.severity)
+        insts);
+    flush_stdout ()
+  | _ -> ()
 
-let load_rules_or_exit path =
-  match Rules.load ~path with
-  | rules -> rules
-  | exception Invalid_argument msg ->
+(* the rule engine of top and mon: no --rules is an empty rule set *)
+let rules_engine_or_exit rules_path =
+  match Option.fold ~none:[] ~some:(fun path -> Rules.load ~path) rules_path with
+  | rules -> Rules.create rules
+  | exception (Invalid_argument msg | Sys_error msg) ->
     Printf.eprintf "%s\n" msg;
     exit 2
-  | exception Sys_error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
+
+(* top's target, and mon's when no --target is given *)
+let default_target socket connect =
+  { Scrape.target_name = "default"; addr = Option.value connect ~default:socket }
+
+let firing engine =
+  List.filter (fun (i : Rules.instance) -> i.Rules.inst_state = Alertlog.Firing)
+    (Rules.active engine)
 
 let run_top socket connect interval once rules_path alert_log =
-  if interval <= 0.0 then begin
-    Printf.eprintf "--interval must be positive, got %g\n" interval;
-    exit 2
-  end;
-  let addr = Option.value connect ~default:socket in
-  let engine =
-    Option.map (fun path -> Rules.create (load_rules_or_exit path)) rules_path
+  let target = default_target socket connect in
+  let engine = rules_engine_or_exit rules_path in
+  (* named as [mon]'s default target, so one rules file selects the same
+     series in both; a bounded connect: a dead daemon must fail the first
+     poll with a clear message and a non-zero exit, not hang or render an
+     empty dashboard *)
+  let scraper =
+    Scrape.create ~connect_timeout_ms:3000.0 ~read_timeout_ms:10_000.0 [ target ]
   in
-  (* a bounded connect: a dead daemon must fail the first poll with a
-     clear message and a non-zero exit, not hang or render an empty
-     dashboard *)
-  let c = service_client ~connect_timeout_ms:3000.0 ~read_timeout_ms:10_000.0
-      socket connect
-  in
-  (* in-process history: the same series names the scraper records, so
-     one rules file serves [eduflow mon] and this pane alike *)
-  let db = Tsdb.create ~capacity:512 () in
-  let tick = ref 0 in
-  let fetch ~first req label =
-    match Client.request c req with
-    | Ok resp -> resp
-    | Error msg ->
-      if first then
-        Printf.eprintf "first poll failed: %s: %s (is eduserved running at %s?)\n"
-          label msg addr
-      else Printf.eprintf "%s failed: %s\n" label msg;
-      exit 1
-  in
-  let rec loop () =
-    let first = !tick = 0 in
-    match (fetch ~first Wire.Health "health", fetch ~first Wire.Stats "stats") with
-    | ( Wire.Health_report { uptime_ms; queue_depth; running; completed; failed; workers; _ },
-        Wire.Stats_report { rejects; tenants; slos; _ } ) ->
-      let now = Mclock.now_ms () in
-      let put ?labels ~kind name v = ignore (Tsdb.record db ?labels ~kind ~t_ms:now name v) in
-      put ~kind:Tsdb.Counter "health.completed" (float_of_int completed);
-      put ~kind:Tsdb.Counter "health.failed" (float_of_int failed);
-      put ~kind:Tsdb.Gauge "health.queue_depth" (float_of_int queue_depth);
-      put ~kind:Tsdb.Gauge "health.running" (float_of_int running);
-      List.iter
-        (fun (reason, n) ->
-          put ~labels:[ ("reason", reason) ] ~kind:Tsdb.Counter "stats.rejects"
-            (float_of_int n))
-        rejects;
-      List.iter
-        (fun (r : Slo.report) ->
-          let labels = [ ("tier", r.Slo.tier) ] in
-          put ~labels ~kind:Tsdb.Gauge "slo.burn_rate" r.Slo.burn_rate;
-          put ~labels ~kind:Tsdb.Gauge "slo.p99_ms" r.Slo.p99_ms)
-        slos;
-      (* one definition of throughput: the Tsdb rate of the completed
-         counter over the last few polls *)
-      let throughput =
-        match Tsdb.find db "health.completed" with
-        | Some s ->
-          Option.value
-            (Tsdb.rate s ~window_ms:(5.0 *. interval *. 1000.0) ~now_ms:now)
-            ~default:0.0
-        | None -> 0.0
-      in
-      let alerts =
-        Option.map
-          (fun engine ->
-            let entries = Rules.eval engine db ~now_ms:now ~tick:!tick in
-            Option.iter
-              (fun path -> List.iter (fun e -> Alertlog.append ~path e) entries)
-              alert_log;
-            Rules.active engine)
-          engine
-      in
-      incr tick;
+  let rec loop tick =
+    let now_ms = Mclock.now_ms () in
+    match Scrape.step ?alert_log scraper engine ~now_ms ~tick with
+    | [ { Scrape.ok = true; _ } ], _ ->
       if not once then print_string "\027[H\027[2J";
-      render_top ~throughput
-        (uptime_ms, queue_depth, running, completed, failed, workers)
-        ~rejects ~tenants ~slos ~db ~alerts;
-      if once then Client.close c
+      render_top scraper target.Scrape.target_name ~now_ms ~interval
+        ~alerts:(Option.map (fun _ -> Rules.active engine) rules_path);
+      if once then Scrape.close scraper
       else begin
         Unix.sleepf interval;
-        loop ()
+        loop (tick + 1)
       end
-    | _ ->
-      Printf.eprintf "unexpected response while polling the server\n";
+    | results, _ ->
+      let error =
+        String.concat "; " (List.filter_map (fun r -> r.Scrape.error) results)
+      in
+      if tick = 0 then
+        Printf.eprintf "first poll failed: %s (is eduserved running at %s?)\n" error
+          target.Scrape.addr
+      else Printf.eprintf "poll failed: %s\n" error;
       exit 1
   in
-  loop ()
+  loop 0
 
 (* {2 eduflow mon: multi-target scraper + alert engine} *)
 
 let run_mon socket connect target_specs rules_path interval ticks alert_log history
     staleness_s =
-  if interval <= 0.0 then begin
-    Printf.eprintf "--interval must be positive, got %g\n" interval;
-    exit 2
-  end;
   let targets =
     match target_specs with
-    | [] -> [ { Scrape.target_name = "default"; addr = Option.value connect ~default:socket } ]
+    | [] -> [ default_target socket connect ]
     | specs -> (
       match List.map Scrape.target_of_spec specs with
       | targets -> targets
@@ -1318,9 +1279,7 @@ let run_mon socket connect target_specs rules_path interval ticks alert_log hist
         Printf.eprintf "%s\n" msg;
         exit 2)
   in
-  let engine =
-    Rules.create (match rules_path with Some p -> load_rules_or_exit p | None -> [])
-  in
+  let engine = rules_engine_or_exit rules_path in
   let scraper =
     match Scrape.create targets with
     | s -> s
@@ -1338,19 +1297,11 @@ let run_mon socket connect target_specs rules_path interval ticks alert_log hist
   let tick = ref 0 in
   while (not !stop) && (ticks = 0 || !tick < ticks) do
     let now = Mclock.now_ms () in
-    let results = Scrape.tick scraper ~now_ms:now in
-    let entries = Rules.eval engine db ~now_ms:now ~tick:!tick in
-    Option.iter (fun path -> List.iter (fun e -> Alertlog.append ~path e) entries) alert_log;
+    let results, entries = Scrape.step ?alert_log scraper engine ~now_ms:now ~tick:!tick in
     let up_n = List.length (List.filter (fun r -> r.Scrape.ok) results) in
     let samples = List.fold_left (fun acc r -> acc + r.Scrape.samples) 0 results in
-    let firing =
-      List.length
-        (List.filter
-           (fun (i : Rules.instance) -> i.Rules.inst_state = Alertlog.Firing)
-           (Rules.active engine))
-    in
     Printf.printf "tick %d: %d/%d targets up, %d samples, %d firing\n" !tick up_n
-      (List.length results) samples firing;
+      (List.length results) samples (List.length (firing engine));
     List.iter
       (fun (r : Scrape.tick_result) ->
         if not r.Scrape.ok then
@@ -1364,10 +1315,7 @@ let run_mon socket connect target_specs rules_path interval ticks alert_log hist
     List.iter
       (fun (e : Alertlog.entry) ->
         Printf.printf "  alert %s%s -> %s (value %.4g, threshold %.4g)\n"
-          e.Alertlog.rule
-          (match e.Alertlog.labels with
-          | [] -> ""
-          | ls -> "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) ls) ^ "}")
+          e.Alertlog.rule (Tsdb.show_labels e.Alertlog.labels)
           (Alertlog.state_name e.Alertlog.state)
           e.Alertlog.value e.Alertlog.threshold)
       entries;
@@ -1382,14 +1330,11 @@ let run_mon socket connect target_specs rules_path interval ticks alert_log hist
       Printf.printf "history (%d series) written to %s\n" (List.length (Tsdb.series_list db))
         path)
     history;
-  let active = Rules.active engine in
-  let firing =
-    List.filter (fun (i : Rules.instance) -> i.Rules.inst_state = Alertlog.Firing) active
-  in
-  if firing <> [] then begin
-    Printf.printf "%d alert(s) still firing\n" (List.length firing);
+  match firing engine with
+  | [] -> ()
+  | still ->
+    Printf.printf "%d alert(s) still firing\n" (List.length still);
     exit 3
-  end
 
 (* {2 eduflow alerts: render an alert log} *)
 
@@ -1423,10 +1368,6 @@ let run_alerts log_path history_n check =
   in
   Printf.printf "%s: %d transition(s), %d instance(s), %d active (%d firing)\n\n" log_path
     (List.length entries) (List.length current) (List.length active) (List.length firing);
-  let labels_str = function
-    | [] -> "-"
-    | ls -> String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
-  in
   let table =
     Table.create ~title:"Alert instances"
       ~columns:
@@ -1445,7 +1386,7 @@ let run_alerts log_path history_n check =
       Table.add_row table
         [
           e.Alertlog.rule;
-          labels_str e.Alertlog.labels;
+          Tsdb.show_labels ~cell:true e.Alertlog.labels;
           Alertlog.state_name e.Alertlog.state;
           Table.cell_int e.Alertlog.tick;
           Table.cell_float ~decimals:3 e.Alertlog.value;
@@ -1464,9 +1405,7 @@ let run_alerts log_path history_n check =
       Printf.printf "  tick %-4d %-10s %s%s (value %.4g vs %.4g)\n" e.Alertlog.tick
         (Alertlog.state_name e.Alertlog.state)
         e.Alertlog.rule
-        (match e.Alertlog.labels with
-        | [] -> ""
-        | ls -> "{" ^ labels_str ls ^ "}")
+        (Tsdb.show_labels e.Alertlog.labels)
         e.Alertlog.value e.Alertlog.threshold)
     recent;
   if check && firing <> [] then exit 3
@@ -1597,10 +1536,20 @@ let result_trace_out_arg =
           "Write the job's server-side trace events as Chrome trace-event JSON \
            (the job must have been submitted with a trace id).")
 
-let top_interval_arg =
-  Arg.(
-    value & opt float 2.0
-    & info [ "interval" ] ~docv:"SECONDS" ~doc:"Refresh period between polls.")
+(* shared by top and mon: a poll is one scrape tick *)
+let interval_arg =
+  let positive interval =
+    if interval <= 0.0 then begin
+      Printf.eprintf "--interval must be positive, got %g\n" interval;
+      exit 2
+    end;
+    interval
+  in
+  Term.(
+    const positive
+    $ Arg.(
+        value & opt float 2.0
+        & info [ "interval" ] ~docv:"SECONDS" ~doc:"Period between polls (scrape ticks)."))
 
 let top_once_arg =
   Arg.(
@@ -1632,11 +1581,6 @@ let mon_target_arg =
           "A daemon to scrape: socket path or HOST:PORT, tagged with NAME (series \
            carry a target=NAME label). Repeatable; default is one target named \
            $(i,default) at --socket/--connect.")
-
-let mon_interval_arg =
-  Arg.(
-    value & opt float 2.0
-    & info [ "interval" ] ~docv:"SECONDS" ~doc:"Scrape period.")
 
 let mon_ticks_arg =
   Arg.(
@@ -1718,17 +1662,19 @@ let top_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Polls the service's health and stats endpoints and renders throughput, \
-         queue depth, per-tenant inflight/latency percentiles, the reject \
-         breakdown, and each tier's SLO error budget and burn rate. Refreshes \
-         every $(b,--interval) seconds until interrupted; $(b,--once) prints a \
-         single snapshot (useful in scripts and CI).";
+        "Scrapes the service as one $(b,eduflow mon) target named $(i,default) \
+         (health, stats and metrics endpoints) and renders throughput, queue \
+         depth, per-tenant inflight/latency percentiles, the reject breakdown, \
+         and each tier's SLO error budget and burn rate. With $(b,--rules), \
+         each poll also runs $(b,mon)'s rule step and shows an alerts pane. \
+         Refreshes every $(b,--interval) seconds until interrupted; $(b,--once) \
+         prints a single snapshot (useful in scripts and CI).";
     ]
   in
   Cmd.v
     (Cmd.info "top" ~doc ~man)
     Term.(
-      const run_top $ socket_arg $ connect_arg $ top_interval_arg $ top_once_arg
+      const run_top $ socket_arg $ connect_arg $ interval_arg $ top_once_arg
       $ rules_arg $ alert_log_arg)
 
 let mon_cmd =
@@ -1751,7 +1697,7 @@ let mon_cmd =
     (Cmd.info "mon" ~doc ~man)
     Term.(
       const run_mon $ socket_arg $ connect_arg $ mon_target_arg $ rules_arg
-      $ mon_interval_arg $ mon_ticks_arg $ alert_log_arg $ mon_history_arg
+      $ interval_arg $ mon_ticks_arg $ alert_log_arg $ mon_history_arg
       $ mon_staleness_arg)
 
 let alerts_cmd =

@@ -6,8 +6,6 @@ type trace = { length : int; steps : (string * bool) list array }
 
 type verdict = Proved of int | Holds_bounded of int | Violated of trace
 
-let table_of_kind = Netlist.kind_table
-
 let property_cell netlist property =
   let matching =
     List.filter (fun id -> Netlist.label netlist id = property) (Netlist.outputs netlist)
@@ -31,27 +29,9 @@ let encode_frame solver netlist order ~register_vars =
       let c = Netlist.cell netlist id in
       match c.Netlist.kind with
       | Netlist.Input | Netlist.Dff -> ()
-      | Netlist.Const b ->
+      | _ ->
         vars.(id) <- Sat.fresh_var solver;
-        Sat.add_clause solver [ (if b then vars.(id) else -vars.(id)) ]
-      | Netlist.Output ->
-        vars.(id) <- Sat.fresh_var solver;
-        Sat.add_equiv solver vars.(id) vars.(c.Netlist.fanins.(0))
-      | k -> (
-        vars.(id) <- Sat.fresh_var solver;
-        match table_of_kind k with
-        | None -> ()
-        | Some (arity, table) ->
-          let out = vars.(id) in
-          for minterm = 0 to (1 lsl arity) - 1 do
-            let out_lit = if (table lsr minterm) land 1 = 1 then out else -out in
-            let antecedents =
-              List.init arity (fun j ->
-                  let v = vars.(c.Netlist.fanins.(j)) in
-                  if (minterm lsr j) land 1 = 1 then -v else v)
-            in
-            Sat.add_clause solver (out_lit :: antecedents)
-          done))
+        Sat.add_cell solver (Array.get vars) id c)
     order;
   vars
 

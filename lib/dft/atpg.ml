@@ -21,10 +21,6 @@ type report = {
   patterns : pattern list;
 }
 
-(* Truth table of any combinational kind, in the (arity, table) form used
-   throughout — the single source for simulation and CNF alike. *)
-let table_of_kind = Netlist.kind_table
-
 (* pseudo-inputs: primary inputs then register Qs *)
 let pseudo_inputs netlist = Netlist.inputs netlist @ Netlist.dffs netlist
 
@@ -164,32 +160,11 @@ let run ?(random_patterns = 256) ?(seed = 1) ?(sat_conflict_limit = 20_000) netl
             Hashtbl.replace good_var id v;
             v
         in
-        let encode_cell var_of id (c : Netlist.cell) =
-          match c.Netlist.kind with
-          | Netlist.Input | Netlist.Dff -> ()
-          | Netlist.Const b ->
-            Sat.add_clause solver [ (if b then var_of id else -(var_of id)) ]
-          | Netlist.Output -> Sat.add_equiv solver (var_of id) (var_of c.Netlist.fanins.(0))
-          | k -> (
-            match table_of_kind k with
-            | None -> ()
-            | Some (arity, table) ->
-              let out = var_of id in
-              for minterm = 0 to (1 lsl arity) - 1 do
-                let out_lit = if (table lsr minterm) land 1 = 1 then out else -out in
-                let antecedents =
-                  List.init arity (fun j ->
-                      let v = var_of c.Netlist.fanins.(j) in
-                      if (minterm lsr j) land 1 = 1 then -v else v)
-                in
-                Sat.add_clause solver (out_lit :: antecedents)
-              done)
-        in
         (* good circuit over the support, in topological order *)
         Array.iter
           (fun id ->
             if Hashtbl.mem support id then
-              encode_cell gvar id (Netlist.cell netlist id))
+              Sat.add_cell solver gvar id (Netlist.cell netlist id))
           order;
         (* faulty copy over cone ∩ support; the fault net forced *)
         let faulty_var = Hashtbl.create 64 in
@@ -203,7 +178,7 @@ let run ?(random_patterns = 256) ?(seed = 1) ?(sat_conflict_limit = 20_000) netl
           (fun id ->
             if Hashtbl.mem support id then begin
               Hashtbl.replace faulty_var id (Sat.fresh_var solver);
-              encode_cell fvar id (Netlist.cell netlist id)
+              Sat.add_cell solver fvar id (Netlist.cell netlist id)
             end)
           cone;
         let xors =

@@ -22,6 +22,8 @@ type t = {
   connect_timeout_ms : float;
   read_timeout_ms : float;
   last_ok : (string, float) Hashtbl.t;
+  reports : (string, Wire.response * Wire.response) Hashtbl.t;
+      (* the last successful scrape's Health_report and Stats_report *)
   conns : (string, Client.t) Hashtbl.t;
       (* persistent per-target connections: reconnecting every tick
          made each scrape cost the daemon a connection-thread spawn and
@@ -29,7 +31,7 @@ type t = {
          fails in any way is dropped and reopened on the next tick. *)
 }
 
-let create ?(connect_timeout_ms = 1000.0) ?(read_timeout_ms = 5000.0) ?tsdb targets =
+let create ?(connect_timeout_ms = 1000.0) ?(read_timeout_ms = 5000.0) targets =
   if targets = [] then invalid_arg "Scrape.create: no targets";
   List.iteri
     (fun i tgt ->
@@ -40,13 +42,13 @@ let create ?(connect_timeout_ms = 1000.0) ?(read_timeout_ms = 5000.0) ?tsdb targ
               (Printf.sprintf "Scrape.create: duplicate target name %S" tgt.target_name))
         targets)
     targets;
-  let tsdb = match tsdb with Some db -> db | None -> Tsdb.create () in
   {
-    tsdb;
+    tsdb = Tsdb.create ();
     targets;
     connect_timeout_ms;
     read_timeout_ms;
     last_ok = Hashtbl.create 8;
+    reports = Hashtbl.create 8;
     conns = Hashtbl.create 8;
   }
 
@@ -62,6 +64,7 @@ let drop_conn t name =
 
 let close t = List.iter (fun tgt -> drop_conn t tgt.target_name) t.targets
 let last_ok_ms t name = Hashtbl.find_opt t.last_ok name
+let last_reports t name = Hashtbl.find_opt t.reports name
 let staleness_ms t ~now_ms name = Option.map (fun ok -> now_ms -. ok) (last_ok_ms t name)
 
 let up t ~now_ms ~staleness_window_ms name =
@@ -222,7 +225,7 @@ let scrape_target t tgt ~now_ms ~count =
   in
   let health =
     match Client.request conn Wire.Health with
-    | Ok (Wire.Health_report h) ->
+    | Ok (Wire.Health_report h as r) ->
       rec_ ~kind:Tsdb.Gauge "health.queue_depth" (float_of_int h.queue_depth);
       rec_ ~kind:Tsdb.Gauge "health.running" (float_of_int h.running);
       rec_ ~kind:Tsdb.Gauge "health.workers" (float_of_int h.workers);
@@ -230,13 +233,13 @@ let scrape_target t tgt ~now_ms ~count =
       rec_ ~kind:Tsdb.Counter "health.completed" (float_of_int h.completed);
       rec_ ~kind:Tsdb.Counter "health.failed" (float_of_int h.failed);
       rec_ ~kind:Tsdb.Gauge "health.draining" (if h.draining then 1.0 else 0.0);
-      Ok ()
+      Ok r
     | Ok r -> Error ("health: unexpected " ^ Wire.encode_response r)
     | Error e -> Error ("health: " ^ e)
   in
   let stats =
     match Client.request conn Wire.Stats with
-    | Ok (Wire.Stats_report s) ->
+    | Ok (Wire.Stats_report s as r) ->
       List.iter
         (fun (reason, n) ->
           rec_ ~labels:[ ("reason", reason) ] ~kind:Tsdb.Counter "stats.rejects"
@@ -264,7 +267,7 @@ let scrape_target t tgt ~now_ms ~count =
           rec_ ~labels ~kind:Tsdb.Gauge "slo.success_budget" r.success_budget;
           rec_ ~labels ~kind:Tsdb.Gauge "slo.samples" (float_of_int r.samples))
         s.slos;
-      Ok ()
+      Ok r
     | Ok r -> Error ("stats: unexpected " ^ Wire.encode_response r)
     | Error e -> Error ("stats: " ^ e)
   in
@@ -279,7 +282,7 @@ let scrape_target t tgt ~now_ms ~count =
     | Error e -> Error ("metrics: " ^ e)
   in
   match (health, stats, metrics) with
-  | Ok (), Ok (), Ok () -> Ok ()
+  | Ok h, Ok s, Ok () -> Ok (h, s)
   | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
 
 let tick t ~now_ms =
@@ -295,8 +298,9 @@ let tick t ~now_ms =
       in
       let up_labels = [ ("target", tgt.target_name) ] in
       (match outcome with
-      | Ok () ->
+      | Ok reports ->
         Hashtbl.replace t.last_ok tgt.target_name now_ms;
+        Hashtbl.replace t.reports tgt.target_name reports;
         ignore
           (Tsdb.record t.tsdb ~labels:up_labels ~kind:Tsdb.Gauge ~t_ms:now_ms "scrape.up" 1.0);
         ignore
@@ -310,8 +314,14 @@ let tick t ~now_ms =
           (Tsdb.record t.tsdb ~labels:up_labels ~kind:Tsdb.Gauge ~t_ms:now_ms "scrape.up" 0.0));
       {
         target = tgt.target_name;
-        ok = (match outcome with Ok () -> true | Error _ -> false);
-        error = (match outcome with Ok () -> None | Error e -> Some e);
+        ok = Result.is_ok outcome;
+        error = (match outcome with Ok _ -> None | Error e -> Some e);
         samples = !count;
       })
     t.targets
+
+let step ?alert_log t rules ~now_ms ~tick:n =
+  let results = tick t ~now_ms in
+  let entries = Rules.eval rules t.tsdb ~now_ms ~tick:n in
+  Option.iter (fun path -> List.iter (Alertlog.append ~path) entries) alert_log;
+  (results, entries)

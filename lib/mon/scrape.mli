@@ -6,8 +6,8 @@
     with its connect/read timeouts, and records every value it learns
     as a sample at the caller-supplied [now_ms]. Each sample carries a
     [("target", name)] label, so the same metric from two daemons stays
-    two series: the aggregation seam ROADMAP item 3's cluster router
-    plugs into.
+    two series. [eduflow mon], [eduflow top] (one target named
+    [default]) and the cluster router's replica prober all run on it.
 
     Recorded per healthy target and tick:
     - [scrape.up] (gauge, 1) plus [scrape.duration_ms];
@@ -47,15 +47,9 @@ val target_of_spec : string -> target
 
 type t
 
-val create :
-  ?connect_timeout_ms:float ->
-  ?read_timeout_ms:float ->
-  ?tsdb:Tsdb.t ->
-  target list ->
-  t
-(** Timeouts default to 1 s connect / 5 s read. [tsdb] defaults to a
-    fresh store (pass one to share it with an in-process consumer like
-    [eduflow top]). @raise Invalid_argument on an empty or
+val create : ?connect_timeout_ms:float -> ?read_timeout_ms:float -> target list -> t
+(** Timeouts default to 1 s connect / 5 s read; the series go to a
+    fresh {!Tsdb} ({!tsdb}). @raise Invalid_argument on an empty or
     duplicate-name target list. *)
 
 val tsdb : t -> Tsdb.t
@@ -72,6 +66,25 @@ val tick : t -> now_ms:float -> tick_result list
 (** Scrape every target once, in configuration order. Never raises:
     per-target failures are reported in the result (and as
     [scrape.up = 0]). *)
+
+val step :
+  ?alert_log:string ->
+  t ->
+  Rules.t ->
+  now_ms:float ->
+  tick:int ->
+  tick_result list * Alertlog.entry list
+(** The monitoring loop's one step, under [eduflow mon] and [eduflow
+    top]: {!tick}, then {!Rules.eval} over {!tsdb} at the same
+    [now_ms], each transition appended to [alert_log] when given.
+    Returns the scrape results and the transitions, in rule order. *)
+
+val last_reports :
+  t -> string -> (Educhip_serve.Wire.response * Educhip_serve.Wire.response) option
+(** The [Health_report] and [Stats_report] of the named target's last
+    successful scrape — for a renderer that needs fields no series
+    carries (a tenant's tier, an SLO's objective); [None] before the
+    first one. *)
 
 val last_ok_ms : t -> string -> float option
 (** [now_ms] of the last successful scrape of the named target; [None]

@@ -52,6 +52,12 @@ let dropped s = s.dropped
 let subset where labels =
   List.for_all (fun (k, v) -> List.assoc_opt k labels = Some v) where
 
+let show_labels ?(cell = false) = function
+  | [] -> if cell then "-" else ""
+  | ls ->
+    let body = String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) ls) in
+    if cell then body else "{" ^ body ^ "}"
+
 let select t ?(where = []) name =
   List.filter (fun s -> s.name = name && subset where s.labels) (series_list t)
 

@@ -1,7 +1,7 @@
 (** Fixed-capacity in-memory time-series store.
 
-    The monitoring layer (Rec. 7's hosted hub, ROADMAP item 3's cluster
-    aggregation) needs {e trends}, not instants: a reject-rate climb or
+    The monitoring layer (Rec. 7's hosted hub and the cluster router's
+    replica prober) needs {e trends}, not instants: a reject-rate climb or
     an SLO burn between two [eduflow top] glances is invisible in the
     point-in-time [stats]/[metrics] verbs. [Tsdb] retains a bounded
     window of history per series — a ring buffer of [(timestamp, value)]
@@ -47,6 +47,11 @@ val record : t -> ?labels:(string * string) list -> kind:kind -> t_ms:float -> s
 
 val find : t -> ?labels:(string * string) list -> string -> series option
 (** Exact name + label-set lookup (label order is irrelevant). *)
+
+val show_labels : ?cell:bool -> (string * string) list -> string
+(** A label set as printed after a series or alert name:
+    [{k=v,...}], or [""] when empty. With [~cell:true], the form for a
+    table cell: [k=v,...], or [-] when empty. *)
 
 val select : t -> ?where:(string * string) list -> string -> series list
 (** All series named [name] whose labels are a {e superset} of [where],

@@ -471,3 +471,28 @@ let add_xor t out a b =
 let add_equiv t a b =
   add_clause t [ -a; b ];
   add_clause t [ a; -b ]
+
+module Netlist = Educhip_netlist.Netlist
+
+(* One clause per minterm of the cell's truth table, in minterm order:
+   the solver's search follows clause order, so BMC counterexamples and
+   ATPG patterns are pinned to it. *)
+let add_cell t var_of id (c : Netlist.cell) =
+  match c.Netlist.kind with
+  | Netlist.Input | Netlist.Dff -> ()
+  | Netlist.Const b -> add_clause t [ (if b then var_of id else -(var_of id)) ]
+  | Netlist.Output -> add_equiv t (var_of id) (var_of c.Netlist.fanins.(0))
+  | k -> (
+    match Netlist.kind_table k with
+    | None -> ()
+    | Some (arity, table) ->
+      let out = var_of id in
+      for minterm = 0 to (1 lsl arity) - 1 do
+        let out_lit = if (table lsr minterm) land 1 = 1 then out else -out in
+        let antecedents =
+          List.init arity (fun j ->
+              let v = var_of c.Netlist.fanins.(j) in
+              if (minterm lsr j) land 1 = 1 then -v else v)
+        in
+        add_clause t (out_lit :: antecedents)
+      done)

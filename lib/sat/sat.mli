@@ -67,3 +67,13 @@ val add_xor : t -> int -> int -> int -> unit
 
 val add_equiv : t -> int -> int -> unit
 (** Force two literals equal. *)
+
+val add_cell :
+  t ->
+  (Educhip_netlist.Netlist.cell_id -> int) ->
+  Educhip_netlist.Netlist.cell_id ->
+  Educhip_netlist.Netlist.cell ->
+  unit
+(** [add_cell s var_of id cell]: [cell]'s function over the variables
+    [var_of] gives [id] and its fanins — the gate-to-CNF encoder of BMC
+    and ATPG. Inputs and registers add nothing. *)

@@ -13,9 +13,15 @@
    C) draining "b" makes its next scrape fail (scrape.up = 0, a
       target-down rule fires the same tick) and its staleness crosses
       the window within one further tick;
-   D) `eduflow alerts` replays the log (exit 3 under --check while an
-      alert is still firing) and `eduflow top --once` against a dead
-      socket exits 1. *)
+   D) `eduflow top --once` on the loaded "a" renders its tenants, rejects
+      and SLO tiers from a one-target scrape; with --rules it shows the
+      alerts pane and logs exactly the transitions Scrape.step logs for
+      the same rules file; against a dead socket it exits 1. `eduflow
+      alerts` replays the log (exit 3 under --check while an alert is
+      still firing).
+
+   Every tick here, in `eduflow mon` and in `eduflow top` is the one
+   Scrape.step: scrape, evaluate the rules, append the transitions. *)
 
 module Wire = Educhip_serve.Wire
 module Ratelimit = Educhip_serve.Ratelimit
@@ -141,11 +147,10 @@ let () =
   let engine = Rules.create (Rules.parse_string ~source:"moncheck" rules_text) in
   let tick_results = Hashtbl.create 8 in
   let tick n =
-    let now_ms = float_of_int (1000 * n) in
-    let results = Scrape.tick scraper ~now_ms in
-    Hashtbl.replace tick_results n results;
-    let entries = Rules.eval engine db ~now_ms ~tick:n in
-    List.iter (Alertlog.append ~path:alert_log) entries
+    let results, _ =
+      Scrape.step ~alert_log scraper engine ~now_ms:(float_of_int (1000 * n)) ~tick:n
+    in
+    Hashtbl.replace tick_results n results
   in
 
   let c_a = Client.connect_unix (sock "a") in
@@ -228,6 +233,64 @@ let () =
     ((not (Scrape.up scraper ~now_ms:7000.0 ~staleness_window_ms:1500.0 "b"))
     && Scrape.staleness_ms scraper ~now_ms:7000.0 "b" = Some 2000.0);
   check "a still up" (Scrape.up scraper ~now_ms:7000.0 ~staleness_window_ms:1500.0 "a");
+
+  (* D: top against the loaded "a" — no jobs run from here to its drain,
+     so top and an in-process step see the same daemon state *)
+  let top args =
+    run_cli
+      (Printf.sprintf "%s top --once --socket %s%s" (Filename.quote eduflow)
+         (Filename.quote (sock "a")) args)
+  in
+  let after marker out =
+    let ml = String.length marker and ol = String.length out in
+    let rec go i =
+      if i + ml > ol then ""
+      else if String.sub out i ml = marker then String.sub out i (ol - i)
+      else go (i + 1)
+    in
+    go 0
+  in
+  let code_top_a, out = top "" in
+  let slo_pane = after "SLO error budgets" out in
+  check "top --once renders a's tenants, rejects, SLOs"
+    (code_top_a = 0 && contains "| course " out && contains "| uni-a " out
+    && contains "rate_limited 2" out && contains "| basic " slo_pane
+    && contains "| advanced " slo_pane && not (contains "Alerts" out));
+  let top_rules = tmp "top-rules.txt" and top_log = tmp "top-alerts.jsonl" in
+  let step_log = tmp "step-alerts.jsonl" in
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ top_log; step_log ];
+  Out_channel.with_open_text top_rules (fun oc ->
+      output_string oc
+        "alert top-rejects metric=stats.rejects{reason=rate_limited} fn=value op=>= \
+         value=1 for=0 resolve=0 severity=page\n\
+         alert top-failed metric=health.failed fn=value op=> value=0 for=0 resolve=0\n");
+  let code_top_r, out_r =
+    top
+      (Printf.sprintf " --rules %s --alert-log %s" (Filename.quote top_rules)
+         (Filename.quote top_log))
+  in
+  let one_target =
+    Scrape.create [ { Scrape.target_name = "default"; addr = sock "a" } ]
+  in
+  ignore
+    (Scrape.step ~alert_log:step_log one_target
+       (Rules.create (Rules.load ~path:top_rules))
+       ~now_ms:0.0 ~tick:0);
+  Scrape.close one_target;
+  let transitions path =
+    List.map
+      (fun (e : Alertlog.entry) ->
+        ( e.Alertlog.tick, e.Alertlog.rule, e.Alertlog.labels, e.Alertlog.state,
+          e.Alertlog.value, e.Alertlog.severity ))
+      (Alertlog.load ~path)
+  in
+  check "top --rules shows the alerts pane"
+    (code_top_r = 0 && contains "\nAlerts\n" out_r
+    && contains "FIRING   top-rejects{reason=rate_limited}" out_r
+    && contains "FIRING   top-failed" out_r);
+  check "top --alert-log = Scrape.step's transitions"
+    (transitions top_log <> [] && transitions top_log = transitions step_log);
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ top_rules; top_log; step_log ];
 
   Client.close c_a;
   Scrape.close scraper;

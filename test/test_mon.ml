@@ -512,6 +512,47 @@ let test_target_of_spec () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty addr accepted"
 
+(* the shared step with no daemon behind the target: the scrape fails,
+   scrape.up reads 0, and a liveness rule walks pending -> firing the
+   same tick, logged once per transition; a failed target keeps no
+   reports *)
+let test_step_dead_target () =
+  let path = Filename.temp_file "educhip-step" ".jsonl" in
+  let sock = Filename.temp_file "educhip-step" ".sock" in
+  Sys.remove sock;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Sys.remove path;
+      let s = Scrape.create [ { Scrape.target_name = "default"; addr = sock } ] in
+      let rules =
+        Rules.create
+          (Rules.parse_string
+             "alert down metric=scrape.up{target=default} fn=value op=< value=0.5 \
+              for=0 resolve=0 severity=page\n")
+      in
+      let results, entries = Scrape.step ~alert_log:path s rules ~now_ms:1000.0 ~tick:0 in
+      check bool_c "scrape failed" true
+        (match results with [ r ] -> (not r.Scrape.ok) && r.Scrape.error <> None | _ -> false);
+      check bool_c "no reports kept" true (Scrape.last_reports s "default" = None);
+      let shape =
+        List.map (fun (e : Alertlog.entry) -> (e.Alertlog.tick, e.Alertlog.rule, e.Alertlog.state))
+      in
+      check transitions "pending then firing"
+        [ (0, "down", Alertlog.Pending); (0, "down", Alertlog.Firing) ]
+        (shape entries);
+      check transitions "logged as returned" (shape entries) (shape (Alertlog.load ~path));
+      let _, again = Scrape.step s rules ~now_ms:2000.0 ~tick:1 in
+      check int_c "steady state emits nothing" 0 (List.length again);
+      check int_c "no log, no append" 2 (List.length (Alertlog.load ~path)))
+
+let test_show_labels () =
+  let ls = [ ("reason", "rate_limited"); ("target", "a") ] in
+  check Alcotest.string "braced" "{reason=rate_limited,target=a}" (Tsdb.show_labels ls);
+  check Alcotest.string "empty" "" (Tsdb.show_labels []);
+  check Alcotest.string "cell" "reason=rate_limited,target=a" (Tsdb.show_labels ~cell:true ls);
+  check Alcotest.string "empty cell" "-" (Tsdb.show_labels ~cell:true [])
+
 let suite =
   [
     Alcotest.test_case "tsdb basics" `Quick test_tsdb_basics;
@@ -535,4 +576,6 @@ let suite =
     Alcotest.test_case "exposition round trip" `Quick test_exposition_round_trip;
     Alcotest.test_case "relabel preserves incoming target" `Quick test_relabel;
     Alcotest.test_case "target specs" `Quick test_target_of_spec;
+    Alcotest.test_case "step on a dead target" `Quick test_step_dead_target;
+    Alcotest.test_case "show labels" `Quick test_show_labels;
   ]
