@@ -1,11 +1,11 @@
 module Netlist = Educhip_netlist.Netlist
 module Pdk = Educhip_pdk.Pdk
 module Place = Educhip_place.Place
-module Pqueue = Educhip_util.Pqueue
 module Obs = Educhip_obs.Obs
 module Fault = Educhip_fault.Fault
 
-let metric_names = [ "route.rrr_rounds"; "route.nets_ripped" ]
+let metric_names =
+  [ "route.rrr_rounds"; "route.nets_ripped"; "route.searches"; "route.expansions" ]
 
 let fault_sites = [ "route.negotiate" ]
 
@@ -61,6 +61,108 @@ let tile_of_cell placement ~nx ~ny ~tile id =
   let ty = max 0 (min (ny - 1) (int_of_float (y /. tile))) in
   (ty * nx) + tx
 
+(* {2 The A* frontier}
+
+   A binary min-heap of tile ids in parallel arrays: entry [i] is tile
+   [ids.(i)] at priority [prio.(i)], pushed as the [order.(i)]th entry
+   of the current search. Entries are ordered by (priority, insertion
+   order), so every key is unique and the pop sequence does not depend
+   on the heap's shape. A caller claims a slot with [frontier_slot],
+   writes the priority straight into [prio] and calls
+   [frontier_sift_up], so no float priority is boxed across a call; the
+   id and order arrays hold ints, so no write to them goes through the
+   write barrier. It lives here rather than in a shared module because
+   under [-opaque] nothing from another module is inlined. *)
+type frontier = {
+  mutable prio : float array;
+  mutable order : int array;
+  mutable ids : int array;
+  mutable size : int;
+  mutable pushed : int;
+}
+
+let frontier_create n =
+  { prio = Array.make n 0.0; order = Array.make n 0; ids = Array.make n 0; size = 0; pushed = 0 }
+
+let frontier_clear f =
+  f.size <- 0;
+  f.pushed <- 0
+
+(* Append tile [t] with the next insertion order and return its slot; the
+   caller writes the priority into [f.prio] and sifts the slot up. *)
+let frontier_slot f t =
+  if f.size = Array.length f.ids then begin
+    let grow a zero =
+      let b = Array.make (2 * Array.length a) zero in
+      Array.blit a 0 b 0 f.size;
+      b
+    in
+    f.prio <- grow f.prio 0.0;
+    f.order <- grow f.order 0;
+    f.ids <- grow f.ids 0
+  end;
+  let i = f.size in
+  f.order.(i) <- f.pushed;
+  f.ids.(i) <- t;
+  f.pushed <- f.pushed + 1;
+  f.size <- i + 1;
+  i
+
+(* The entry at [i] moves up: every greater parent moves down into the
+   hole until the entry fits. *)
+let frontier_sift_up f i =
+  let p = f.prio.(i) and o = f.order.(i) and t = f.ids.(i) in
+  let hole = ref i in
+  let rising = ref true in
+  while !rising && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    let q = f.prio.(parent) in
+    if p < q || (p = q && o < f.order.(parent)) then begin
+      f.prio.(!hole) <- q;
+      f.order.(!hole) <- f.order.(parent);
+      f.ids.(!hole) <- f.ids.(parent);
+      hole := parent
+    end
+    else rising := false
+  done;
+  f.prio.(!hole) <- p;
+  f.order.(!hole) <- o;
+  f.ids.(!hole) <- t
+
+(* Remove and return the least entry's tile. The hole left at the root
+   walks down to a leaf, the smaller child moving up into it at each
+   level; the last entry then fills the hole and sifts up. It belongs
+   near the bottom, so this takes about half the comparisons of sinking
+   it from the root. The frontier must not be empty. *)
+let frontier_pop f =
+  let top = f.ids.(0) in
+  let last = f.size - 1 in
+  f.size <- last;
+  if last > 0 then begin
+    let hole = ref 0 in
+    while (2 * !hole) + 1 < last do
+      let left = (2 * !hole) + 1 in
+      let right = left + 1 in
+      let child =
+        if right < last
+           &&
+           let ql = f.prio.(left) and qr = f.prio.(right) in
+           qr < ql || (qr = ql && f.order.(right) < f.order.(left))
+        then right
+        else left
+      in
+      f.prio.(!hole) <- f.prio.(child);
+      f.order.(!hole) <- f.order.(child);
+      f.ids.(!hole) <- f.ids.(child);
+      hole := child
+    done;
+    f.prio.(!hole) <- f.prio.(last);
+    f.order.(!hole) <- f.order.(last);
+    f.ids.(!hole) <- f.ids.(last);
+    frontier_sift_up f !hole
+  end;
+  top
+
 let route placement effort =
   if effort.rrr_rounds < 0 then invalid_arg "Route.route: rrr_rounds must be >= 0";
   let node = Place.node placement in
@@ -87,16 +189,20 @@ let route placement effort =
 
      Allocated once per call and indexed by tile id. A tile's [dist] and
      parent are valid only while its [seen] stamp equals the current
-     search; [owned] marks the tiles of the net being routed the same way,
-     so neither needs clearing between searches or nets. *)
+     search; [closed] holds the current search while the tile has been
+     expanded at its current [dist]; [owned] marks the tiles of the net
+     being routed the same way, so none needs clearing between searches
+     or nets. *)
   let dist = Array.make tiles 0.0 in
   let parent_tile = Array.make tiles (-1) in
   let parent_edge = Array.make tiles (-1) in
   let seen = Array.make tiles 0 in
+  let closed = Array.make tiles 0 in
   let search = ref 0 in
   let owned = Array.make tiles 0 in
   let net_stamp = ref 0 in
-  let frontier = Pqueue.create () in
+  let frontier = frontier_create tiles in
+  let expansions = ref 0 in
   (* {2 One driver-to-sink connection via congestion-aware A*}
 
      Sources are all tiles already owned by the net (cost 0), in the
@@ -112,36 +218,50 @@ let route placement effort =
     (* Manhattan distance to the target; an int, so that no float is boxed
        on its way back from a call *)
     let heuristic t = abs ((t mod nx) - tx) + abs ((t / nx) - ty) in
-    Pqueue.clear frontier;
+    frontier_clear frontier;
     List.iter
       (fun t ->
         seen.(t) <- stamp;
         dist.(t) <- 0.0;
         parent_tile.(t) <- -1;
-        Pqueue.push frontier ~priority:(float_of_int (heuristic t)) t)
+        let i = frontier_slot frontier t in
+        frontier.prio.(i) <- float_of_int (heuristic t);
+        frontier_sift_up frontier i)
       net_tiles;
-    (* [t]'s distance is read here rather than passed in, which would box it *)
+    (* [t]'s distance is read here rather than passed in, which would box
+       it; [Int.max] compares ints inline, where the polymorphic [max]
+       calls the runtime's generic comparison *)
     let relax t n eid =
       let nd =
         dist.(t)
         +. (1.0
            +. history.(eid)
-           +. (penalty *. float_of_int (max 0 (usage.(eid) + 1 - capacity))))
+           +. (penalty *. float_of_int (Int.max 0 (usage.(eid) + 1 - capacity))))
       in
       if seen.(n) <> stamp || nd < dist.(n) then begin
         seen.(n) <- stamp;
         dist.(n) <- nd;
+        closed.(n) <- 0;
         parent_tile.(n) <- t;
         parent_edge.(n) <- eid;
-        Pqueue.push frontier ~priority:(nd +. float_of_int (heuristic n)) n
+        let i = frontier_slot frontier n in
+        frontier.prio.(i) <- nd +. float_of_int (heuristic n);
+        frontier_sift_up frontier i
       end
     in
+    (* A popped tile already expanded at its current [dist] is skipped:
+       expanding it again would offer each neighbour the same [nd] it
+       was offered before, which no neighbour accepts, so the skip pushes
+       and changes nothing that the expansion would not. *)
     let rec run () =
-      if Pqueue.is_empty frontier then false
+      if frontier.size = 0 then false
       else begin
-        let t = Pqueue.pop_exn frontier in
+        let t = frontier_pop frontier in
         if t = target then true
+        else if closed.(t) = stamp then run ()
         else begin
+          closed.(t) <- stamp;
+          incr expansions;
           let x = t mod nx and y = t / nx in
           if x + 1 < nx then relax t (t + 1) (h_edge nx x y);
           if x - 1 >= 0 then relax t (t - 1) (h_edge nx (x - 1) y);
@@ -218,7 +338,7 @@ let route placement effort =
      congestion around before it resolves it, so the best solution seen
      (fewest overflows, then shortest wirelength) is kept. *)
   let total_overflow () =
-    Array.fold_left (fun acc u -> acc + max 0 (u - capacity)) 0 usage
+    Array.fold_left (fun acc u -> acc + Int.max 0 (u - capacity)) 0 usage
   in
   let total_edges () =
     List.fold_left (fun acc net -> acc + List.length net.edges) 0 nets
@@ -282,6 +402,10 @@ let route placement effort =
     Obs.with_span "route.negotiate"
       ~attrs:[ ("max_rounds", Obs.Int effort.rrr_rounds) ]
       (fun () -> negotiate 0)
+  end;
+  if obs_on then begin
+    Obs.add_counter "route.searches" !search;
+    Obs.add_counter "route.expansions" !expansions
   end;
   if (total_overflow (), total_edges ()) > !best_score then restore !best;
   let by_driver = Hashtbl.create 64 in

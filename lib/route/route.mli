@@ -12,9 +12,14 @@
     [y * nx + x], and edge ids index the boundaries between tiles. One
     call to {!route} allocates its search state once, as arrays indexed
     by tile id (distance, parent tile and edge, a search stamp that
-    invalidates them between searches, a stamp marking the tiles of the
-    net being routed) plus one priority queue of tile ids, and reuses
-    them for every connection of every net and negotiation round.
+    invalidates them between searches, a stamp marking the tiles already
+    expanded at their current distance, a stamp marking the tiles of the
+    net being routed) plus one frontier of tile ids, and reuses them for
+    every connection of every net and negotiation round. The frontier is
+    a binary heap private to this module, in parallel unboxed arrays
+    (float priority, insertion order, tile id), ordered by priority and
+    then insertion order; a popped tile already expanded at its current
+    distance is skipped, which cannot change the route.
 
     Results expose per-net routed wirelength (feeding STA wire delays),
     via counts, the congestion map, and remaining overflow (fed to DRC). *)
@@ -103,9 +108,9 @@ val restore : Educhip_place.Place.t -> snapshot -> t
 
 val metric_names : string list
 (** Counter families {!route} reports to [Educhip_obs.Obs] when
-    telemetry is enabled (negotiation rounds run, nets ripped up); the
-    post-pass overflow trajectory is additionally sampled into the
-    [route.overflow] histogram. *)
+    telemetry is enabled (negotiation rounds run, nets ripped up, A*
+    searches, tiles expanded by them); the post-pass overflow trajectory
+    is additionally sampled into the [route.overflow] histogram. *)
 
 val fault_sites : string list
 (** [Educhip_fault] probe sites inside this kernel: ["route.negotiate"]

@@ -1,8 +1,8 @@
 (** Mutable binary min-heap keyed by float priority.
 
-    Used by the A* maze router, the discrete-event simulator, and list
-    scheduling in HLS. Ties are broken by insertion order so that algorithm
-    behaviour is deterministic across runs. *)
+    Used by AIG balancing and the cloud-hub discrete-event simulator. Ties
+    are broken by insertion order so that algorithm behaviour is
+    deterministic across runs. *)
 
 type 'a t
 

@@ -4,6 +4,8 @@ module Synth = Educhip_synth.Synth
 module Pdk = Educhip_pdk.Pdk
 module Designs = Educhip_designs.Designs
 module Flow = Educhip_flow.Flow
+module Fault = Educhip_fault.Fault
+module Obs = Educhip_obs.Obs
 
 let check = Alcotest.check
 
@@ -24,9 +26,13 @@ let test_routes_connected () =
 
 let test_wirelength_positive () =
   let placement = placed "adder8" Place.default_effort in
-  let routed = Route.route placement Route.default_effort in
+  let c = Obs.create () in
+  let routed = Obs.with_collector c (fun () -> Route.route placement Route.default_effort) in
   check Alcotest.bool "positive wirelength" true (Route.wirelength_um routed > 0.0);
-  check Alcotest.bool "vias" true (Route.via_count routed > 0)
+  check Alcotest.bool "vias" true (Route.via_count routed > 0);
+  List.iter
+    (fun name -> check Alcotest.bool (name ^ " counted") true (Obs.counter_value c name > 0))
+    [ "route.searches"; "route.expansions" ]
 
 let test_wirelength_sums () =
   let placement = placed "adder8" Place.default_effort in
@@ -84,11 +90,9 @@ let test_grid_reasonable () =
   check Alcotest.bool "grid at least 2x2" true (nx >= 2 && ny >= 2);
   check Alcotest.bool "grid bounded" true (nx <= 256 && ny <= 256)
 
-(* The flow's own placement of a design under a preset, routed again at
-   the given effort. *)
-let flow_routed name preset effort =
-  let r = Flow.run_design (Designs.find name) (Flow.config ~node preset) in
-  Route.route r.Flow.placement effort
+(* The flow's own placement of a design under a preset. *)
+let flow_placement name preset =
+  (Flow.run_design (Designs.find name) (Flow.config ~node preset)).Flow.placement
 
 let edges_digest routed =
   let b = Buffer.create 4096 in
@@ -102,20 +106,25 @@ let edges_digest routed =
     (Route.snapshot routed).Route.rs_nets;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Exact routes of three designs on their flow placements: wirelength at
+let check_golden name label routed (wl, vias, overflow, digest) =
+  let tag what = Printf.sprintf "%s %s %s" name label what in
+  check Alcotest.string (tag "wirelength_um") wl
+    (Printf.sprintf "%.17g" (Route.wirelength_um routed));
+  check Alcotest.int (tag "via_count") vias (Route.via_count routed);
+  check Alcotest.int (tag "overflow") overflow (Route.overflow routed);
+  check Alcotest.string (tag "edges digest") digest (edges_digest routed)
+
+(* Exact routes of six designs on their flow placements: wirelength at
    %.17g, vias, overflow and a digest of every net's edge list (in
-   order). The router must reproduce these bit for bit; a deliberate
-   routing change updates them. *)
+   order). They cover the five flow-teaching designs at the teaching
+   preset's effort, and two open-preset designs that end with overflow,
+   so all four negotiation rounds run with non-integer costs. The last case
+   skips negotiation under a [Corrupt] arming. The router must reproduce
+   these bit for bit; a deliberate routing change updates them. *)
 let test_golden_routes () =
   List.iter
-    (fun (name, preset, (label, effort), (wl, vias, overflow, digest)) ->
-      let routed = flow_routed name preset effort in
-      let tag what = Printf.sprintf "%s %s %s" name label what in
-      check Alcotest.string (tag "wirelength_um") wl
-        (Printf.sprintf "%.17g" (Route.wirelength_um routed));
-      check Alcotest.int (tag "via_count") vias (Route.via_count routed);
-      check Alcotest.int (tag "overflow") overflow (Route.overflow routed);
-      check Alcotest.string (tag "edges digest") digest (edges_digest routed))
+    (fun (name, preset, (label, effort), golden) ->
+      check_golden name label (Route.route (flow_placement name preset) effort) golden)
     [
       ( "mult8",
         Flow.Teaching_flow,
@@ -137,7 +146,34 @@ let test_golden_routes () =
         Flow.Commercial_flow,
         ("high", Route.high_effort),
         ("3752.0000000000009", 557, 0, "9273cc75b8578563a780e3a2a802815e") );
-    ]
+      ( "acc_cpu8",
+        Flow.Teaching_flow,
+        ("low", Route.low_effort),
+        ("7109.3333333333367", 1147, 50, "635c1d37385af67a8bd9577b0fc4af74") );
+      ( "alu8",
+        Flow.Teaching_flow,
+        ("low", Route.low_effort),
+        ("7130.6666666666679", 1190, 57, "d5d3df8366f1d6ff0123b0eab03a7ff6") );
+      ( "bshift16",
+        Flow.Teaching_flow,
+        ("low", Route.low_effort),
+        ("5589.3333333333339", 840, 115, "e7059747b23574932a7978065103223b") );
+      ( "xbar4x8",
+        Flow.Open_flow,
+        ("default", Route.default_effort),
+        ("7106.6666666666661", 1178, 6, "7388ad64184fd09a5191061e46a49863") );
+      ( "chain64",
+        Flow.Open_flow,
+        ("default", Route.default_effort),
+        ("623.99999999999977", 152, 1, "b0360170afdfd9f38fa677427bf5d0b2") );
+    ];
+  let placement = flow_placement "mult8" Flow.Teaching_flow in
+  let routed =
+    Fault.with_plan ~seed:1 [ Fault.arming "route.negotiate" Fault.Corrupt ] (fun () ->
+        Route.route placement Route.default_effort)
+  in
+  check_golden "mult8" "corrupt" routed
+    ("11616", 1457, 189, "2c03ef692e22e7227d1713c52616a589")
 
 (* A routed net is a tree over its tiles whose every branch ends at a
    pin, so dropping any one edge disconnects it: checked for each routed
