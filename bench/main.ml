@@ -1,18 +1,18 @@
 (* Experiment harness: regenerates every quantitative claim of the paper
-   (experiments E1-E10 in DESIGN.md) plus the ablations A1-A3, then runs
-   Bechamel micro-benchmarks of the flow engines.
+   (experiments E1-E10 in DESIGN.md), the ablations A1-A4 and the
+   extensions X1-X6, then the flow's PPA record with its tracing-overhead
+   gate and the fault matrix. Each mode flag runs one bench alone
+   (--flow-only, --faults, --serve, --chaos, --incr); every one of them
+   checks a property and exits 1 when it fails. Timing the flow engines
+   and the service is perfbench's job (perfbench/run.py), not this one's.
 
-   Run with: dune exec bench/main.exe
-   Pass --no-micro to skip the Bechamel section (CI-friendly). *)
+   Run with: dune exec bench/main.exe *)
 
 module Pdk = Educhip_pdk.Pdk
 module Flow = Educhip_flow.Flow
 module Synth = Educhip_synth.Synth
 module Place = Educhip_place.Place
 module Route = Educhip_route.Route
-module Timing = Educhip_timing.Timing
-module Sim = Educhip_sim.Sim
-module Aig = Educhip_aig.Aig
 module Netlist = Educhip_netlist.Netlist
 module Designs = Educhip_designs.Designs
 module Market = Educhip.Market
@@ -27,12 +27,10 @@ module Table = Educhip_util.Table
 module Stats = Educhip_util.Stats
 module Obs = Educhip_obs.Obs
 module Jsonout = Educhip_obs.Jsonout
-module Runlog = Educhip_obs.Runlog
 module Tracectx = Educhip_obs.Tracectx
 module Fault = Educhip_fault.Fault
 module Guard = Educhip_fault.Guard
 module Mclock = Educhip_util.Mclock
-module Manifest = Educhip_sched.Manifest
 module Cache = Educhip_sched.Cache
 module Sched = Educhip_sched.Sched
 module Artifact = Educhip_artifact.Artifact
@@ -44,7 +42,6 @@ module Listener = Educhip_serve.Listener
 module Scrape = Educhip_mon.Scrape
 module Client = Educhip_serve.Client
 module Chaos = Educhip_serve.Chaos
-module Daemon = Educhip_serve.Daemon
 module Files = Educhip_util.Files
 
 let node130 = Pdk.find_node "edu130"
@@ -830,147 +827,38 @@ let x6_node_scaling () =
      leakage share of total power grows - the classic scaling story, and\n\
      the reason the advanced-node access the paper discusses matters."
 
-(* Bechamel micro-benchmarks of the flow engines. *)
-let micro_benchmarks () =
-  banner "MICRO" "Bechamel throughput of the flow engines (alu8 @ edu130)";
-  let open Bechamel in
-  let nl () = Designs.netlist (Designs.find "alu8") in
-  let prepared = nl () in
-  let mapped, _ = Synth.synthesize prepared ~node:node130 Synth.default_options in
-  let placement = Place.place mapped ~node:node130 Place.default_effort in
-  let routed = Route.route placement Route.default_effort in
-  let sim = Sim.create mapped in
-  let tests =
-    [
-      Test.make ~name:"elaborate" (Staged.stage (fun () -> ignore (nl ())));
-      Test.make ~name:"aig-extract"
-        (Staged.stage (fun () -> ignore (Aig.of_netlist prepared)));
-      Test.make ~name:"synthesize"
-        (Staged.stage (fun () ->
-             ignore (Synth.synthesize prepared ~node:node130 Synth.default_options)));
-      Test.make ~name:"place"
-        (Staged.stage (fun () ->
-             ignore (Place.place mapped ~node:node130 Place.default_effort)));
-      Test.make ~name:"route"
-        (Staged.stage (fun () -> ignore (Route.route placement Route.default_effort)));
-      Test.make ~name:"sta"
-        (Staged.stage (fun () ->
-             ignore
-               (Timing.analyze mapped ~node:node130
-                  ~wire_length_of_net:(fun id -> Route.net_wirelength_um routed id)
-                  ~clock_period_ps:2000.0 ())));
-      Test.make ~name:"simulate-100-cycles"
-        (Staged.stage (fun () -> Sim.run_cycles sim 100));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"flow" tests) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let analyzed = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name stats acc -> (name, stats) :: acc) analyzed [] in
-  List.iter
-    (fun (name, stats) ->
-      match Analyze.OLS.estimates stats with
-      | Some [ est ] -> Printf.printf "%-28s %14.1f ns/run\n" name est
-      | Some _ | None -> Printf.printf "%-28s (no estimate)\n" name)
-    (List.sort compare rows)
-
-(* Flow telemetry: run every E6 design under each preset with a collector
-   installed, dump per-step wall times (and final PPA) to BENCH_flow.json,
-   append every run to the BENCH_runs.jsonl ledger, report deltas against
-   the previous ledger entries, then measure that the disabled-telemetry
-   probes cost nothing. *)
+(* Flow record: run every E6 design under each preset and write its PPA
+   to BENCH_flow.json, then gate the cost of the telemetry probes. Per-step
+   flow timings are perfbench's (flow-commercial, flow-teaching), which
+   repeats each run and reports its spread. *)
 let flow_telemetry () =
-  banner "FLOW" "per-step wall times -> BENCH_flow.json + BENCH_runs.jsonl ledger";
-  let ledger_path = "BENCH_runs.jsonl" in
-  let history = Runlog.load ~path:ledger_path in
+  banner "FLOW" "per-design PPA + tracing overhead gate -> BENCH_flow.json";
   let presets =
     [ (Flow.Open_flow, "open");
       (Flow.Commercial_flow, "commercial");
       (Flow.Teaching_flow, "teaching") ]
   in
-  let deltas = ref [] in
   let runs =
     List.concat_map
       (fun (preset, preset_label) ->
         List.map
           (fun name ->
-            let entry = Designs.find name in
-            let c = Obs.create () in
-            let outcome =
-              Obs.with_collector c (fun () ->
-                  Flow.run_guarded (Designs.netlist entry)
-                    (Flow.config ~node:node130 preset))
-            in
-            let r =
-              match outcome with
-              | Flow.Completed r -> r
+            let ppa =
+              match
+                Flow.run_guarded (Designs.netlist (Designs.find name))
+                  (Flow.config ~node:node130 preset)
+              with
+              | Flow.Completed r -> r.Flow.ppa
               | Flow.Aborted a ->
                 failwith (a.Flow.failed_step ^ ": " ^ a.Flow.failure_reason)
             in
-            let total_ms =
-              List.fold_left
-                (fun acc root -> acc +. Obs.span_duration_ms root)
-                0.0 (Obs.root_spans c)
-            in
-            let record =
-              Flow.ledger_record ~design:name ~node:"edu130" ~preset:preset_label
-                outcome
-            in
-            Runlog.append ~path:ledger_path record;
-            (* wall-time trajectory: this run vs the previous ledger entry
-               for the same (design, preset) *)
-            (match
-               Runlog.matching ~design:name ~node:"edu130" ~preset:preset_label
-                 history
-               |> Runlog.last
-             with
-            | Some prev ->
-              let prev_ms = prev.Runlog.total_wall_ms in
-              let pct =
-                if prev_ms > 0.0 then (total_ms -. prev_ms) /. prev_ms *. 100.0
-                else 0.0
-              in
-              deltas :=
-                Jsonout.Obj
-                  [ ("design", Jsonout.String name);
-                    ("preset", Jsonout.String preset_label);
-                    ("prev_total_ms", Jsonout.Float prev_ms);
-                    ("total_ms", Jsonout.Float total_ms);
-                    ("delta_pct", Jsonout.Float pct) ]
-                :: !deltas;
-              Printf.printf "  %-10s %-10s %8.2f ms  (%+.1f%% vs last bench)\n" name
-                preset_label total_ms pct
-            | None -> Printf.printf "  %-10s %-10s %8.2f ms\n" name preset_label total_ms);
-            let steps =
-              List.map
-                (fun s ->
-                  Jsonout.Obj
-                    [ ("step", Jsonout.String s.Flow.step_name);
-                      ( "wall_ms",
-                        match s.Flow.wall_ms with
-                        | Some ms -> Jsonout.Float ms
-                        | None -> Jsonout.Null ) ])
-                r.Flow.steps
-            in
+            Printf.printf "  %-10s %-10s fmax %7.1f MHz  area %7.0f um2  power %7.1f uW\n"
+              name preset_label ppa.Flow.fmax_mhz ppa.Flow.area_um2 ppa.Flow.total_power_uw;
             Jsonout.Obj
               [ ("design", Jsonout.String name);
                 ("preset", Jsonout.String preset_label);
                 ("node", Jsonout.String "edu130");
-                ("total_ms", Jsonout.Float total_ms);
-                ("steps", Jsonout.List steps);
-                ( "ppa",
-                  Jsonout.Obj
-                    [ ("area_um2", Jsonout.Float r.Flow.ppa.Flow.area_um2);
-                      ("cells", Jsonout.Int r.Flow.ppa.Flow.cells);
-                      ("fmax_mhz", Jsonout.Float r.Flow.ppa.Flow.fmax_mhz);
-                      ("wns_ps", Jsonout.Float r.Flow.ppa.Flow.wns_ps);
-                      ("total_power_uw", Jsonout.Float r.Flow.ppa.Flow.total_power_uw);
-                      ("wirelength_um", Jsonout.Float r.Flow.ppa.Flow.wirelength_um);
-                      ("drc_clean", Jsonout.Bool r.Flow.ppa.Flow.drc_clean) ] ) ])
+                ("ppa", Cache.ppa_to_json ppa) ])
           e6_designs)
       presets
   in
@@ -1040,7 +928,6 @@ let flow_telemetry () =
   Jsonout.write_file ~path:"BENCH_flow.json"
     (Jsonout.Obj
        [ ("runs", Jsonout.List runs);
-         ("deltas", Jsonout.List (List.rev !deltas));
          ( "telemetry_overhead",
            Jsonout.Obj
              [ ("rounds", Jsonout.Int rounds);
@@ -1052,8 +939,7 @@ let flow_telemetry () =
                ("noise_floor_pct", Jsonout.Float noise_floor_pct);
                ("limit_pct", Jsonout.Float overhead_limit_pct);
                ("verdict", Jsonout.String verdict) ] ) ]);
-  Printf.printf "wrote BENCH_flow.json (%d runs, %d deltas) and %d ledger records\n"
-    (List.length runs) (List.length !deltas) (List.length runs);
+  Printf.printf "wrote BENCH_flow.json (%d runs)\n" (List.length runs);
   if verdict = "FAIL" then begin
     Printf.printf "flow_telemetry: tracing overhead %.2f%% exceeds %.0f%%\n"
       overhead_pct overhead_limit_pct;
@@ -1136,378 +1022,189 @@ let fault_matrix () =
            Jsonout.Float (float_of_int deterministic /. float_of_int n) ) ]);
   Printf.printf "wrote BENCH_faults.json (%d cells)\n" n
 
-(* Campaign scheduler: the same 12-job multi-tenant manifest serially
-   (1 worker, cold cache), in parallel (4 workers, cold cache), and warm
-   (4 workers, the parallel run's cache) -> BENCH_batch.json. *)
-let batch_bench () =
-  banner "BATCH" "campaign makespans: serial vs parallel vs warm cache -> BENCH_batch.json";
-  let manifest =
-    Manifest.parse_string ~source:"bench-batch"
-      {|
-tenant uni-a weight=2
-tenant uni-b weight=1
-tenant course weight=1
-gray8   tenant=uni-a
-adder8  tenant=uni-a preset=commercial
-mult4   tenant=uni-a priority=2
-lfsr16  tenant=uni-a preset=teaching
-counter tenant=uni-b
-cmp16   tenant=uni-b preset=commercial
-prio16  tenant=uni-b
-popcount16 tenant=uni-b preset=teaching
-counter tenant=course preset=teaching repeat=2
-gray8   tenant=course preset=teaching repeat=2
-|}
-  in
-  let njobs = List.length manifest.Manifest.jobs in
-  let dir_serial = "BENCH_batch_cache_serial" in
-  let dir_par = "BENCH_batch_cache_parallel" in
-  Files.rm_rf dir_serial;
-  Files.rm_rf dir_par;
-  let campaign ~workers ~dir =
-    snd (Sched.run ~workers ~cache:(Cache.create ~dir ()) manifest)
-  in
-  let serial = campaign ~workers:1 ~dir:dir_serial in
-  let workers = min 4 (Sched.default_workers ()) in
-  let parallel = campaign ~workers ~dir:dir_par in
-  let warm = campaign ~workers ~dir:dir_par in
-  Files.rm_rf dir_serial;
-  Files.rm_rf dir_par;
-  let hit_rate (s : Sched.summary) =
-    let total = s.Sched.cache_hits + s.Sched.cache_misses in
-    if total = 0 then 0.0 else float_of_int s.Sched.cache_hits /. float_of_int total
-  in
-  let line label (s : Sched.summary) =
-    Printf.printf "%-22s %2d workers  makespan %8.1f ms  hit rate %3.0f%%\n" label
-      s.Sched.workers s.Sched.makespan_ms (100.0 *. hit_rate s)
-  in
-  line "serial cold" serial;
-  line "parallel cold" parallel;
-  line "parallel warm" warm;
-  Printf.printf "parallel speedup %.2fx, warm-cache speedup %.1fx (over serial cold)\n"
-    (serial.Sched.makespan_ms /. parallel.Sched.makespan_ms)
-    (serial.Sched.makespan_ms /. warm.Sched.makespan_ms);
-  Jsonout.write_file ~path:"BENCH_batch.json"
-    (Jsonout.Obj
-       [ ("jobs", Jsonout.Int njobs);
-         ("workers", Jsonout.Int workers);
-         ("serial_ms", Jsonout.Float serial.Sched.makespan_ms);
-         ("parallel_ms", Jsonout.Float parallel.Sched.makespan_ms);
-         ("warm_ms", Jsonout.Float warm.Sched.makespan_ms);
-         ( "parallel_speedup",
-           Jsonout.Float (serial.Sched.makespan_ms /. parallel.Sched.makespan_ms) );
-         ( "warm_speedup",
-           Jsonout.Float (serial.Sched.makespan_ms /. warm.Sched.makespan_ms) );
-         ("cold_hit_rate", Jsonout.Float (hit_rate parallel));
-         ("warm_hit_rate", Jsonout.Float (hit_rate warm));
-         ("summary_serial", Sched.summary_json serial);
-         ("summary_parallel", Sched.summary_json parallel);
-         ("summary_warm", Sched.summary_json warm) ]);
-  Printf.printf "wrote BENCH_batch.json (%d jobs)\n" njobs
-
-(* Service load test: an in-process eduserved on a temp Unix socket,
-   closed-loop clients at 1/4/16-way concurrency submitting a two-tenant
-   job mix (advanced uni-a, basic course) and awaiting each result ->
-   BENCH_serve.json with throughput, p50/p99 end-to-end latency, reject
-   rate, and cache-hit rate per concurrency level. *)
+(* Scrape-overhead gate: the 1 s poller `eduflow mon` attaches to a
+   production daemon must be close to free. An in-process eduserved on a
+   temp Unix socket stays under continuous warm closed-loop load (every
+   spec is cached before the first timed slice, so each round trip is
+   wire + admission work — the path most exposed to a scraper stealing
+   server time) while a scraper in its own domain (it is a separate
+   process in deployment) hits health/stats/metrics at the start of every
+   even 500 ms slice, i.e. once a second. Comparing jobs completed in
+   scraped (even) slices against their adjacent plain (odd) slices
+   cancels machine drift that sequential whole-arm comparison cannot: the
+   gate fails when the scraped slices lose more than 2% throughput ->
+   BENCH_serve.json. Server-side job accounting uses Obs.snapshot_diff —
+   the one sanctioned between-two-readings subtraction, shared with
+   Tsdb's delta/rate — instead of copying counters by hand. Service
+   throughput and latency are perfbench's serve-course workload. *)
 let serve_bench () =
-  banner "SERVE"
-    "flow service under closed-loop load: 1/4/16 clients -> BENCH_serve.json";
+  banner "SERVE" "scrape overhead under warm closed-loop load -> BENCH_serve.json";
   let cache_dir = "BENCH_serve_cache" in
   Files.rm_rf cache_dir;
-  let workers = min 4 (Sched.default_workers ()) in
-  (* six distinct specs cycled over every submission: the first level
-     populates the cache, later levels exercise warm admission serves *)
   let specs =
-    [
-      ("counter", "open", "uni-a");
-      ("gray8", "open", "course");
-      ("lfsr16", "teaching", "uni-a");
-      ("adder8", "open", "course");
-      ("mult4", "open", "uni-a");
-      ("popcount16", "teaching", "course");
-    ]
-  in
-  let jobs_per_level = 24 in
-  let socket = Filename.concat (Filename.get_temp_dir_name ()) "educhip-bench-serve.sock" in
-  (* basic tier kept tight (course tenant) so the 16-client level drives
-     real quota/backpressure rejections through the retry loop *)
-  let cfg =
-    {
-      Server.default_config with
-      Server.workers;
-      max_queue = 24;
-      basic = { Ratelimit.rate_per_s = 20.0; burst = 10.0; max_inflight = 6; fair_weight = 1.0 };
-      advanced =
-        { Ratelimit.rate_per_s = 50.0; burst = 32.0; max_inflight = 16; fair_weight = 2.0 };
-      tiers = [ ("uni-a", Ratelimit.Advanced) ];
-      cache = Some (Cache.create ~dir:cache_dir ());
-    }
-  in
-  let run_level clients =
-    let server = Server.create cfg in
-    let listen_fd = Listener.listen_unix ~path:socket in
-    let server_thread = Thread.create (fun () -> Server.serve server listen_fd) () in
-    let mutex = Mutex.create () in
-    let latencies = ref [] in
-    (* server-reported split of each completed job's latency: time spent
-       queued behind the admission bound vs time on a worker *)
-    let queue_waits = ref [] in
-    let services = ref [] in
-    let completed = ref 0 in
-    let cache_served = ref 0 in
-    let rejects = ref 0 in
-    let next = ref 0 in
-    (* every 4th submission gets a level-unique fault seed — a cold job
-       the cache has never seen — so each level mixes real flow
-       executions with warm serves instead of going 100% warm *)
-    let take_spec () =
-      Mutex.protect mutex (fun () ->
-          if !next >= jobs_per_level then None
-          else begin
-            let i = !next in
-            incr next;
-            let s = List.nth specs (i mod List.length specs) in
-            let seed = if i mod 4 = 3 then (1000 * clients) + i else 1 in
-            Some (s, seed)
-          end)
-    in
-    let client_loop () =
-      let c = Client.connect_unix socket in
-      let rec drive () =
-        match take_spec () with
-        | None -> ()
-        | Some ((design, preset, tenant), fault_seed) ->
-          let spec = { (Wire.submit ~tenant design) with Wire.preset; fault_seed } in
-          let t0 = Mclock.now_ms () in
-          (* closed loop with retry: a rejected submit backs off and
-             resubmits, and the retries stay inside the job's latency *)
-          let rec submit_until_accepted () =
-            match Client.submit c spec with
-            | Ok (Wire.Accepted { id; cached; _ }) -> Some (id, cached)
-            | Ok (Wire.Rejected { retry_after_ms; _ }) ->
-              Mutex.protect mutex (fun () -> incr rejects);
-              Thread.delay (Option.value retry_after_ms ~default:20.0 /. 1000.0);
-              submit_until_accepted ()
-            | Ok _ | Error _ -> None
-          in
-          (match submit_until_accepted () with
-          | None -> ()
-          | Some (id, cached) -> (
-            match if cached then Client.request c (Wire.Result id) else Client.await c id with
-            | Ok (Wire.Job_result { from_cache; wait_ms; exec_ms; _ }) ->
-              let ms = Mclock.elapsed_ms t0 in
-              Mutex.protect mutex (fun () ->
-                  latencies := ms :: !latencies;
-                  queue_waits := wait_ms :: !queue_waits;
-                  services := exec_ms :: !services;
-                  incr completed;
-                  if from_cache then incr cache_served)
-            | _ -> ()));
-          drive ()
-      in
-      drive ();
-      Client.close c
-    in
-    let t0 = Mclock.now_ms () in
-    let threads = List.init clients (fun _ -> Thread.create client_loop ()) in
-    List.iter Thread.join threads;
-    let wall_ms = Mclock.elapsed_ms t0 in
-    let drain = Client.connect_unix socket in
-    ignore (Client.request drain Wire.Drain);
-    Client.close drain;
-    Thread.join server_thread;
-    Unix.close listen_fd;
-    if Sys.file_exists socket then Sys.remove socket;
-    let completed = !completed and rejects = !rejects and cache_served = !cache_served in
-    let throughput = float_of_int completed /. (wall_ms /. 1000.0) in
-    let p50 = Stats.percentile 50.0 !latencies in
-    let p99 = Stats.percentile 99.0 !latencies in
-    let pct p xs = if xs = [] then 0.0 else Stats.percentile p xs in
-    let wait_p50 = pct 50.0 !queue_waits and wait_p99 = pct 99.0 !queue_waits in
-    let svc_p50 = pct 50.0 !services and svc_p99 = pct 99.0 !services in
-    let attempts = completed + rejects in
-    let reject_rate =
-      if attempts = 0 then 0.0 else float_of_int rejects /. float_of_int attempts
-    in
-    let hit_rate =
-      if completed = 0 then 0.0 else float_of_int cache_served /. float_of_int completed
-    in
-    Printf.printf
-      "%2d clients  %2d/%d jobs  %6.1f ms wall  %5.2f jobs/s  p50 %7.1f ms  p99 %7.1f \
-       ms  rejects %3d (%2.0f%%)  cache %3.0f%%\n%!"
-      clients completed jobs_per_level wall_ms throughput p50 p99 rejects
-      (100.0 *. reject_rate) (100.0 *. hit_rate);
-    Printf.printf
-      "            queue-wait p50 %7.1f ms  p99 %7.1f ms   service p50 %7.1f ms  p99 \
-       %7.1f ms\n%!"
-      wait_p50 wait_p99 svc_p50 svc_p99;
-    Jsonout.Obj
+    List.map
+      (fun (design, preset, tenant) ->
+        { (Wire.submit ~tenant design) with Wire.preset; fault_seed = 1 })
       [
-        ("clients", Jsonout.Int clients);
-        ("jobs", Jsonout.Int completed);
-        ("wall_ms", Jsonout.Float wall_ms);
-        ("throughput_jobs_per_s", Jsonout.Float throughput);
-        ("latency_p50_ms", Jsonout.Float p50);
-        ("latency_p99_ms", Jsonout.Float p99);
-        ("queue_wait_p50_ms", Jsonout.Float wait_p50);
-        ("queue_wait_p99_ms", Jsonout.Float wait_p99);
-        ("service_p50_ms", Jsonout.Float svc_p50);
-        ("service_p99_ms", Jsonout.Float svc_p99);
-        ("rejects", Jsonout.Int rejects);
-        ("reject_rate", Jsonout.Float reject_rate);
-        ("cache_hit_rate", Jsonout.Float hit_rate);
+        ("counter", "open", "uni-a");
+        ("gray8", "open", "course");
+        ("lfsr16", "teaching", "uni-a");
+        ("adder8", "open", "course");
+        ("mult4", "open", "uni-a");
+        ("popcount16", "teaching", "course");
       ]
   in
-  let levels = List.map run_level [ 1; 4; 16 ] in
-  (* Scrape-overhead gate: the 1 s poller `eduflow mon` attaches to a
-     production daemon must be close to free. One server stays under
-     continuous warm closed-loop load (every spec is cached by the
-     levels above, so each round trip is wire + admission work — the
-     path most exposed to a scraper stealing server time) while a
-     scraper in its own domain (it is a separate process in deployment)
-     hits health/stats/metrics at the start of every even 500 ms slice,
-     i.e. once a second. Comparing jobs completed in scraped (even)
-     slices against their adjacent plain (odd) slices cancels machine
-     drift that sequential whole-arm comparison cannot: the gate fails
-     when the scraped slices lose more than 2% throughput. Server-side
-     job accounting uses Obs.snapshot_diff — the one sanctioned
-     between-two-readings subtraction, shared with Tsdb's delta/rate —
-     instead of copying counters by hand. *)
+  let socket = Filename.concat (Filename.get_temp_dir_name ()) "educhip-bench-serve.sock" in
   let overhead_limit_pct = 2.0 in
   let slice_ms = 500.0 in
   let n_slices = 24 in
   let warmup_slices = 2 in
   let overhead_clients = 4 in
-  (* roomy admission limits: the tight tier config above would throttle
-     the load to the token rate and hide any scraper cost *)
-  let overhead_cfg =
+  (* roomy admission limits: tight tiers would throttle the load to the
+     token rate and hide any scraper cost *)
+  let cfg =
     {
-      cfg with
-      Server.max_queue = 64;
+      Server.default_config with
+      Server.workers = min 4 (Sched.default_workers ());
+      max_queue = 64;
       basic =
         { Ratelimit.rate_per_s = 10000.0; burst = 2000.0; max_inflight = 64; fair_weight = 1.0 };
       advanced =
         { Ratelimit.rate_per_s = 10000.0; burst = 2000.0; max_inflight = 64; fair_weight = 2.0 };
+      tiers = [ ("uni-a", Ratelimit.Advanced) ];
+      cache = Some (Cache.create ~dir:cache_dir ());
     }
+  in
+  (* one closed-loop round trip: a submission the cache answered at
+     admission is fetched with [Result], any other accepted job awaited *)
+  let round_trip c spec =
+    match Client.submit c spec with
+    | Ok (Wire.Accepted { id; cached; _ }) -> (
+      match if cached then Client.request c (Wire.Result id) else Client.await c id with
+      | Ok (Wire.Job_result _) -> `Done
+      | _ -> `Failed)
+    | Ok (Wire.Rejected { retry_after_ms; _ }) -> `Rejected retry_after_ms
+    | Ok _ | Error _ -> `Failed
   in
   Printf.printf
     "scrape overhead: %d warm closed-loop clients, %d x %.0f ms slices, scrape on even \
      slices (1 s cadence)\n%!"
     overhead_clients n_slices slice_ms;
   let run_overhead () =
-  let server = Server.create overhead_cfg in
-  let listen_fd = Listener.listen_unix ~path:socket in
-  let server_thread = Thread.create (fun () -> Server.serve server listen_fd) () in
-  let snap0 = Option.map Obs.snapshot (Obs.installed ()) in
-  let slice_jobs = Array.make n_slices 0 in
-  let mutex = Mutex.create () in
-  let t0 = Mclock.now_ms () in
-  let deadline = t0 +. (float_of_int n_slices *. slice_ms) in
-  let scraper =
-    Domain.spawn (fun () ->
-        let s = Scrape.create [ { Scrape.target_name = "bench"; addr = socket } ] in
-        let scrapes = ref 0 in
-        let samples = ref 0 in
-        let rec go k =
-          let at = t0 +. (float_of_int (2 * k) *. slice_ms) in
-          if at < deadline then begin
-            let wait = (at -. Mclock.now_ms ()) /. 1000.0 in
-            if wait > 0.0 then Thread.delay wait;
-            let results = Scrape.tick s ~now_ms:(Mclock.now_ms ()) in
-            incr scrapes;
-            List.iter (fun r -> samples := !samples + r.Scrape.samples) results;
-            go (k + 1)
-          end
-        in
-        go 0;
-        Scrape.close s;
-        (!scrapes, !samples))
-  in
-  let client_loop idx =
-    let c = Client.connect_unix socket in
-    let rec drive i =
-      if Mclock.now_ms () < deadline then begin
-        let design, preset, tenant = List.nth specs ((idx + i) mod List.length specs) in
-        let spec = { (Wire.submit ~tenant design) with Wire.preset; fault_seed = 1 } in
-        (match Client.submit c spec with
-        | Ok (Wire.Accepted { id; cached; _ }) -> (
-          match if cached then Client.request c (Wire.Result id) else Client.await c id with
-          | Ok (Wire.Job_result _) ->
+    let server = Server.create cfg in
+    let listen_fd = Listener.listen_unix ~path:socket in
+    let server_thread = Thread.create (fun () -> Server.serve server listen_fd) () in
+    let warm = Client.connect_unix socket in
+    List.iter
+      (fun spec ->
+        if round_trip warm spec <> `Done then
+          failwith ("serve: warming the cache with " ^ spec.Wire.design ^ " failed"))
+      specs;
+    Client.close warm;
+    let snap0 = Option.map Obs.snapshot (Obs.installed ()) in
+    let slice_jobs = Array.make n_slices 0 in
+    let mutex = Mutex.create () in
+    let t0 = Mclock.now_ms () in
+    let deadline = t0 +. (float_of_int n_slices *. slice_ms) in
+    let scraper =
+      Domain.spawn (fun () ->
+          let s = Scrape.create [ { Scrape.target_name = "bench"; addr = socket } ] in
+          let scrapes = ref 0 in
+          let samples = ref 0 in
+          let rec go k =
+            let at = t0 +. (float_of_int (2 * k) *. slice_ms) in
+            if at < deadline then begin
+              let wait = (at -. Mclock.now_ms ()) /. 1000.0 in
+              if wait > 0.0 then Thread.delay wait;
+              let results = Scrape.tick s ~now_ms:(Mclock.now_ms ()) in
+              incr scrapes;
+              List.iter (fun r -> samples := !samples + r.Scrape.samples) results;
+              go (k + 1)
+            end
+          in
+          go 0;
+          Scrape.close s;
+          (!scrapes, !samples))
+    in
+    let client_loop idx =
+      let c = Client.connect_unix socket in
+      let rec drive i =
+        if Mclock.now_ms () < deadline then begin
+          (match round_trip c (List.nth specs ((idx + i) mod List.length specs)) with
+          | `Done ->
             let slice = int_of_float ((Mclock.now_ms () -. t0) /. slice_ms) in
             if slice >= 0 && slice < n_slices then
               Mutex.protect mutex (fun () -> slice_jobs.(slice) <- slice_jobs.(slice) + 1)
-          | _ -> ())
-        | Ok (Wire.Rejected { retry_after_ms; _ }) ->
-          Thread.delay (Option.value retry_after_ms ~default:5.0 /. 1000.0)
-        | Ok _ | Error _ -> ());
-        drive (i + 1)
-      end
+          | `Rejected retry_after_ms ->
+            Thread.delay (Option.value retry_after_ms ~default:5.0 /. 1000.0)
+          | `Failed -> ());
+          drive (i + 1)
+        end
+      in
+      drive 0;
+      Client.close c
     in
-    drive 0;
-    Client.close c
-  in
-  let threads = List.init overhead_clients (fun i -> Thread.create client_loop i) in
-  List.iter Thread.join threads;
-  let n_scrapes, n_samples = Domain.join scraper in
-  let drain = Client.connect_unix socket in
-  (* a Metrics request syncs the server's tallies into the collector so
-     the snapshot diff below sees this run's counters *)
-  ignore (Client.request drain Wire.Metrics);
-  let snap1 = Option.map Obs.snapshot (Obs.installed ()) in
-  ignore (Client.request drain Wire.Drain);
-  Client.close drain;
-  Thread.join server_thread;
-  Unix.close listen_fd;
-  if Sys.file_exists socket then Sys.remove socket;
-  let server_completed =
-    match (snap0, snap1) with
-    | Some earlier, Some later ->
-      List.fold_left
-        (fun acc (name, _labels, v) ->
-          if name = "serve.jobs_completed" then acc + int_of_float v else acc)
-        0
-        (Obs.snapshot_diff earlier later)
-    | _ -> Array.fold_left ( + ) 0 slice_jobs
-  in
-  let measured = ref [] in
-  for i = n_slices - 1 downto warmup_slices do
-    measured := (i, slice_jobs.(i)) :: !measured
-  done;
-  let mean parity =
-    let xs = List.filter (fun (i, _) -> i mod 2 = parity) !measured in
-    if xs = [] then 0.0
-    else
-      List.fold_left (fun acc (_, n) -> acc +. float_of_int n) 0.0 xs
-      /. float_of_int (List.length xs)
-  in
-  let per_s mean_jobs = mean_jobs /. (slice_ms /. 1000.0) in
-  let scraped_tp = per_s (mean 0) in
-  let plain_tp = per_s (mean 1) in
-  (* the gate statistic: median over adjacent (scraped, plain) slice
-     pairs of the relative loss. Slice throughput on a shared machine
-     has deep one-off dips (GC, noisy neighbors) that land on either
-     parity and dominate a mean; the paired median only moves when
-     scraped slices are consistently slower than their neighbors *)
-  let pair_losses =
-    List.filter_map
-      (fun (i, s) ->
-        if i mod 2 = 0 then
-          match List.assoc_opt (i + 1) !measured with
-          | Some p when p > 0 ->
-            Some ((float_of_int p -. float_of_int s) /. float_of_int p *. 100.0)
-          | _ -> None
-        else None)
-      !measured
-  in
-  let delta_pct = Float.max 0.0 (Stats.median pair_losses) in
-  Printf.printf "slices (jobs): %s\n%!"
-    (String.concat " " (List.map (fun (_, n) -> string_of_int n) !measured));
-  Printf.printf
-    "scrape overhead: plain %7.1f jobs/s  scraped %7.1f jobs/s  paired-median delta \
-     %.2f%% (limit %.1f%%)  %d scrapes / %d samples  server-counted %d\n%!"
-    plain_tp scraped_tp delta_pct overhead_limit_pct n_scrapes n_samples server_completed;
-  (delta_pct, plain_tp, scraped_tp, n_scrapes, n_samples, server_completed)
+    let threads = List.init overhead_clients (fun i -> Thread.create client_loop i) in
+    List.iter Thread.join threads;
+    let n_scrapes, n_samples = Domain.join scraper in
+    let drain = Client.connect_unix socket in
+    (* a Metrics request syncs the server's tallies into the collector so
+       the snapshot diff below sees this run's counters *)
+    ignore (Client.request drain Wire.Metrics);
+    let snap1 = Option.map Obs.snapshot (Obs.installed ()) in
+    ignore (Client.request drain Wire.Drain);
+    Client.close drain;
+    Thread.join server_thread;
+    Unix.close listen_fd;
+    if Sys.file_exists socket then Sys.remove socket;
+    let server_completed =
+      match (snap0, snap1) with
+      | Some earlier, Some later ->
+        List.fold_left
+          (fun acc (name, _labels, v) ->
+            if name = "serve.jobs_completed" then acc + int_of_float v else acc)
+          0
+          (Obs.snapshot_diff earlier later)
+      | _ -> Array.fold_left ( + ) 0 slice_jobs
+    in
+    let measured = ref [] in
+    for i = n_slices - 1 downto warmup_slices do
+      measured := (i, slice_jobs.(i)) :: !measured
+    done;
+    let mean parity =
+      let xs = List.filter (fun (i, _) -> i mod 2 = parity) !measured in
+      if xs = [] then 0.0
+      else
+        List.fold_left (fun acc (_, n) -> acc +. float_of_int n) 0.0 xs
+        /. float_of_int (List.length xs)
+    in
+    let per_s mean_jobs = mean_jobs /. (slice_ms /. 1000.0) in
+    let scraped_tp = per_s (mean 0) in
+    let plain_tp = per_s (mean 1) in
+    (* the gate statistic: median over adjacent (scraped, plain) slice
+       pairs of the relative loss. Slice throughput on a shared machine
+       has deep one-off dips (GC, noisy neighbors) that land on either
+       parity and dominate a mean; the paired median only moves when
+       scraped slices are consistently slower than their neighbors *)
+    let pair_losses =
+      List.filter_map
+        (fun (i, s) ->
+          if i mod 2 = 0 then
+            match List.assoc_opt (i + 1) !measured with
+            | Some p when p > 0 ->
+              Some ((float_of_int p -. float_of_int s) /. float_of_int p *. 100.0)
+            | _ -> None
+          else None)
+        !measured
+    in
+    let delta_pct = Float.max 0.0 (Stats.median pair_losses) in
+    Printf.printf "slices (jobs): %s\n%!"
+      (String.concat " " (List.map (fun (_, n) -> string_of_int n) !measured));
+    Printf.printf
+      "scrape overhead: plain %7.1f jobs/s  scraped %7.1f jobs/s  paired-median delta \
+       %.2f%% (limit %.1f%%)  %d scrapes / %d samples  server-counted %d\n%!"
+      plain_tp scraped_tp delta_pct overhead_limit_pct n_scrapes n_samples server_completed;
+    (delta_pct, plain_tp, scraped_tp, n_scrapes, n_samples, server_completed)
   in
   (* overhead is an upper-bound property — noise on a shared machine
      can only inflate the measured delta, never hide a real cost that
@@ -1543,22 +1240,15 @@ let serve_bench () =
   in
   Files.rm_rf cache_dir;
   Jsonout.write_file ~path:"BENCH_serve.json"
-    (Jsonout.Obj
-       [
-         ("workers", Jsonout.Int workers);
-         ("jobs_per_level", Jsonout.Int jobs_per_level);
-         ("distinct_specs", Jsonout.Int (List.length specs));
-         ("levels", Jsonout.List levels);
-         ("scrape_overhead", scrape_overhead);
-       ]);
-  Printf.printf "wrote BENCH_serve.json (%d jobs per level)\n" jobs_per_level;
+    (Jsonout.Obj [ ("scrape_overhead", scrape_overhead) ]);
+  print_endline "wrote BENCH_serve.json";
   if delta_pct > overhead_limit_pct then begin
     Printf.eprintf "scrape overhead gate FAILED: %.2f%% > %.1f%% throughput loss\n" delta_pct
       overhead_limit_pct;
     exit 1
   end
 
-(* the daemon the chaos and cluster benches spawn: [--daemon PATH], or
+(* the daemon the chaos bench spawns: [--daemon PATH], or
    the dune build output *)
 let eduserved_path bench =
   let rec find = function
@@ -1575,164 +1265,6 @@ let eduserved_path bench =
     exit 1
   end;
   daemon
-
-(* Cluster scaling: the same closed-loop campaign sharded by an
-   in-process eduroute router over 1 / 2 / 4 real eduserved replica
-   processes (one worker each, cold caches) -> BENCH_cluster.json with
-   per-level wall time, throughput, latency percentiles, per-replica
-   routing spread, and speedup over the single-replica level. The
-   recorded core count keeps the numbers honest: on a one-core box the
-   replicas time-slice one CPU and the speedup stays ~1; the point of
-   the level sweep there is that sharding adds no cliff, not that it
-   multiplies throughput. Needs the daemon executable on disk; pass
-   --daemon PATH to override the default _build location. *)
-let cluster_bench () =
-  banner "CLUSTER"
-    "sharded service scaling: 1/2/4 eduserved replicas behind eduroute -> \
-     BENCH_cluster.json";
-  let module Spec = Educhip_cluster.Spec in
-  let module Router = Educhip_cluster.Router in
-  let daemon = eduserved_path "cluster" in
-  let root = Filename.concat (Filename.get_temp_dir_name ()) "educhip-bench-cluster" in
-  Files.rm_rf root;
-  Unix.mkdir root 0o755;
-  let specs =
-    [
-      ("counter", "open", "uni-a");
-      ("gray8", "open", "course");
-      ("lfsr16", "teaching", "uni-a");
-      ("adder8", "open", "course");
-      ("mult4", "open", "uni-a");
-      ("popcount16", "teaching", "course");
-    ]
-  in
-  let jobs_per_level = 24 in
-  let clients = 8 in
-  let start_replica ~level name =
-    let file ext = Filename.concat root (Printf.sprintf "%s-n%d%s" name level ext) in
-    Daemon.start ~exe:daemon ~socket:(file ".sock") ~log:(file ".log") ~workers:1
-      ~cache_dir:(Filename.concat root (Printf.sprintf "cache-%s-n%d" name level))
-      ()
-  in
-  let run_level n_replicas =
-    let replicas =
-      List.init n_replicas (fun i ->
-          let name = Printf.sprintf "r%d" (i + 1) in
-          (name, start_replica ~level:n_replicas name))
-    in
-    List.iter (fun (_, d) -> Daemon.wait_ready d) replicas;
-    let cspec =
-      {
-        Spec.default with
-        Spec.replicas = List.map (fun (name, d) -> (name, d.Daemon.socket)) replicas;
-      }
-    in
-    let router = Router.create (Router.config cspec) in
-    let router_socket = Filename.concat root (Printf.sprintf "eduroute-n%d.sock" n_replicas) in
-    let listen_fd = Listener.listen_unix ~path:router_socket in
-    let serve_thread = Thread.create (fun () -> Router.serve router listen_fd) () in
-    let mutex = Mutex.create () in
-    let latencies = ref [] in
-    let completed = ref 0 in
-    let next = ref 0 in
-    (* a level-unique fault seed on every submission keeps each job a
-       real cold execution — this arm measures flow scaling, not warm
-       cache serves *)
-    let take_spec () =
-      Mutex.protect mutex (fun () ->
-          if !next >= jobs_per_level then None
-          else begin
-            let i = !next in
-            incr next;
-            Some (List.nth specs (i mod List.length specs), (1000 * n_replicas) + i)
-          end)
-    in
-    let client_loop () =
-      let c = Client.connect_unix router_socket in
-      let rec drive () =
-        match take_spec () with
-        | None -> ()
-        | Some ((design, preset, tenant), fault_seed) ->
-          let spec = { (Wire.submit ~tenant design) with Wire.preset; fault_seed } in
-          let t0 = Mclock.now_ms () in
-          (match Client.submit c spec with
-          | Ok (Wire.Accepted { id; _ }) -> (
-            match Client.await c id with
-            | Ok (Wire.Job_result _) ->
-              let ms = Mclock.elapsed_ms t0 in
-              Mutex.protect mutex (fun () ->
-                  latencies := ms :: !latencies;
-                  incr completed)
-            | _ -> ())
-          | _ -> ());
-          drive ()
-      in
-      drive ();
-      Client.close c
-    in
-    let t0 = Mclock.now_ms () in
-    let threads = List.init clients (fun _ -> Thread.create client_loop ()) in
-    List.iter Thread.join threads;
-    let wall_ms = Mclock.elapsed_ms t0 in
-    let spread =
-      match Router.handle router Wire.Cluster_status with
-      | Wire.Cluster_report { replicas } ->
-        List.map (fun r -> (r.Wire.r_name, r.Wire.r_routed)) replicas
-      | _ -> []
-    in
-    let c = Client.connect_unix router_socket in
-    ignore (Client.request c Wire.Drain);
-    Client.close c;
-    Thread.join serve_thread;
-    Router.stop router;
-    Unix.close listen_fd;
-    if Sys.file_exists router_socket then Sys.remove router_socket;
-    List.iter (fun (_, d) -> Daemon.drain d) replicas;
-    let completed = !completed in
-    let throughput = float_of_int completed /. (wall_ms /. 1000.0) in
-    let pct p = if !latencies = [] then 0.0 else Stats.percentile p !latencies in
-    let p50 = pct 50.0 and p99 = pct 99.0 in
-    Printf.printf
-      "%d replica%s  %2d/%d jobs  %8.1f ms wall  %5.2f jobs/s  p50 %7.1f ms  p99 %7.1f \
-       ms  spread %s\n%!"
-      n_replicas
-      (if n_replicas = 1 then " " else "s")
-      completed jobs_per_level wall_ms throughput p50 p99
-      (String.concat " "
-         (List.map (fun (name, routed) -> Printf.sprintf "%s=%d" name routed) spread));
-    (wall_ms, throughput, completed, p50, p99, spread)
-  in
-  let levels = List.map (fun n -> (n, run_level n)) [ 1; 2; 4 ] in
-  let base_tp =
-    match levels with (_, (_, tp, _, _, _, _)) :: _ -> tp | [] -> 0.0
-  in
-  let level_json (n, (wall_ms, tp, completed, p50, p99, spread)) =
-    Jsonout.Obj
-      [
-        ("replicas", Jsonout.Int n);
-        ("jobs", Jsonout.Int completed);
-        ("wall_ms", Jsonout.Float wall_ms);
-        ("throughput_jobs_per_s", Jsonout.Float tp);
-        ("latency_p50_ms", Jsonout.Float p50);
-        ("latency_p99_ms", Jsonout.Float p99);
-        ( "speedup_vs_1",
-          Jsonout.Float (if base_tp > 0.0 then tp /. base_tp else 0.0) );
-        ( "routed",
-          Jsonout.Obj (List.map (fun (name, n) -> (name, Jsonout.Int n)) spread) );
-      ]
-  in
-  Jsonout.write_file ~path:"BENCH_cluster.json"
-    (Jsonout.Obj
-       [
-         ("cores", Jsonout.Int (Sched.default_workers ()));
-         ("jobs_per_level", Jsonout.Int jobs_per_level);
-         ("clients", Jsonout.Int clients);
-         ("distinct_specs", Jsonout.Int (List.length specs));
-         ("levels", Jsonout.List (List.map level_json levels));
-       ]);
-  Files.rm_rf root;
-  Printf.printf "wrote BENCH_cluster.json (%d jobs per level, %d cores)\n" jobs_per_level
-    (Sched.default_workers ())
 
 (* Chaos campaign: SIGKILL a real eduserved mid-campaign and score the
    recovery, once with --journal and once without (the control arm) ->
@@ -1937,9 +1469,7 @@ let modes =
   [
     ("--serve", serve_bench);
     ("--chaos", chaos_bench);
-    ("--cluster", cluster_bench);
     ("--incr", incr_bench);
-    ("--batch", batch_bench);
     ("--faults", fault_matrix);
     ("--flow-only", flow_telemetry);
   ]
@@ -1950,18 +1480,17 @@ let () =
      mode's clean-up, instead of a SIGPIPE that kills the process on
      the spot *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (* [--daemon PATH] (chaos, cluster) and [--no-micro] (full run) ride
-     along; any other flag is a typo that must not silently run all 20
-     experiments *)
+  (* [--daemon PATH] (chaos) rides along; any other flag is a typo that
+     must not silently run all 20 experiments *)
   let rec check = function
     | [] -> ()
-    | "--daemon" :: _ :: rest | "--no-micro" :: rest -> check rest
+    | "--daemon" :: _ :: rest -> check rest
     | [ "--daemon" ] ->
       prerr_endline "bench: --daemon needs a PATH";
       exit 2
     | flag :: rest when List.mem_assoc flag modes -> check rest
     | flag :: _ when String.starts_with ~prefix:"-" flag ->
-      Printf.eprintf "bench: unknown flag %s (valid: %s, --no-micro, --daemon PATH)\n" flag
+      Printf.eprintf "bench: unknown flag %s (valid: %s, --daemon PATH)\n" flag
         (String.concat ", " (List.map fst modes));
       exit 2
     | _ :: rest -> check rest
@@ -1972,7 +1501,6 @@ let () =
     run ();
     exit 0
   | None -> ());
-  let skip_micro = Array.mem "--no-micro" Sys.argv in
   e1_value_chain ();
   e2_abstraction_gap ();
   e3_cost_vs_node ();
@@ -1995,5 +1523,4 @@ let () =
   x6_node_scaling ();
   flow_telemetry ();
   fault_matrix ();
-  if not skip_micro then micro_benchmarks ();
   print_endline "\nall experiments regenerated."

@@ -227,21 +227,31 @@ let run ?(random_patterns = 256) ?(seed = 1) ?(sat_conflict_limit = 20_000) netl
     patterns = List.rev !sat_patterns;
   }
 
-let detects netlist pat fault =
+(* The good-machine values are re-simulated only when the pattern changes:
+   [with_fault] leaves the simulator in the good state it found. *)
+let detects netlist =
   let sim = Sim.create netlist in
-  List.iter
-    (fun id ->
-      Sim.set_word sim id
-        (match List.assoc_opt id pat.assignment with Some true -> -1 | Some false | None -> 0))
-    (pseudo_inputs netlist);
-  Sim.eval sim;
-  let good = Array.init (Netlist.cell_count netlist) (Sim.word sim) in
-  let cone =
-    fanout_cone (fanout_graph netlist) (Netlist.combinational_topo_order netlist)
-      fault.fault_net
-  in
-  with_fault sim ~good ~cone fault (fun () ->
-      List.exists (fun o -> (Sim.word sim o lxor good.(o)) land 1 <> 0) (observables netlist))
+  let inputs = pseudo_inputs netlist in
+  let n = Netlist.cell_count netlist in
+  let obs = observables netlist in
+  let graph = fanout_graph netlist in
+  let order = Netlist.combinational_topo_order netlist in
+  let last = ref None and good = ref [||] in
+  fun pat fault ->
+    (match !last with
+    | Some p when p == pat -> ()
+    | Some _ | None ->
+      List.iter
+        (fun id ->
+          Sim.set_word sim id
+            (match List.assoc_opt id pat.assignment with Some true -> -1 | Some false | None -> 0))
+        inputs;
+      Sim.eval sim;
+      good := Array.init n (Sim.word sim);
+      last := Some pat);
+    let good = !good in
+    with_fault sim ~good ~cone:(fanout_cone graph order fault.fault_net) fault (fun () ->
+        List.exists (fun o -> (Sim.word sim o lxor good.(o)) land 1 <> 0) obs)
 
 let pp_report ppf r =
   Format.fprintf ppf

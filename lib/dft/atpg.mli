@@ -60,6 +60,9 @@ val run :
 val detects : Educhip_netlist.Netlist.t -> pattern -> fault -> bool
 (** Replay check: does the pattern distinguish the faulty circuit from the
     good one at some observable? (Used by the test suite to validate
-    generated patterns.) *)
+    generated patterns.) [detects netlist] builds the simulator, fanout
+    graph and observables once; apply it once per netlist and reuse the
+    closure, which computes each fault's cone and re-simulates the good
+    circuit only when the pattern changes. *)
 
 val pp_report : Format.formatter -> report -> unit
