@@ -276,8 +276,9 @@ let dedup_rungs xs =
 
 exception Step_gave_up of string * string
 
-let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
-  validate_netlist netlist;
+(* The body of {!run_guarded}, which calls the last step's [memo_save]
+   once this returns: the step leaves that call in [save_last]. *)
+let run_steps ~policy ?memo ~save_last netlist cfg =
   Obs.with_span "flow.run"
     ~attrs:
       ([ ("design", Obs.Str (Netlist.name netlist));
@@ -309,7 +310,7 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
      {!step_state} for the memo; a warm snapshot replays the original
      run's report and exec record and skips the guard entirely. A step
      without [stored] is never probed and saves [S_not_stored]. *)
-  let step ?accept ?stored name rungs =
+  let step ?accept ?stored ?(last = false) name rungs =
     let site = "flow." ^ name in
     let replayed =
       match (stored, memo) with
@@ -359,10 +360,11 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
       | None -> ()
       | Some m -> (
         match (!reports, !execs) with
-        | r :: _, e :: _ -> (
+        | r :: _, e :: _ ->
           let snap_state = match stored with Some (snap, _) -> snap v | None -> S_not_stored in
-          try m.memo_save name { snap_state; snap_report = r; snap_exec = e }
-          with _ -> ())
+          let snap = { snap_state; snap_report = r; snap_exec = e } in
+          let call () = try m.memo_save name snap with _ -> () in
+          if last then save_last := call else call ()
         | _ -> ())
     in
     match exec.Guard.outcome with
@@ -543,7 +545,7 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
     (* 10. GDS export — rebuilt from the routed design on every run, warm
        or cold: not in {!stored_step_names} *)
     let layout =
-      step "gds"
+      step "gds" ~last:true
         [ (fun () ->
             let layout = Gds.build routed in
             Obs.set_attr "rects" (Obs.Int (Gds.rect_count layout));
@@ -601,6 +603,17 @@ let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
         trail = List.rev !execs;
         trail_reports = List.rev !reports;
       }
+
+let run_guarded ?(policy = Guard.default_policy) ?memo netlist cfg =
+  validate_netlist netlist;
+  (* The last step's [memo_save] also marks the end of the run, so it
+     waits until the result is assembled and the [flow.run] span has
+     closed: that work is then timed as part of the last step, and
+     nothing the run allocates falls after every step's mark. *)
+  let save_last = ref ignore in
+  let outcome = run_steps ~policy ?memo ~save_last netlist cfg in
+  !save_last ();
+  outcome
 
 let run netlist cfg =
   match run_guarded netlist cfg with

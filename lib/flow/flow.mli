@@ -124,9 +124,11 @@ type memo = {
   memo_save : string -> step_snapshot -> unit;
       (** called after every successful live step, stored or not (a
           step outside {!stored_step_names} saves {!S_not_stored}), so
-          it also marks each step's end; failed steps are never
-          memoized. Exceptions are swallowed — a storage error must not
-          fail a computed step. *)
+          it also marks each step's end; the last step's call comes
+          after the run's result is assembled and its [flow.run] span
+          closed, just before {!run_guarded} returns. Failed steps are
+          never memoized. Exceptions are swallowed — a storage error
+          must not fail a computed step. *)
 }
 (** Storage-agnostic per-step memoization hook for {!run_guarded}:
     [Educhip_artifact] implements it over a content-addressed store.

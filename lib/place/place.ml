@@ -107,6 +107,13 @@ let hpwl_into (xs : float array) (ys : float array) (p : int array) (dst : float
     dst.(k) <- !max_x -. !min_x +. (!max_y -. !min_y)
   end
 
+(* For a draw [u] of [Rng.float rng 1.0], a limit below which every
+   exponent [x] has [exp x < u]. Below -746 [exp] underflows to 0.0,
+   which settles a draw of 0.0. A nonzero draw is at least 2^-53, so
+   [log u] is finite, and the margin below it is far wider than the
+   rounding error of [exp] and [log]. *)
+let[@inline] exp_below_limit u = if u > 0.0 then log u -. 1e-9 else -746.0
+
 (* Roles and total movable area are a pure function of (netlist, node):
    shared by {!place} and {!restore}, so artifact snapshots only need to
    carry the geometry. *)
@@ -338,43 +345,52 @@ let place netlist ~node ?(utilization = 0.65) effort =
       Obs.with_span "place.anneal"
         ~attrs:[ ("moves", Obs.Int effort.annealing_moves) ]
       @@ fun () -> begin
-      (* A move builds no lists or tables. Each cell has an array of
-         the nets touching it, and [cost] caches every net's HPWL at the
-         current coordinates. HPWL is a pure function of the
-         coordinates, so a move reads its "before" sum from the cache
-         and computes only the "after" sum, which is written back if the
-         move is accepted. *)
-      let touching =
-        let lists = Array.make n [] in
-        Array.iteri
-          (fun net_idx p -> Array.iter (fun c -> lists.(c) <- net_idx :: lists.(c)) p)
-          nets;
-        Array.map Array.of_list lists
-      in
+      (* A move builds no lists or tables. [cost] caches every net's
+         HPWL at the current coordinates; HPWL is a pure function of the
+         coordinates, so a move reads its "before" sum from the cache and
+         computes "after" values, written back if the move is accepted.
+         Cell [c]'s nets are [inc_net.(inc_start.(c) ..
+         inc_start.(c + 1) - 1)], in decreasing net index: every sum
+         below runs in that order, and the pinned placements depend on
+         it. [inc_pin] holds, for each of them, the pin the move's lower
+         bound measures [c] against: the driver, or the first sink when
+         [c] drives the net. *)
+      let inc_start = Array.make (n + 1) 0 in
+      Array.iter
+        (fun p -> Array.iter (fun c -> inc_start.(c + 1) <- inc_start.(c + 1) + 1) p)
+        nets;
+      for c = 1 to n do
+        inc_start.(c) <- inc_start.(c) + inc_start.(c - 1)
+      done;
+      let inc_net = Array.make inc_start.(n) 0 and inc_pin = Array.make inc_start.(n) 0 in
+      let fill = Array.sub inc_start 0 n in
+      for idx = Array.length nets - 1 downto 0 do
+        let p = nets.(idx) in
+        for i = 0 to Array.length p - 1 do
+          let c = p.(i) in
+          inc_net.(fill.(c)) <- idx;
+          inc_pin.(fill.(c)) <- (if p.(0) = c then p.(1) else p.(0));
+          fill.(c) <- fill.(c) + 1
+        done
+      done;
       let cost = Array.make (Array.length nets) 0.0 in
       Array.iteri (fun idx p -> hpwl_into xs ys p cost idx) nets;
-      (* The nets touching a or b, each once: [touching.(a)] then
-         [touching.(b)], in first-occurrence order. Sums run in this
-         order, so they are bit-identical to summing over the list
-         [touching.(a) @ touching.(b)] with duplicates dropped. [stamp]
-         holds the last move that visited each net. *)
+      (* The nets touching a or b, each once: a's then b's, in
+         first-occurrence order. Every sum runs in this order, so it is
+         bit-identical to summing over [a's nets @ b's nets] with
+         duplicates dropped. [stamp] holds the last move that visited
+         each net, [bounds.(k)] the lower bound of [union.(k)] and
+         [fresh.(k)] its exact "after" HPWL. *)
       let widest_union =
-        2 * Array.fold_left (fun acc ns -> max acc (Array.length ns)) 0 touching
+        let widest = ref 0 in
+        for c = 0 to n - 1 do
+          widest := max !widest (inc_start.(c + 1) - inc_start.(c))
+        done;
+        2 * !widest
       in
-      let union = Array.make widest_union 0 and union_len = ref 0 in
-      let fresh = Array.make widest_union 0.0 in
+      let union = Array.make widest_union 0 in
+      let bounds = Array.make widest_union 0.0 and fresh = Array.make widest_union 0.0 in
       let stamp = Array.make (Array.length nets) 0 in
-      let collect move cell =
-        let ns = touching.(cell) in
-        for i = 0 to Array.length ns - 1 do
-          let idx = ns.(i) in
-          if stamp.(idx) <> move then begin
-            stamp.(idx) <- move;
-            union.(!union_len) <- idx;
-            incr union_len
-          end
-        done
-      in
       let temperature = ref (!die_w /. 4.0) in
       let cooling = 0.999 ** (20_000.0 /. float_of_int effort.annealing_moves) in
       let obs_on = Obs.enabled () in
@@ -385,54 +401,86 @@ let place netlist ~node ?(utilization = 0.65) effort =
         let a = movable_arr.(Rng.int rng m) in
         let b = movable_arr.(Rng.int rng m) in
         if a <> b then begin
-          union_len := 0;
-          collect move a;
-          let split = !union_len in
-          collect move b;
-          let before = ref 0.0 in
-          for k = 0 to !union_len - 1 do
-            before := !before +. cost.(union.(k))
-          done;
           let ax = xs.(a) and ay = ys.(a) and bx = xs.(b) and by = ys.(b) in
           xs.(a) <- bx;
           ys.(a) <- by;
           xs.(b) <- ax;
           ys.(b) <- ay;
-          let temp = Float.max 1e-6 !temperature in
-          (* Provable reject. A net's HPWL is at least the Manhattan
-             distance between any two of its pins, so each net gets the
-             distance from the mover that collected it to another pin,
-             at the swapped coordinates. Rounding and each float step
-             below are monotone, so the summed bound [lb] is <= the exact
-             "after" sum and the exponent below is >= the exact one.
-             Under -746 [exp] is exactly 0.0, so the exact path would
-             draw its [Rng.float] and reject: draw it, keeping the stream
-             aligned, and skip the full scan. *)
-          let lb = ref 0.0 in
-          for k = 0 to !union_len - 1 do
-            let p = nets.(union.(k)) in
-            let mover = if k < split then a else b in
-            let other = if p.(0) = mover then p.(1) else p.(0) in
-            lb := !lb +. manhattan xs ys other mover
+          (* Collect the union, summing the cached "before" and a lower
+             bound on every net's "after" HPWL: the distance from the
+             mover that brought the net in to one other pin, at the
+             swapped coordinates (a net's HPWL is at least the distance
+             between any two of its pins). *)
+          let len = ref 0 and before = ref 0.0 and bound = ref 0.0 in
+          for pass = 0 to 1 do
+            let cell = if pass = 0 then a else b in
+            for i = inc_start.(cell) to inc_start.(cell + 1) - 1 do
+              let idx = inc_net.(i) in
+              if stamp.(idx) <> move then begin
+                stamp.(idx) <- move;
+                union.(!len) <- idx;
+                before := !before +. cost.(idx);
+                let lb = manhattan xs ys inc_pin.(i) cell in
+                bounds.(!len) <- lb;
+                bound := !bound +. lb;
+                incr len
+              end
+            done
+          done;
+          (* [Float.max 1e-6] as a plain compare: the temperature is
+             positive, and [Float.max] tests signs in C on every move *)
+          let temp = if !temperature < 1e-6 then 1e-6 else !temperature in
+          (* Settle the move as early as it is decided. The exact rule
+             accepts iff [delta <= 0 || u < exp (-.delta /. temp)], where
+             [u = Rng.float rng 1.0] is drawn only when [delta > 0].
+             [bound] is the left fold, in union order, of the exact HPWL
+             of the first [j] nets and the lower bound of the rest. Each
+             bound is <= its exact value and float [+.] is monotone, so
+             [bound] never decreases as [j] grows and equals the exact
+             "after" sum at [j = len]. Once [bound > before], [delta > 0]
+             is certain: [u] is drawn there, the one draw the exact rule
+             makes, and the move is rejected as soon as
+             [x = -.(bound -. before) /. temp], an upper bound on the
+             exact exponent, puts [exp x] below [u]: [x < limit], set
+             once at the draw (see [exp_below_limit]; before it no [x]
+             is below [limit]). Otherwise the next net is scanned
+             exactly. At [j = len] the exact rule applies unchanged, so
+             every accept, reject and draw is the exact rule's. *)
+          let j = ref 0 and prefix = ref 0.0 in
+          let drawn = ref false and u = ref 0.0 and limit = ref neg_infinity in
+          let settled = ref false in
+          while (not !settled) && !j < !len do
+            let gap = !bound -. !before in
+            if gap > 0.0 && not !drawn then begin
+              u := Rng.float rng 1.0;
+              drawn := true;
+              limit := exp_below_limit !u
+            end;
+            if -.gap /. temp < !limit then settled := true
+            else begin
+              hpwl_into xs ys nets.(union.(!j)) fresh !j;
+              prefix := !prefix +. fresh.(!j);
+              incr j;
+              let l = ref !prefix in
+              for k = !j to !len - 1 do
+                l := !l +. bounds.(k)
+              done;
+              bound := !l
+            end
           done;
           let accept =
-            if -.(!lb -. !before) /. temp < -746.0 then begin
-              ignore (Rng.float rng 1.0);
-              false
-            end
-            else begin
-              let after = ref 0.0 in
-              for k = 0 to !union_len - 1 do
-                hpwl_into xs ys nets.(union.(k)) fresh k;
-                after := !after +. fresh.(k)
-              done;
-              let delta = !after -. !before in
-              delta <= 0.0 || Rng.float rng 1.0 < exp (-.delta /. temp)
+            (not !settled)
+            &&
+            let delta = !bound -. !before in
+            delta <= 0.0
+            || begin
+              if not !drawn then u := Rng.float rng 1.0;
+              !u < exp (-.delta /. temp)
             end
           in
           if accept then begin
             incr accepted;
-            for k = 0 to !union_len - 1 do
+            for k = 0 to !len - 1 do
               cost.(union.(k)) <- fresh.(k)
             done
           end

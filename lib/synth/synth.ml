@@ -99,38 +99,54 @@ let assigned_table cell sigma ph n_leaves =
   done;
   !out
 
-let match_table node =
+let build_match_table node =
   let table = Hashtbl.create 512 in
-  let consider key info better =
-    match Hashtbl.find_opt table key with
-    | Some existing when not (better info existing) -> ()
-    | Some _ | None -> Hashtbl.replace table key info
+  let cells = Pdk.combinational_cells node in
+  (* pin assignments in [permutations] order and pin phases indexed by
+     their bits, per arity, shared by every match of this table *)
+  let max_arity = List.fold_left (fun acc c -> max acc c.Pdk.arity) 0 cells in
+  let sigmas =
+    Array.init (max_arity + 1) (fun n ->
+        List.map Array.of_list (permutations (List.init n (fun i -> i))))
+  in
+  let phases =
+    Array.init (max_arity + 1) (fun n ->
+        Array.init (1 lsl n) (fun bits -> Array.init n (fun j -> (bits lsr j) land 1 = 1)))
   in
   let inv_area = (Pdk.inverter node).Pdk.area in
-  let better a b =
-    let cost m =
-      m.m_cell.Pdk.area +. (float_of_int m.m_inversions *. inv_area)
-    in
-    cost a < cost b
-  in
+  let cost cell inversions = cell.Pdk.area +. (float_of_int inversions *. inv_area) in
   List.iter
     (fun cell ->
       let n = cell.Pdk.arity in
-      let pin_sets = permutations (List.init n (fun i -> i)) in
       List.iter
-        (fun sigma_list ->
-          let sigma = Array.of_list sigma_list in
+        (fun sigma ->
           for phase_bits = 0 to (1 lsl n) - 1 do
-            let ph = Array.init n (fun j -> (phase_bits lsr j) land 1 = 1) in
+            let ph = phases.(n).(phase_bits) in
             let inversions = Array.fold_left (fun a p -> if p then a + 1 else a) 0 ph in
-            let t = assigned_table cell sigma ph n in
-            consider (n, t)
-              { m_cell = cell; m_pin_leaf = sigma; m_pin_inverted = ph; m_inversions = inversions }
-              better
+            let key = (n, assigned_table cell sigma ph n) in
+            match Hashtbl.find_opt table key with
+            | Some m when not (cost cell inversions < cost m.m_cell m.m_inversions) -> ()
+            | Some _ | None ->
+              Hashtbl.replace table key
+                { m_cell = cell; m_pin_leaf = sigma; m_pin_inverted = ph; m_inversions = inversions }
           done)
-        pin_sets)
-    (Pdk.combinational_cells node);
+        sigmas.(n))
+    cells;
   table
+
+(* Match tables of the open-PDK nodes (the default node [edu130] among
+   them), built once at module initialisation like [Pdk]'s cell tables
+   and never mutated afterwards, so every domain reads them without a
+   lock. Every process that links this module pays for them at start-up,
+   so the other nodes are left out: their tables, like those of a node a
+   caller builds itself, are built per call. *)
+let match_tables =
+  List.map (fun node -> (node, build_match_table node)) (Pdk.open_nodes ())
+
+let match_table node =
+  match List.assq node match_tables with
+  | t -> t
+  | exception Not_found -> build_match_table node
 
 (* {1 Covering} *)
 

@@ -156,6 +156,44 @@ let test_golden_ppa () =
         ("1351.6110825976923", "6085.1422014992086", "261.94047967160463", "1792.2345679012244") );
     ]
 
+(* The last step's save marks the end of the run, so it comes after the
+   [flow.run] span has closed, and the run allocates next to nothing
+   after it: an allocation there could trigger a minor collection that
+   no step's time covers. *)
+let test_last_save_ends_run () =
+  let module Obs = Educhip_obs.Obs in
+  let cfg = Flow.config ~node Flow.Commercial_flow in
+  let rtl = Designs.netlist (Designs.find "counter") in
+  let col = Obs.create () in
+  let saves = ref [] and words_at_last = ref 0.0 in
+  let memo =
+    {
+      Flow.memo_probe = (fun _ -> None);
+      memo_save =
+        (fun step _ ->
+          let run_closed =
+            match Obs.root_spans col with
+            | [ run ] -> not (Float.is_nan (Obs.span_stop_us run))
+            | _ -> false
+          in
+          saves := (step, run_closed) :: !saves;
+          words_at_last := Gc.minor_words ());
+    }
+  in
+  let outcome = Obs.with_collector col (fun () -> Flow.run_guarded ~memo rtl cfg) in
+  let after = Gc.minor_words () -. !words_at_last in
+  (match outcome with
+  | Flow.Completed _ -> ()
+  | Flow.Aborted _ -> Alcotest.fail "counter aborted");
+  check
+    Alcotest.(list (pair string bool))
+    "every step saved once, only gds after flow.run closed"
+    (List.map (fun s -> (s, s = "gds")) Flow.step_names)
+    (List.rev !saves);
+  check Alcotest.bool
+    (Printf.sprintf "%.0f words allocated after the last save" after)
+    true (after <= 16.0)
+
 let suite =
   [
     Alcotest.test_case "open flow end to end" `Slow test_open_flow_end_to_end;
@@ -173,4 +211,5 @@ let suite =
     Alcotest.test_case "single-cell design completes" `Quick
       test_single_cell_design_completes;
     Alcotest.test_case "golden ppa" `Slow test_golden_ppa;
+    Alcotest.test_case "last save ends the run" `Quick test_last_save_ends_run;
   ]

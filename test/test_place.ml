@@ -85,10 +85,15 @@ let test_determinism () =
 (* Exact results of the annealed placement: HPWL printed with %.17g,
    the accepted/rejected move counts, and an MD5 of every coordinate
    printed with %h. The nine flow-commercial designs run at high effort
-   (120k moves), alu8 and acc_cpu8 also at the open preset's default
-   effort (20k moves). A placer change that claims to be bit-identical
-   must leave all of these untouched; a deliberate QoR change updates
-   them. *)
+   (120k moves); every flow-commercial and serve-course design runs at
+   the open preset's default effort (20k moves); adder8, fir4x8 and
+   xbar4x8 also run 1, 2, 7 and 500 moves under seeds 1-3, where the
+   temperature is still high and most moves are decided near the
+   acceptance threshold. Each case runs once under an [Obs] collector,
+   which samples the temperature, and once without: the coordinates must
+   not depend on telemetry. A placer change that claims to be
+   bit-identical must leave all of these untouched; a deliberate QoR
+   change updates them. *)
 let coordinate_digest placement =
   let s = Place.snapshot placement in
   let b = Buffer.create 4096 in
@@ -96,22 +101,25 @@ let coordinate_digest placement =
   Array.iter (fun y -> Buffer.add_string b (Printf.sprintf "%h;" y)) s.Place.snap_ys;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+let check_golden what mapped effort (hpwl, accepted, rejected, digest) =
+  let c = Obs.create () in
+  let placement = Obs.with_collector c (fun () -> Place.place mapped ~node effort) in
+  check Alcotest.string (what ^ "hpwl") hpwl (Printf.sprintf "%.17g" (Place.hpwl_um placement));
+  check Alcotest.int (what ^ "accepted") accepted (Obs.counter_value c "place.moves_accepted");
+  check Alcotest.int (what ^ "rejected") rejected (Obs.counter_value c "place.moves_rejected");
+  check Alcotest.string (what ^ "coordinates") digest (coordinate_digest placement);
+  let quiet = Place.place mapped ~node effort in
+  check Alcotest.string (what ^ "coordinates without telemetry") digest
+    (coordinate_digest quiet)
+
+let synthesized synth name = fst (Synth.synthesize (Designs.netlist (Designs.find name)) ~node synth)
+
 let test_golden_hpwl () =
   let golden synth effort label cases =
     List.iter
       (fun (name, hpwl, accepted, rejected, digest) ->
-        let nl = Designs.netlist (Designs.find name) in
-        let mapped = fst (Synth.synthesize nl ~node synth) in
-        let c = Obs.create () in
-        let placement = Obs.with_collector c (fun () -> Place.place mapped ~node effort) in
-        let what = Printf.sprintf "%s %s " name label in
-        check Alcotest.string (what ^ "hpwl") hpwl
-          (Printf.sprintf "%.17g" (Place.hpwl_um placement));
-        check Alcotest.int (what ^ "accepted") accepted
-          (Obs.counter_value c "place.moves_accepted");
-        check Alcotest.int (what ^ "rejected") rejected
-          (Obs.counter_value c "place.moves_rejected");
-        check Alcotest.string (what ^ "coordinates") digest (coordinate_digest placement))
+        check_golden (Printf.sprintf "%s %s " name label) (synthesized synth name) effort
+          (hpwl, accepted, rejected, digest))
       cases
   in
   golden Synth.high_effort_options Place.high_effort "high"
@@ -128,9 +136,89 @@ let test_golden_hpwl () =
     ];
   golden Synth.default_options Place.default_effort "default"
     [
+      ("adder8", "484.14855533601974", 351, 19182, "cc63cda4a07641ab0f86c9229397ac23");
+      ("mult4", "865.24990356409512", 284, 19469, "1be44c43ca871813f7a59b53debc54d1");
+      ("counter", "407.64288412300044", 275, 19118, "2ca62e5064abcdf5a63b806bbf0ba667");
+      ("uart_tx", "1643.5747654681445", 443, 19401, "0c9f59408dcd561aa64719c59e1f966a");
       ("alu8", "3925.3841475316481", 605, 19326, "5fc591393f3dc169f7691f81f936bcfe");
+      ("fir4x8", "3804.0814271577897", 423, 19489, "4a6e121277fc7b2e64935e1b2c45e963");
       ("acc_cpu8", "3813.5234947861941", 685, 19235, "2eaa5fbf34035bde705247bf7593f7f3");
+      ("cmp16", "2546.2791863227458", 393, 19490, "f3cf7343912130bc47b8779af7ceae3c");
+      ("bshift16", "2531.057467237421", 637, 19261, "a05a26d81e2c4412f1d5ca041efb03d6");
+      ("xbar4x8", "4942.9407363113969", 756, 19164, "26c2feccedaf110201d35fa873516d20");
+    ];
+  let sweep = Hashtbl.create 3 in
+  List.iter
+    (fun (name, moves, seed, hpwl, accepted, rejected, digest) ->
+      let mapped =
+        match Hashtbl.find_opt sweep name with
+        | Some m -> m
+        | None ->
+          let m = synthesized Synth.default_options name in
+          Hashtbl.replace sweep name m;
+          m
+      in
+      check_golden
+        (Printf.sprintf "%s %d moves seed %d " name moves seed)
+        mapped
+        { Place.default_effort with Place.annealing_moves = moves; seed }
+        (hpwl, accepted, rejected, digest))
+    [
+      ("adder8", 1, 1, "667.74013860938703", 0, 1, "9974813bcbd2e15d18033c8b49d57ce6");
+      ("adder8", 1, 2, "667.74014748434729", 0, 1, "b8883c40df272dd8c8526b1a3d4eff94");
+      ("adder8", 1, 3, "667.74015402768032", 0, 1, "f48d85c596e1133d5223c917720c34a0");
+      ("adder8", 2, 1, "667.74013860938703", 0, 2, "9974813bcbd2e15d18033c8b49d57ce6");
+      ("adder8", 2, 2, "667.74014748434729", 0, 2, "b8883c40df272dd8c8526b1a3d4eff94");
+      ("adder8", 2, 3, "667.74015402768032", 0, 2, "f48d85c596e1133d5223c917720c34a0");
+      ("adder8", 7, 1, "667.74013860938703", 0, 7, "9974813bcbd2e15d18033c8b49d57ce6");
+      ("adder8", 7, 2, "702.06972573288908", 1, 6, "8dfab5455f446085cf0d6675e70e3581");
+      ("adder8", 7, 3, "667.74015402768032", 0, 7, "f48d85c596e1133d5223c917720c34a0");
+      ("adder8", 500, 1, "565.83102076025955", 31, 457, "c8a861cd1224d34a5de274029e71495d");
+      ("adder8", 500, 2, "550.90779717088753", 26, 457, "b23f0447f162f0c88859714aad84baab");
+      ("adder8", 500, 3, "527.66524098790796", 32, 452, "4f3dce7d949a2b61c655cc64f55da3ff");
+      ("fir4x8", 1, 1, "3975.472540255334", 0, 1, "564eda58276def298d128e217c7b7007");
+      ("fir4x8", 1, 2, "4114.0074077194176", 0, 1, "72364b0f06019ff379cbb2f9e7264530");
+      ("fir4x8", 1, 3, "4043.2135410537653", 0, 1, "e771738d6ce317c3f287590fc4118ed4");
+      ("fir4x8", 2, 1, "3975.472540255334", 0, 2, "564eda58276def298d128e217c7b7007");
+      ("fir4x8", 2, 2, "4114.0074077194176", 0, 2, "72364b0f06019ff379cbb2f9e7264530");
+      ("fir4x8", 2, 3, "4043.2135410537653", 0, 2, "e771738d6ce317c3f287590fc4118ed4");
+      ("fir4x8", 7, 1, "3975.0897060650477", 1, 6, "0702903dd051751835ed1a15a9bfa83c");
+      ("fir4x8", 7, 2, "4114.0074077194176", 0, 7, "72364b0f06019ff379cbb2f9e7264530");
+      ("fir4x8", 7, 3, "4026.8130231436594", 1, 6, "21bcd948bd7628e31f1cb2505a5cf657");
+      ("fir4x8", 500, 1, "3870.2292893267086", 35, 465, "0984a2d217a76ac4b72024147a0ff357");
+      ("fir4x8", 500, 2, "3989.589456023351", 37, 459, "772ba3dfb38bbd28711842d0de91fe8b");
+      ("fir4x8", 500, 3, "4100.6104384661867", 24, 474, "d44821a9bb7cb10e971bc90f27ab988d");
+      ("xbar4x8", 1, 1, "7561.2044747646469", 0, 1, "7eb294b5858968c20ed877f7367af5a2");
+      ("xbar4x8", 1, 2, "7557.8577563216186", 1, 0, "70d93d5f394948a155c25264fedc8cc3");
+      ("xbar4x8", 1, 3, "7509.4425010167988", 0, 1, "70c23a5954b0a1beb7b7cbace274ec55");
+      ("xbar4x8", 2, 1, "7561.2044747646469", 0, 2, "7eb294b5858968c20ed877f7367af5a2");
+      ("xbar4x8", 2, 2, "7557.8577563216186", 1, 1, "70d93d5f394948a155c25264fedc8cc3");
+      ("xbar4x8", 2, 3, "7509.4425010167988", 0, 2, "70c23a5954b0a1beb7b7cbace274ec55");
+      ("xbar4x8", 7, 1, "7547.8278924063998", 1, 6, "f787d5a33d6957490e2a5a4d96903779");
+      ("xbar4x8", 7, 2, "7544.6956893614915", 3, 4, "2f9dbc9c4f050cbf158eb344599913a7");
+      ("xbar4x8", 7, 3, "7447.1376164960539", 2, 5, "4779d1af325ae62c53d229b11454e0a0");
+      ("xbar4x8", 500, 1, "6847.2718140174165", 78, 422, "a8cae2489290e63f877aa3295b0f085b");
+      ("xbar4x8", 500, 2, "6706.1807118223587", 81, 418, "8377726510d4ccb8b446af8a8f50382a");
+      ("xbar4x8", 500, 3, "6809.2017276736169", 59, 439, "eb9e4f93f2ae9c3c9be1c8599f030297");
     ]
+
+(* A move allocates at most the boxed float of its one [Rng.float] draw
+   (2 words): the anneal's minor allocation, over a run that skips it,
+   stays under 3 words per move. *)
+let test_anneal_allocation () =
+  List.iter
+    (fun name ->
+      let mapped = synthesized Synth.high_effort_options name in
+      let words effort =
+        let before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Place.place mapped ~node effort));
+        Gc.minor_words () -. before
+      in
+      let moves = Place.high_effort.Place.annealing_moves in
+      let extra = words Place.high_effort -. words { Place.high_effort with annealing_moves = 0 } in
+      if extra > 3.0 *. float_of_int moves then
+        Alcotest.failf "%s: %.0f minor words over %d moves" name extra moves)
+    [ "alu8"; "xbar4x8" ]
 
 let test_die_scales_with_area () =
   let small = mapped_design "adder8" in
@@ -175,6 +263,7 @@ let suite =
     Alcotest.test_case "hpwl consistency" `Quick test_hpwl_positive_and_consistent;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "golden hpwl" `Quick test_golden_hpwl;
+    Alcotest.test_case "anneal allocation bound" `Quick test_anneal_allocation;
     Alcotest.test_case "die scales with area" `Quick test_die_scales_with_area;
     Alcotest.test_case "nets cover fanout" `Quick test_nets_cover_fanout;
     Alcotest.test_case "empty netlist rejected" `Quick test_empty_netlist_rejected;
