@@ -3,17 +3,29 @@ module Obs = Educhip_obs.Obs
 module Crc32 = Educhip_util.Crc32
 module Files = Educhip_util.Files
 
-type t = { family : string; dir : string; max_entries : int; mutex : Mutex.t }
+type t = {
+  family : string;
+  dir : string;
+  max_entries : int;
+  mutex : Mutex.t;
+  mutable count : int option;
+      (* live entries at the last listing, plus the files this store has
+         created since, minus the ones it has removed; [None] until the
+         first put lists the directory *)
+}
 
 let create ~family ?(max_entries = 512) ~dir () =
   if max_entries < 1 then
     invalid_arg (Printf.sprintf "Kv.create: max_entries must be >= 1, got %d" max_entries);
-  { family; dir; max_entries; mutex = Mutex.create () }
+  { family; dir; max_entries; mutex = Mutex.create (); count = None }
 
 let dir t = t.dir
 
 let counters =
-  [ "hits"; "misses"; "stores"; "evicted"; "quarantined"; "bytes_written"; "bytes_read" ]
+  [
+    "hits"; "misses"; "stores"; "evicted"; "quarantined"; "bytes_written"; "bytes_read";
+    "listings";
+  ]
 
 let metric_names ~family = List.map (fun c -> family ^ "." ^ c) counters
 let counter t c = t.family ^ "." ^ c
@@ -61,10 +73,19 @@ let json_files dir =
   | exception Sys_error _ -> []
   | names -> Array.to_list names |> List.filter (fun n -> Filename.check_suffix n ".json")
 
-(* oldest mtime first; name breaks ties so eviction order is stable *)
+(* never below 0: a clear or a quarantine can remove an entry another
+   store wrote, which this count has not seen *)
+let lose_one t = t.count <- Option.map (fun n -> max 0 (n - 1)) t.count
+
+(* Lists the directory, evicts down to the cap (oldest mtime first; name
+   breaks ties so eviction order is stable) and resets the count from
+   that listing. *)
 let evict_locked t =
+  Obs.incr_counter (counter t "listings");
   let files = json_files t.dir in
-  let excess = List.length files - t.max_entries in
+  let listed = List.length files in
+  t.count <- Some listed;
+  let excess = listed - t.max_entries in
   if excess > 0 then
     files
     |> List.filter_map (fun n ->
@@ -76,7 +97,9 @@ let evict_locked t =
     |> List.filteri (fun i _ -> i < excess)
     |> List.iter (fun (_, _, path) ->
            match Sys.remove path with
-           | () -> Obs.incr_counter (counter t "evicted")
+           | () ->
+             lose_one t;
+             Obs.incr_counter (counter t "evicted")
            | exception Sys_error _ -> ())
 
 (* Temp names are unique per write, not just per process: two stores
@@ -95,18 +118,23 @@ let put t key payload =
         Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) (Atomic.fetch_and_add tmp_seq 1)
       in
       Out_channel.with_open_bin tmp (fun oc -> output_string oc text);
+      let created = not (Sys.file_exists path) in
       Sys.rename tmp path;
       Obs.incr_counter (counter t "stores");
       Obs.add_counter (counter t "bytes_written") (String.length text);
-      evict_locked t)
+      match t.count with
+      | Some _ when not created -> ()
+      | Some n when n < t.max_entries -> t.count <- Some (n + 1)
+      | Some _ | None -> evict_locked t)
 
 (* Corrupt entries are evidence (bit rot, a torn copy, a bad deploy), not
    garbage: moved aside for inspection, out of sight of [json_files]. *)
 let quarantine_locked t path =
   let qdir = quarantine_dir t in
   Files.mkdir_p qdir;
-  (try Sys.rename path (Filename.concat qdir (Filename.basename path))
-   with Sys_error _ -> ());
+  (match Sys.rename path (Filename.concat qdir (Filename.basename path)) with
+  | () -> lose_one t
+  | exception Sys_error _ -> ());
   Obs.incr_counter (counter t "quarantined")
 
 let quarantine t key =
@@ -146,5 +174,8 @@ let quarantined t = Mutex.protect t.mutex (fun () -> List.length (json_files (qu
 let clear t =
   Mutex.protect t.mutex (fun () ->
       List.iter
-        (fun n -> try Sys.remove (Filename.concat t.dir n) with Sys_error _ -> ())
+        (fun n ->
+          match Sys.remove (Filename.concat t.dir n) with
+          | () -> lose_one t
+          | exception Sys_error _ -> ())
         (json_files t.dir))

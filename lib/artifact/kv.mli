@@ -13,8 +13,24 @@
     - {b Writes} are temp file + rename, so concurrent readers — worker
       domains in one process, or several processes sharing the
       directory — never observe a torn entry.
-    - {b Eviction} is oldest-mtime first ({!get} touches on hit) once
-      the live entry count exceeds [max_entries].
+    - {b Eviction} is oldest-mtime first ({!get} touches on hit), the
+      name breaking ties, once the live entry count exceeds
+      [max_entries]. A store does not list the directory on every put:
+      it lists once at its first put and then keeps a count, adding one
+      for each put that creates a new file (rewriting a key adds
+      nothing) and taking one off for each entry it evicts, quarantines
+      or clears. Only a put that takes the count past [max_entries]
+      lists the directory again, evicts the oldest entries down to the
+      cap and resets the count from that listing. A file deleted behind
+      the store's back leaves the count high, so the store lists early,
+      never late: a store that is alone on its directory holds the cap
+      after every put.
+    - {b Shared directories.} Several stores on one directory (two
+      [eduserved] replicas, or two [t]s in one process) each count from
+      their own last listing, so entries the other stores wrote are
+      counted only at that store's next listing. Between listings the
+      directory can hold more than [max_entries]; a put that lists
+      evicts it down to [max_entries] as that listing found it.
     - {b Corrupt entries} read as misses and are moved into the
       [quarantine/] subdirectory as evidence, where they neither hit nor
       count against the cap.
@@ -26,7 +42,8 @@
 
     Telemetry (when an [Educhip_obs.Obs] collector is installed), one
     family per store: [<family>.hits], [.misses], [.stores], [.evicted],
-    [.quarantined], [.bytes_written], [.bytes_read]. *)
+    [.quarantined], [.bytes_written], [.bytes_read], and [.listings],
+    the directory listings a put made to recount the entries. *)
 
 type t
 
@@ -38,8 +55,8 @@ val create : family:string -> ?max_entries:int -> dir:string -> unit -> t
 val dir : t -> string
 
 val put : t -> string -> Educhip_obs.Jsonout.t -> unit
-(** [put t key payload] writes [payload] under [key], then evicts down
-    to the cap.
+(** [put t key payload] writes [payload] under [key]; if that takes the
+    entry count past the cap, lists the directory and evicts down to it.
     @raise Invalid_argument unless [payload] is a non-empty object. *)
 
 val get : t -> string -> decode:(Educhip_obs.Jsonout.t -> 'a) -> 'a option

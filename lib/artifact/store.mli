@@ -10,7 +10,7 @@
     Telemetry (when an [Educhip_obs.Obs] collector is installed):
     [artifact.hits], [artifact.misses], [artifact.stores],
     [artifact.evicted], [artifact.quarantined], [artifact.bytes_written],
-    [artifact.bytes_read]. *)
+    [artifact.bytes_read], [artifact.listings]. *)
 
 type t
 

@@ -1,14 +1,15 @@
-(* Table-driven CRC-32, reflected form, polynomial 0xEDB88320. *)
+(* Table-driven CRC-32, reflected form, polynomial 0xEDB88320. The
+   register and the table entries are plain [int]s holding the 32-bit
+   value (an [int] has 63 bits on the 64-bit targets the build supports):
+   an [int32] table entry is a pointer to a boxed value, one more load
+   per byte. Only the result is boxed. *)
 
 let table =
   lazy
     (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
+         let c = ref n in
          for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
+           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
          done;
          !c))
 
@@ -16,14 +17,13 @@ let digest_sub s ~pos ~len =
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Crc32.digest_sub";
   let table = Lazy.force table in
-  let crc = ref 0xFFFFFFFFl in
+  let crc = ref 0xFFFFFFFF in
+  (* in range: [pos, pos + len) was checked above, and the index is a byte *)
   for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code s.[i]))) 0xFFl)
-    in
-    crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8)
+    let idx = (!crc lxor Char.code (String.unsafe_get s i)) land 0xFF in
+    crc := Array.unsafe_get table idx lxor (!crc lsr 8)
   done;
-  Int32.logxor !crc 0xFFFFFFFFl
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
 
 let digest s = digest_sub s ~pos:0 ~len:(String.length s)
 

@@ -9,7 +9,10 @@
       first tenant's artifacts without storing anything new.
    3. A corrupted artifact must be quarantined and recomputed, with the
       run still bit-identical.
-   4. [eduflow run --artifact-dir] run twice on one directory must
+   4. A cold run plus a warm resume into a fresh store must list the
+      artifact directory once, at the store's first put: every later
+      put counts its entry instead of re-listing.
+   5. [eduflow run --artifact-dir] run twice on one directory must
       announce a full replay the second time.
 
    The [gds] step is not stored (its layout is rebuilt from the routing
@@ -57,7 +60,7 @@ let () =
   let store = Astore.create ~dir () in
   let netlist = Designs.netlist (Designs.find "counter") in
   let base = Flow.config ~node Flow.Open_flow in
-  let memo_for ?(n = netlist) cfg =
+  let memo_for ?(store = store) ?(n = netlist) cfg =
     Artifact.memo ~store ~netlist:n ~cfg ~inject:[] ~fault_seed:1 ~retries:2
   in
   let prefix ?(n = netlist) cfg =
@@ -145,7 +148,18 @@ let () =
 
   Files.rm_rf dir;
 
-  (* 4: the CLI's resume announcement counts the stored steps only *)
+  (* 4: the entry count replaces per-put directory listings *)
+  let fresh = Astore.create ~dir () in
+  let (), ctr =
+    counted (fun () ->
+        ignore (run ~memo:(memo_for ~store:fresh base) base);
+        ignore (run ~memo:(memo_for ~store:fresh edited) edited))
+  in
+  expect_int "cold + warm resume store every entry" (2 * n_steps - 6) (ctr "artifact.stores");
+  expect_int "cold + warm resume list the store once" 1 (ctr "artifact.listings");
+  Files.rm_rf dir;
+
+  (* 5: the CLI's resume announcement counts the stored steps only *)
   let cli_dir = Filename.concat (Filename.get_temp_dir_name ()) "educhip-incrcheck-cli" in
   Files.rm_rf cli_dir;
   let cli () = run_cli eduflow [ "counter"; "--artifact-dir"; cli_dir ] in
@@ -158,4 +172,5 @@ let () =
     exit 1
   end;
   print_endline
-    "incrcheck: config-delta resume, cross-tenant dedup, quarantine recovery, CLI replay all hold"
+    "incrcheck: config-delta resume, cross-tenant dedup, quarantine recovery, one listing, CLI \
+     replay all hold"

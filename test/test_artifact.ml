@@ -391,6 +391,158 @@ let test_kv_concurrent_domains () =
   check Alcotest.bool "cap held at the end" true (Kv.entries kv <= 3);
   check Alcotest.int "nothing quarantined" 0 (Kv.quarantined kv)
 
+(* {3 Entry count} Each test sets every entry's mtime with
+   [Unix.utimes], so the eviction order does not depend on the clock. *)
+
+let kv_names dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun n -> Filename.check_suffix n ".json")
+  |> List.map Filename.remove_extension |> List.sort compare
+
+let put_at kv dir key mtime =
+  Kv.put kv key (kv_payload key (int_of_float mtime));
+  Unix.utimes (Filename.concat dir (key ^ ".json")) mtime mtime
+
+let counted f =
+  let c = Obs.create () in
+  let r = Obs.with_collector c f in
+  (r, fun name -> Obs.counter_value c name)
+
+let test_kv_puts_under_cap_list_once () =
+  with_store_dir @@ fun dir ->
+  let kv = Kv.create ~family:"t" ~max_entries:50 ~dir () in
+  let (), ctr =
+    counted (fun () ->
+        for i = 1 to 40 do
+          put_at kv dir (Printf.sprintf "k%02d" i) (float_of_int i)
+        done)
+  in
+  check Alcotest.int "one listing" 1 (ctr "t.listings");
+  check Alcotest.int "every put stored" 40 (ctr "t.stores");
+  check Alcotest.int "nothing evicted" 0 (ctr "t.evicted");
+  check Alcotest.int "all on disk" 40 (Kv.entries kv)
+
+(* the survivors after each put are the ones a listing on every put
+   would keep: the newest [cap] by (mtime, name), the new file newest *)
+let test_kv_cap_crossing_evicts_oldest () =
+  with_store_dir @@ fun dir ->
+  let cap = 4 in
+  let kv = Kv.create ~family:"t" ~max_entries:cap ~dir () in
+  let mtimes = [| 50.; 10.; 30.; 10.; 40.; 20.; 10.; 60.; 5.; 30.; 70.; 15. |] in
+  let model = ref [] in
+  let (), ctr =
+    counted (fun () ->
+        Array.iteri
+          (fun i mtime ->
+            let key = Printf.sprintf "k%02d" i in
+            put_at kv dir key mtime;
+            let all = List.sort compare ((infinity, key) :: !model) in
+            let excess = List.length all - cap in
+            model :=
+              List.filteri (fun j _ -> j >= excess) all
+              |> List.map (fun (m, n) -> if n = key then (mtime, n) else (m, n));
+            check
+              Alcotest.(list string)
+              (key ^ " survivors")
+              (List.sort compare (List.map snd !model))
+              (kv_names dir))
+          mtimes)
+  in
+  let crossings = Array.length mtimes - cap in
+  check Alcotest.int "one eviction per crossing" crossings (ctr "t.evicted");
+  check Alcotest.int "the first put and each crossing list" (1 + crossings)
+    (ctr "t.listings");
+  (* the last listing left the count at the cap, so one freed slot takes
+     one put without a listing *)
+  let (), ctr =
+    counted (fun () ->
+        Kv.quarantine kv (snd (List.hd !model));
+        put_at kv dir "k99" 99.)
+  in
+  check Alcotest.int "a freed slot fills without a listing" 0 (ctr "t.listings");
+  check Alcotest.int "entries at the cap" cap (Kv.entries kv)
+
+let test_kv_rewrite_does_not_evict () =
+  with_store_dir @@ fun dir ->
+  let kv = Kv.create ~family:"t" ~max_entries:3 ~dir () in
+  let (), ctr =
+    counted (fun () ->
+        List.iteri (fun i key -> put_at kv dir key (float_of_int (i + 1))) [ "a"; "b"; "c" ];
+        for round = 1 to 5 do
+          List.iteri
+            (fun i key -> put_at kv dir key (float_of_int ((10 * round) + i)))
+            [ "c"; "a"; "b" ]
+        done)
+  in
+  check Alcotest.int "nothing evicted" 0 (ctr "t.evicted");
+  check Alcotest.int "one listing" 1 (ctr "t.listings");
+  check Alcotest.(list string) "all keys kept" [ "a"; "b"; "c" ] (kv_names dir);
+  check Alcotest.(option (pair string int)) "last write wins" (Some ("a", 51))
+    (Kv.get kv "a" ~decode:kv_decode)
+
+(* removals the store makes itself lower its count; a file deleted
+   behind its back leaves the count high, so the store lists early *)
+let test_kv_count_follows_removals () =
+  with_store_dir @@ fun dir ->
+  let kv = Kv.create ~family:"t" ~max_entries:3 ~dir () in
+  let (), ctr =
+    counted (fun () ->
+        put_at kv dir "a" 1.;
+        put_at kv dir "b" 2.;
+        put_at kv dir "c" 3.;
+        Kv.quarantine kv "a";
+        put_at kv dir "d" 4.;
+        check Alcotest.(list string) "quarantine frees a slot" [ "b"; "c"; "d" ] (kv_names dir);
+        Kv.clear kv;
+        put_at kv dir "e" 5.;
+        put_at kv dir "f" 6.;
+        put_at kv dir "g" 7.;
+        Out_channel.with_open_bin (Filename.concat dir "g.json") (fun oc ->
+            output_string oc "{\"torn");
+        check Alcotest.(option (pair string int)) "corrupt entry misses" None
+          (Kv.get kv "g" ~decode:kv_decode);
+        put_at kv dir "h" 8.)
+  in
+  check Alcotest.int "quarantine, clear and a corrupt read list nothing" 1 (ctr "t.listings");
+  check Alcotest.int "nor evict" 0 (ctr "t.evicted");
+  check Alcotest.(list string) "live entries" [ "e"; "f"; "h" ] (kv_names dir);
+  Sys.remove (Filename.concat dir "e.json");
+  let (), ctr = counted (fun () -> put_at kv dir "i" 9.) in
+  check Alcotest.int "an outside delete makes the store list early" 1 (ctr "t.listings");
+  check Alcotest.int "and evict nothing" 0 (ctr "t.evicted");
+  let (), ctr = counted (fun () -> put_at kv dir "j" 10.) in
+  check Alcotest.int "the recount holds: the next crossing lists" 1 (ctr "t.listings");
+  check Alcotest.(list string) "and evicts the oldest" [ "h"; "i"; "j" ] (kv_names dir);
+  check Alcotest.int "quarantined" 2 (Kv.quarantined kv)
+
+(* Two stores on one directory each count only their own writes between
+   listings, so the directory can run over the cap until one of them
+   lists; a put that lists brings it back to the cap. *)
+let test_kv_shared_directory () =
+  with_store_dir @@ fun dir ->
+  let cap = 4 in
+  let a = Kv.create ~family:"a" ~max_entries:cap ~dir () in
+  let b = Kv.create ~family:"b" ~max_entries:cap ~dir () in
+  let c = Obs.create () in
+  let listings () = Obs.counter_value c "a.listings" + Obs.counter_value c "b.listings" in
+  let overshoots = ref 0 in
+  Obs.with_collector c (fun () ->
+      for i = 0 to 23 do
+        let kv = if i mod 3 = 0 then b else a in
+        let key = Printf.sprintf "k%02d" i in
+        let before = listings () in
+        put_at kv dir key (float_of_int (i + 1));
+        let n = List.length (kv_names dir) in
+        if listings () > before then
+          check Alcotest.bool (Printf.sprintf "%s: %d entries after a listing" key n) true
+            (n <= cap)
+        else if n > cap then incr overshoots
+      done);
+  check Alcotest.bool "both stores listed" true
+    (Obs.counter_value c "a.listings" > 1 && Obs.counter_value c "b.listings" > 1);
+  check Alcotest.bool "the other store's writes overshoot until a listing" true
+    (!overshoots > 0)
+
 (* A stored routing state whose first net names an edge the grid does
    not have decodes as corruption, not as a route. *)
 let test_route_decode_rejects_phantom_edge () =
@@ -437,5 +589,10 @@ let suite =
       ("corrupt artifact quarantined", `Quick, test_corrupt_artifact_quarantined);
       ("kv on-disk format", `Quick, test_kv_disk_format);
       ("kv concurrent domains under a cap", `Quick, test_kv_concurrent_domains);
+      ("kv puts under the cap list once", `Quick, test_kv_puts_under_cap_list_once);
+      ("kv cap crossing evicts oldest", `Quick, test_kv_cap_crossing_evicts_oldest);
+      ("kv rewrite does not evict", `Quick, test_kv_rewrite_does_not_evict);
+      ("kv count follows removals", `Quick, test_kv_count_follows_removals);
+      ("kv shared directory", `Quick, test_kv_shared_directory);
       ("route decode rejects phantom edge", `Quick, test_route_decode_rejects_phantom_edge);
     ]

@@ -57,6 +57,41 @@ let test_entry_roundtrip () =
       Journal.Done { id = "j-000007"; verdict = "failed(deadline_exceeded)" };
     ]
 
+(* the bytes of each entry kind, checksum included, as the journal has
+   always written them: a reader of an older journal must accept them *)
+let test_entry_lines_pinned () =
+  let spec =
+    {
+      Wire.design = "counter";
+      tenant = "uni-a";
+      preset = "open";
+      node = "edu130";
+      clock_ps = Some 900.;
+      priority = 2;
+      fault_seed = 3;
+      retries = Some 2;
+      inject = [ "flow.sta:crash@99" ];
+      deadline_ms = Some 1500.;
+      idempotency_key = Some "k1";
+      trace = None;
+      extra = [];
+    }
+  in
+  check
+    Alcotest.(list string)
+    "lines"
+    [
+      {|EDUJ1 f752e8d2 {"e":"accepted","id":"j-000001","req":{"schema":1,"op":"submit","design":"counter","tenant":"uni-a","preset":"open","node":"edu130","clock_ps":900.0,"priority":2,"fault_seed":3,"retries":2,"inject":["flow.sta:crash@99"],"deadline_ms":1500.0,"idempotency_key":"k1"}}|};
+      {|EDUJ1 b93e5003 {"e":"started","id":"j-000001"}|};
+      {|EDUJ1 c4166642 {"e":"done","id":"j-000001","verdict":"ok"}|};
+    ]
+    (List.map Journal.entry_to_line
+       [
+         Journal.Accepted { id = "j-000001"; spec };
+         Journal.Started { id = "j-000001" };
+         Journal.Done { id = "j-000001"; verdict = "ok" };
+       ])
+
 (* property: any submission the wire can carry, the journal can carry.
    The spec is derived from the two generated ints so the failure report
    is reproducible. *)
@@ -223,6 +258,7 @@ let test_backoff_schedule () =
 let suite =
   [
     Alcotest.test_case "entry line round-trip" `Quick test_entry_roundtrip;
+    Alcotest.test_case "entry lines pinned" `Quick test_entry_lines_pinned;
     QCheck_alcotest.to_alcotest qcheck_spec_roundtrip;
     Alcotest.test_case "corrupt lines rejected" `Quick test_line_rejects_corruption;
     Alcotest.test_case "torn tail tolerated" `Quick test_torn_tail;

@@ -3,6 +3,7 @@ module Pqueue = Educhip_util.Pqueue
 module Digraph = Educhip_util.Digraph
 module Stats = Educhip_util.Stats
 module Table = Educhip_util.Table
+module Crc32 = Educhip_util.Crc32
 
 let check = Alcotest.check
 
@@ -338,7 +339,35 @@ let test_table_cells () =
   check Alcotest.string "money B" "$1.2B" (Table.cell_money 1.2e9);
   check Alcotest.string "money k" "$12k" (Table.cell_money 12_000.0)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_pqueue_heap; prop_digraph_topo_respects_edges ]
+(* {1 Crc32} *)
+
+let test_crc32_known_answers () =
+  let hex s = Crc32.to_hex (Crc32.digest s) in
+  check Alcotest.string "check value" "cbf43926" (hex "123456789");
+  check Alcotest.string "empty" "00000000" (hex "");
+  check Alcotest.string "sub of a longer string" "cbf43926"
+    (Crc32.to_hex (Crc32.digest_sub "xx123456789y" ~pos:2 ~len:9));
+  check Alcotest.(option int32) "of_hex inverts to_hex" (Some (Crc32.digest "123456789"))
+    (Crc32.of_hex "CBF43926")
+
+(* one bit at a time, straight from the polynomial: the table-driven
+   digest must agree on every input *)
+let crc32_bitwise s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 0 to 7 do
+        crc := if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+      done)
+    s;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let prop_crc32_matches_bitwise =
+  QCheck.Test.make ~name:"crc32 table matches bitwise reference" ~count:200 QCheck.string
+    (fun s -> Crc32.digest s = crc32_bitwise s)
+
+let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_pqueue_heap; prop_digraph_topo_respects_edges; prop_crc32_matches_bitwise ]
 
 let suite =
   [
@@ -352,6 +381,7 @@ let suite =
     Alcotest.test_case "rng shuffle permutation" `Quick test_rng_shuffle_permutation;
     Alcotest.test_case "rng split independent" `Quick test_rng_split_independent;
     Alcotest.test_case "rng stream pinned" `Quick test_rng_stream_pinned;
+    Alcotest.test_case "crc32 known answers" `Quick test_crc32_known_answers;
     Alcotest.test_case "exp underflow premise" `Quick test_exp_underflow_premise;
     Alcotest.test_case "pqueue sorted pops" `Quick test_pqueue_sorted_pops;
     Alcotest.test_case "pqueue fifo ties" `Quick test_pqueue_fifo_ties;
