@@ -1080,7 +1080,7 @@ let serve_bench () =
   let round_trip c spec =
     match Client.submit c spec with
     | Ok (Wire.Accepted { id; cached; _ }) -> (
-      match if cached then Client.request c (Wire.Result id) else Client.await c id with
+      match if cached then Client.request c (Wire.Result { id; wait_ms = None }) else Client.await c id with
       | Ok (Wire.Job_result _) -> `Done
       | _ -> `Failed)
     | Ok (Wire.Rejected { retry_after_ms; _ }) -> `Rejected retry_after_ms

@@ -1029,7 +1029,7 @@ let run_status socket connect id =
 let run_result socket connect id wait_flag json_path trace_out =
   let c = service_client socket connect in
   let outcome =
-    if wait_flag then Client.await c id else Client.request c (Wire.Result id)
+    if wait_flag then Client.await c id else Client.request c (Wire.Result { id; wait_ms = None })
   in
   match outcome with
   | Ok

@@ -264,7 +264,9 @@ let status_of_result ~id resp =
       }
   | other -> other
 
-let proxy_job t ~want_result id =
+(* A held [result] must come back before this router's read timeout
+   on the replica connection fires: forward at most half of it. *)
+let proxy_job t ?wait_ms ~want_result id =
   match Mutex.protect t.mutex (fun () -> stash_find_locked t id) with
   | Some stashed -> if want_result then stashed else status_of_result ~id stashed
   | None -> (
@@ -278,7 +280,15 @@ let proxy_job t ~want_result id =
            id that isn't was never issued *)
         reject t (Wire.Unknown_id id)
       | Some rep -> (
-        let req = if want_result then Wire.Result local_id else Wire.Status local_id in
+        let req =
+          if want_result then
+            Wire.Result
+              {
+                id = local_id;
+                wait_ms = Option.map (Float.min (t.cfg.read_timeout_ms /. 2.0)) wait_ms;
+              }
+          else Wire.Status local_id
+        in
         match try_request t rep req with
         | Error _ ->
           Mutex.protect t.mutex (fun () -> rep.up <- false);
@@ -479,7 +489,7 @@ let handle t req =
   match req with
   | Wire.Submit spec -> handle_submit t spec
   | Wire.Status id -> proxy_job t ~want_result:false id
-  | Wire.Result id -> proxy_job t ~want_result:true id
+  | Wire.Result { id; wait_ms } -> proxy_job t ?wait_ms ~want_result:true id
   | Wire.Health -> handle_health t
   | Wire.Metrics -> handle_metrics t
   | Wire.Stats -> handle_stats t

@@ -73,10 +73,25 @@ let request t req =
 
 let submit t spec = request t (Wire.Submit spec)
 
+(* Each [Result] asks the server to hold it until the job is terminal,
+   for no longer than what is left of [timeout_ms] or half the socket's
+   read timeout, so the hold can never trip either. A server that
+   ignores the wait answers at once, and the rest of [poll_ms] is slept
+   as before: at most one request per poll either way. *)
 let await ?(poll_ms = 50.0) ?timeout_ms t id =
   let t0 = Mclock.now_ms () in
+  let read_cap_ms =
+    match Unix.getsockopt_float t.fd Unix.SO_RCVTIMEO with
+    | s when s > 0.0 -> s *. 500.0
+    | _ | (exception Unix.Unix_error _) -> Wire.max_wait_ms
+  in
   let rec poll () =
-    match request t (Wire.Result id) with
+    let sent = Mclock.now_ms () in
+    let left =
+      match timeout_ms with Some b -> b -. (sent -. t0) | None -> Wire.max_wait_ms
+    in
+    let wait = Float.min Wire.max_wait_ms (Float.min left read_cap_ms) in
+    match request t (Wire.Result { id; wait_ms = (if wait > 0.0 then Some wait else None) }) with
     | Error _ as e -> e
     | Ok (Wire.Job_result _ as r) -> Ok r
     | Ok (Wire.Rejected _ as r) -> Ok r
@@ -85,7 +100,8 @@ let await ?(poll_ms = 50.0) ?timeout_ms t id =
         Error (Printf.sprintf "timeout: job %s not terminal after %.0f ms" id
                  (Option.get timeout_ms))
       else begin
-        Thread.delay (poll_ms /. 1000.0);
+        let nap_ms = poll_ms -. Mclock.elapsed_ms sent in
+        if nap_ms > 0.0 then Thread.delay (nap_ms /. 1000.0);
         poll ()
       end
   in

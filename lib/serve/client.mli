@@ -47,10 +47,16 @@ val submit : t -> Wire.submit_spec -> (Wire.response, string) result
 
 val await :
   ?poll_ms:float -> ?timeout_ms:float -> t -> string -> (Wire.response, string) result
-(** Poll [Result id] (default every 50 ms) until the job reaches a
-    terminal state, returning its [Job_result] — or a [Rejected]
-    response verbatim (unknown id, say). [Error "timeout ..."] if
-    [timeout_ms] elapses first (default: wait forever). *)
+(** Ask [Result id] with a wait ({!Wire.max_wait_ms}, cut to what is
+    left of [timeout_ms] and to half the socket's read timeout) until
+    the job reaches a terminal state, returning its [Job_result] — or a
+    [Rejected] response verbatim (unknown id, say). A server that holds
+    the request answers the moment the job finishes; after a
+    non-terminal answer only the rest of [poll_ms] (default 50) since
+    that request was sent is slept, so a server that ignores the wait
+    is polled at most once per [poll_ms], as before.
+    [Error "timeout ..."] if [timeout_ms] elapses first (default: wait
+    forever); it comes within [timeout_ms] plus one poll. *)
 
 val close : t -> unit
 

@@ -62,12 +62,17 @@ let metric_names =
     "serve.conn_oversized";
   ]
 
+let histogram_names = [ "serve.request_ms"; "serve.result_wait_ms" ]
+
+let max_finished = 512
+
 type entry = {
   id : string;
   job : Manifest.job;
   submitted_ms : float;
   deadline_at : float option;  (* absolute Mclock ms *)
   trace : Tracectx.t option;
+  idem_key : string option;  (* evicted from [t.idem] with the entry *)
   mutable state : Wire.state;
   mutable wait_ms : float;  (* admission to dispatch; 0 for warm serves *)
   mutable result : Sched.job_result option;  (* Some iff Done or Failed *)
@@ -75,6 +80,12 @@ type entry = {
       (* the request's stitched server-side trace, in append order:
          admission, queue-wait, then the worker's execution spans.
          Mutated under [t.mutex] only. *)
+  mutable waiters : Unix.file_descr list;
+      (* write ends of the pipes held [result] requests select on;
+         [finish] writes a byte to each. Under [t.mutex]. *)
+  mutable stamp : int;
+      (* LRU clock value of the entry's newest [t.lru] slot; 0 while
+         the job is not terminal, -1 once evicted *)
 }
 
 type t = {
@@ -105,6 +116,11 @@ type t = {
       (* opened by [recover] (after compaction) or lazily by the first
          append; [None] when [cfg.journal] is [None] *)
   idem : (string, string) Hashtbl.t;  (* idempotency key -> job id, under [mutex] *)
+  lru : (int * entry) Queue.t;
+      (* terminal entries by last use, oldest first; a slot whose stamp
+         is no longer its entry's is stale and skipped *)
+  mutable lru_clock : int;
+  mutable finished_n : int;  (* terminal entries in [jobs] *)
   rejected : (string, int) Hashtbl.t;  (* reason -> count *)
   synced : (string, int) Hashtbl.t;  (* counter key -> value already exported *)
   slo : Slo.t;  (* per-tier objective accounting, under [mutex] *)
@@ -154,6 +170,9 @@ let create cfg =
     conn = Listener.counts ();
     journal = None;
     idem = Hashtbl.create 64;
+    lru = Queue.create ();
+    lru_clock = 0;
+    finished_n = 0;
     rejected = Hashtbl.create 8;
     synced = Hashtbl.create 16;
     slo = Slo.create ~window:cfg.slo_window cfg.slo;
@@ -247,6 +266,46 @@ let fresh_id t =
   t.next_id <- t.next_id + 1;
   id
 
+(* {1 Finished-job table}
+
+   Every request that is admitted adds an entry (and its idempotency
+   key), cache hits included, so a long-running server keeps only the
+   [max_finished] most recently used terminal entries: a [status],
+   [result] or duplicate submit restamps one, and the least recently
+   used goes first, its key with it. Queued and running entries are
+   never evicted. All three helpers expect [t.mutex] held. *)
+
+let touch_locked t e =
+  t.lru_clock <- t.lru_clock + 1;
+  e.stamp <- t.lru_clock;
+  Queue.push (t.lru_clock, e) t.lru;
+  (* drop stale slots once they outnumber the live ones *)
+  if Queue.length t.lru > 2 * (max_finished + 1) then begin
+    let live = Queue.create () in
+    Queue.iter (fun ((stamp, e) as slot) -> if e.stamp = stamp then Queue.push slot live) t.lru;
+    Queue.clear t.lru;
+    Queue.transfer live t.lru
+  end
+
+let evict_locked t e =
+  e.stamp <- -1;
+  Hashtbl.remove t.jobs e.id;
+  (match e.idem_key with
+  | Some key when Hashtbl.find_opt t.idem key = Some e.id -> Hashtbl.remove t.idem key
+  | _ -> ());
+  t.finished_n <- t.finished_n - 1
+
+(* [e] has just become terminal *)
+let finished_locked t e =
+  t.finished_n <- t.finished_n + 1;
+  touch_locked t e;
+  while t.finished_n > max_finished do
+    let stamp, old = Queue.pop t.lru in
+    if old.stamp = stamp then evict_locked t old
+  done
+
+let table_sizes t = Mutex.protect t.mutex (fun () -> (Hashtbl.length t.jobs, Hashtbl.length t.idem))
+
 (* {1 Write-ahead journal}
 
    [Journal.append] fsyncs before returning, so every call here is a
@@ -301,6 +360,10 @@ let finish t e (result : Sched.job_result) =
       e.result <- Some result;
       e.trace_events <- e.trace_events @ result.Sched.trace_events;
       e.state <- (if failed then Wire.Failed else Wire.Done);
+      (* wake the held [result] requests; each closes its own pipe *)
+      List.iter (fun w -> ignore (Unix.write_substring w "x" 0 1)) e.waiters;
+      e.waiters <- [];
+      finished_locked t e;
       if failed then t.failed <- t.failed + 1 else t.completed <- t.completed + 1;
       account_completion t ~tenant:e.job.Manifest.tenant
         ~latency_ms:(Mclock.now_ms () -. e.submitted_ms) ~ok:(not failed);
@@ -443,8 +506,10 @@ let handle_submit t (spec : Wire.submit_spec) =
           t.idem_hits <- t.idem_hits + 1;
           let terminal =
             match Hashtbl.find_opt t.jobs id with
-            | Some e -> e.result <> None
-            | None -> false
+            | Some e when e.result <> None ->
+              touch_locked t e;
+              true
+            | Some _ | None -> false
           in
           Some (Wire.Accepted { id; tier; cached = terminal; duplicate = true }))
     in
@@ -516,14 +581,18 @@ let handle_submit t (spec : Wire.submit_spec) =
                     submitted_ms = now;
                     deadline_at = None;
                     trace = spec.Wire.trace;
+                    idem_key = spec.Wire.idempotency_key;
                     state = Wire.Done;
                     wait_ms = 0.0;
                     result = Some { result with Sched.job; record };
                     trace_events = admission_event "cache_hit";
+                    waiters = [];
+                    stamp = 0;
                   }
                 in
                 Hashtbl.replace t.jobs id e;
                 register_key id;
+                finished_locked t e;
                 (* warm serves are terminal at admission: journal the
                    accept and the done as one durable pair *)
                 journal_append_locked t (Journal.Accepted { id; spec });
@@ -581,10 +650,13 @@ let handle_submit t (spec : Wire.submit_spec) =
                     submitted_ms = now;
                     deadline_at = Option.map (fun d -> now +. d) deadline_ms;
                     trace = spec.Wire.trace;
+                    idem_key = spec.Wire.idempotency_key;
                     state = Wire.Queued;
                     wait_ms = 0.0;
                     result = None;
                     trace_events = admission_event "queued";
+                    waiters = [];
+                    stamp = 0;
                   }
                 in
                 Hashtbl.replace t.jobs id e;
@@ -601,16 +673,74 @@ let handle_submit t (spec : Wire.submit_spec) =
         in
         verdict))
 
-let handle t (req : Wire.request) =
+(* {1 Held results}
+
+   A [result] carrying [wait_ms] for a job that is not terminal yet
+   parks its connection thread on a pipe of its own until [finish]
+   writes to it or the wait runs out: no CPU while waiting, and the
+   pipe is closed on every path. Returns the ms held, [None] if the
+   request did not wait. *)
+
+let hold_until_terminal t id wait_ms =
+  let wait_ms = Float.min wait_ms Wire.max_wait_ms in
+  let parked =
+    if not (wait_ms > 0.0) then None
+    else
+      Mutex.protect t.mutex (fun () ->
+          match Hashtbl.find_opt t.jobs id with
+          | Some e when e.result = None ->
+            let r, w = Unix.pipe ~cloexec:true () in
+            e.waiters <- w :: e.waiters;
+            Some (e, r, w)
+          | Some _ | None -> None)
+  in
+  Option.map
+    (fun (e, r, w) ->
+      let t0 = Mclock.now_ms () in
+      let rec wait () =
+        let left = wait_ms -. Mclock.elapsed_ms t0 in
+        if left > 0.0 then
+          match Unix.select [ r ] [] [] (left /. 1000.0) with
+          | [], _, _ -> wait ()
+          | _ -> ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.protect t.mutex (fun () -> e.waiters <- List.filter (( != ) w) e.waiters);
+          Unix.close r;
+          Unix.close w)
+        wait;
+      let stop = Mclock.now_ms () in
+      Mutex.protect t.mutex (fun () ->
+          Option.iter
+            (fun ctx ->
+              e.trace_events <-
+                e.trace_events
+                @ [
+                    Tracectx.event ~name:"serve.result_wait"
+                      ~args:[ ("job", Obs.Str e.id) ]
+                      ~start_ms:t0 ~stop_ms:stop ctx;
+                  ])
+            e.trace);
+      stop -. t0)
+    parked
+
+let rec respond t (req : Wire.request) =
   match req with
-  | Wire.Submit spec -> handle_submit t spec
-  | Wire.Status id | Wire.Result id ->
-    Mutex.protect t.mutex (fun () ->
+  | Wire.Status id | Wire.Result { id; _ } ->
+    let held =
+      match req with
+      | Wire.Result { wait_ms = Some w; _ } -> hold_until_terminal t id w
+      | _ -> None
+    in
+    ( Mutex.protect t.mutex (fun () ->
         match (Hashtbl.find_opt t.jobs id, req) with
         | None, _ ->
           count_reject t (Wire.Unknown_id id);
           Wire.Rejected { reason = Wire.Unknown_id id; retry_after_ms = None }
-        | Some { result = Some r; trace_events; _ }, Wire.Result _ ->
+        | Some ({ result = Some r; trace_events; _ } as e), Wire.Result _ ->
+          touch_locked t e;
           Wire.Job_result
             {
               id;
@@ -623,8 +753,16 @@ let handle t (req : Wire.request) =
               trace_events;
             }
         | Some e, _ ->
+          if e.result <> None then touch_locked t e;
           Wire.Job_status
-            { id; state = e.state; verdict = Option.map (fun r -> r.Sched.verdict) e.result })
+            { id; state = e.state; verdict = Option.map (fun r -> r.Sched.verdict) e.result }),
+      held )
+  | _ -> (handle_other t req, None)
+
+and handle_other t (req : Wire.request) =
+  match req with
+  | Wire.Submit spec -> handle_submit t spec
+  | Wire.Status _ | Wire.Result _ -> fst (respond t req)
   | Wire.Health ->
     Mutex.protect t.mutex (fun () ->
         sync_metrics t;
@@ -705,6 +843,8 @@ let handle t (req : Wire.request) =
         retry_after_ms = None;
       }
 
+let handle t req = fst (respond t req)
+
 (* {1 Recovery} *)
 
 type recovery_stats = {
@@ -747,16 +887,20 @@ let register_recovered t ~id ~(spec : Wire.submit_spec) (result : Sched.job_resu
           submitted_ms = Mclock.now_ms ();
           deadline_at = None;
           trace = None;
+          idem_key = spec.Wire.idempotency_key;
           state = (if failed then Wire.Failed else Wire.Done);
           wait_ms = 0.0;
           result = Some result;
           trace_events = [];
+          waiters = [];
+          stamp = 0;
         }
       in
       Hashtbl.replace t.jobs id e;
       (match spec.Wire.idempotency_key with
       | Some key -> Hashtbl.replace t.idem key id
       | None -> ());
+      finished_locked t e;
       (match id_number id with
       | Some n when n >= t.next_id -> t.next_id <- n + 1
       | _ -> ());
@@ -799,7 +943,11 @@ let recover t =
            register_recovered t ~id ~spec result;
            incr restored;
            survivors := (id, spec, result) :: !survivors))
-      (List.map (fun (id, spec, _verdict) -> (id, spec)) rec_.Journal.completed);
+      (* only the newest [max_finished] could stay in the table *)
+      (let skip = List.length rec_.Journal.completed - max_finished in
+       List.filteri
+         (fun i _ -> i >= skip)
+         (List.map (fun (id, spec, _verdict) -> (id, spec)) rec_.Journal.completed));
     (* The crash signature: accepted, never finished. Replay through the
        same executor, in original admission order — deadlines are not
        re-imposed (the accepted job is owed a result, however late). *)
@@ -822,7 +970,9 @@ let recover t =
             Journal.Accepted { id; spec };
             Journal.Done { id; verdict = r.Sched.verdict };
           ])
-        (List.rev !survivors)
+        (List.filter
+           (fun (id, _, _) -> Mutex.protect t.mutex (fun () -> Hashtbl.mem t.jobs id))
+           (List.rev !survivors))
     in
     Journal.compact ~path entries;
     Mutex.protect t.mutex (fun () -> t.journal <- Some (Journal.open_ ~path));
@@ -850,13 +1000,16 @@ let op_label = function
   | Wire.Cluster_status -> "cluster_status"
   | Wire.Drain_replica _ -> "drain_replica"
 
-(* the listener's [handle]: request latency by op, response write
-   excluded *)
+(* the listener's [handle]: request latency by op, response write and
+   any result hold excluded; the hold is observed on its own *)
 let handle_timed t req =
   let t0 = Mclock.now_ms () in
-  let resp = handle t req in
+  let resp, held = respond t req in
+  let total = Mclock.elapsed_ms t0 in
   Mutex.protect t.mutex (fun () ->
-      Obs.observe ~labels:[ ("op", op_label req) ] "serve.request_ms" (Mclock.elapsed_ms t0));
+      Obs.observe ~labels:[ ("op", op_label req) ] "serve.request_ms"
+        (total -. Option.value held ~default:0.0);
+      Option.iter (Obs.observe "serve.result_wait_ms") held);
   resp
 
 let serve t listen_fd =

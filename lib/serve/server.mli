@@ -122,6 +122,17 @@ val recovery_stats_json : recovery_stats -> Educhip_obs.Jsonout.t
 (** The object [eduserved] writes to [<journal>.recovery.json] at
     startup — the chaos harness reads it to score a recovery. *)
 
+val max_finished : int
+(** 512: terminal job entries kept, least recently used evicted first
+    (a [status], [result] or duplicate submit counts as a use), each
+    with its idempotency key. A [status] or [result] for an evicted id
+    answers [Unknown_id]; a resubmission with an evicted key runs as a
+    new job. Queued and running jobs are never evicted, and {!recover}
+    restores at most this many finished jobs. *)
+
+val table_sizes : t -> int * int
+(** Job entries and idempotency keys currently held. *)
+
 val handle : t -> Wire.request -> Wire.response
 (** Process one request against the server state — the unit the
     connection threads call, exposed so tests can drive admission
@@ -135,7 +146,12 @@ val handle : t -> Wire.request -> Wire.response
     record gains [trace_id]/[queue_wait_ms]. Every completion (run,
     warm serve, deadline expiry) is also accounted against the tier's
     SLO window and the tenant's latency sample, which the [stats] verb
-    reports. *)
+    reports.
+
+    A [Result] with [wait_ms] for a job that is not terminal holds the
+    calling thread until the job finishes or the wait (at most
+    {!Wire.max_wait_ms}) runs out, using no CPU meanwhile; a traced job
+    gets a [serve.result_wait] event for the hold. *)
 
 val validate_spec :
   Wire.submit_spec -> (Educhip_sched.Manifest.job, string) result
@@ -168,4 +184,9 @@ val metric_names : string list
     / [serve.conn_oversized] ({!Listener.counts}). It also maintains
     the [serve.queue_depth] / [serve.running] gauges and the
     [serve.request_ms] histogram labeled by [op]: a decoded request's
-    time in the server, its response write excluded. *)
+    time in the server, its response write and any result hold
+    excluded. The hold of a [Result] that waited goes to the
+    [serve.result_wait_ms] histogram. *)
+
+val histogram_names : string list
+(** [serve.request_ms] and [serve.result_wait_ms]. *)

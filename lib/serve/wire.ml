@@ -10,6 +10,8 @@ module Flow = Educhip_flow.Flow
    for no semantic gain. *)
 let schema_version = 1
 
+let max_wait_ms = 1000.0
+
 type submit_spec = {
   design : string;
   tenant : string;
@@ -51,7 +53,7 @@ let submit ?(tenant = "default") design =
 type request =
   | Submit of submit_spec
   | Status of string
-  | Result of string
+  | Result of { id : string; wait_ms : float option }
   | Health
   | Metrics
   | Stats
@@ -222,7 +224,12 @@ let encode_request req =
     match req with
     | Submit s -> submit_body s
     | Status id -> [ field "op" (Jsonout.String "status"); field "id" (Jsonout.String id) ]
-    | Result id -> [ field "op" (Jsonout.String "result"); field "id" (Jsonout.String id) ]
+    | Result { id; wait_ms } ->
+      [
+        field "op" (Jsonout.String "result");
+        field "id" (Jsonout.String id);
+        opt_field "wait_ms" (fun w -> Jsonout.Float w) wait_ms;
+      ]
     | Health -> [ field "op" (Jsonout.String "health") ]
     | Metrics -> [ field "op" (Jsonout.String "metrics") ]
     | Stats -> [ field "op" (Jsonout.String "stats") ]
@@ -310,7 +317,15 @@ let decode_request line =
       | None -> Error "missing op field"
       | Some "submit" -> Result.map (fun s -> Submit s) (decode_submit json)
       | Some "status" -> require_id json (fun id -> Status id)
-      | Some "result" -> require_id json (fun id -> Result id)
+      | Some "result" ->
+        (* a wait that is not a positive number asks for none; a longer
+           one than the protocol allows is cut to [max_wait_ms] *)
+        let wait_ms =
+          match Jsonout.float "wait_ms" json with
+          | Some w when w > 0.0 -> Some (Float.min w max_wait_ms)
+          | _ -> None
+        in
+        require_id json (fun id -> Result { id; wait_ms })
       | Some "health" -> Ok Health
       | Some "metrics" -> Ok Metrics
       | Some "stats" -> Ok Stats

@@ -22,6 +22,9 @@ val schema_version : int
     version outright, so a bump would cut off legacy peers without
     buying anything. *)
 
+val max_wait_ms : float
+(** 1000: the longest hold a [Result] may ask for. *)
+
 type submit_spec = {
   design : string;  (** a {!Educhip_designs.Designs} entry name *)
   tenant : string;
@@ -58,7 +61,15 @@ val submit : ?tenant:string -> string -> submit_spec
 type request =
   | Submit of submit_spec
   | Status of string  (** job id *)
-  | Result of string  (** job id *)
+  | Result of { id : string; wait_ms : float option }
+      (** job id. [wait_ms] asks the server to hold the answer until the
+          job is terminal or that many ms have passed, so a waiting
+          client hears of completion at once instead of on its next
+          poll. An optional member (schema stays 1): with [None] the
+          line is byte for byte the old one, and an older server
+          ignores the member and answers at once. Decoding reads a
+          missing, non-numeric or non-positive value as [None] and cuts
+          a larger one to {!max_wait_ms}. *)
   | Health
   | Metrics  (** Prometheus text exposition of the server's registry *)
   | Stats  (** per-tenant occupancy/latency plus SLO budgets, for [eduflow top] *)

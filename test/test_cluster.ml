@@ -498,6 +498,58 @@ let test_router_wire_hygiene () =
           (List.assoc "bad_request" s.rejects)
       | _ -> Alcotest.fail "expected Stats_report")
 
+(* a held result through the router: the router forwards the wait, the
+   replica answers when its job ends, not on the client's poll *)
+let test_router_held_result () =
+  let dir = Filename.temp_dir "educhip-rheld" "" in
+  let rsock = Filename.concat dir "r1.sock" and path = Filename.concat dir "rt.sock" in
+  let c = Educhip_obs.Obs.create () in
+  Fun.protect
+    ~finally:(fun () -> Files.rm_rf dir)
+    (fun () ->
+      Educhip_obs.Obs.with_collector c (fun () ->
+          let server =
+            Educhip_serve.Server.create
+              { Educhip_serve.Server.default_config with Educhip_serve.Server.workers = 1 }
+          in
+          let rfd = Listener.listen_unix ~path:rsock in
+          let replica = Thread.create (fun () -> Educhip_serve.Server.serve server rfd) () in
+          let r =
+            Router.create (Router.config { Spec.default with Spec.replicas = [ ("r1", rsock) ] })
+          in
+          let listen_fd = Listener.listen_unix ~path in
+          let serving = Thread.create (fun () -> Router.serve r listen_fd) () in
+          let client = Client.connect_unix path in
+          let t0 = Unix.gettimeofday () in
+          let res =
+            match
+              Client.submit client
+                { (Wire.submit "alu8") with Wire.preset = "commercial" }
+            with
+            | Ok (Wire.Accepted { id; _ }) -> Client.await ~poll_ms:2000.0 client id
+            | _ -> Error "submit"
+          in
+          let took_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+          Client.close client;
+          Router.request_drain r;
+          Thread.join serving;
+          Unix.close listen_fd;
+          ignore (Educhip_serve.Server.handle server Wire.Drain);
+          Thread.join replica;
+          Unix.close rfd;
+          (match res with
+          | Ok (Wire.Job_result { id; exec_ms; wait_ms; _ }) ->
+            check Alcotest.bool "global id" true (String.sub id 0 3 = "r1/");
+            (* a 2 s poll grid would put the answer at 2 s or later *)
+            check Alcotest.bool
+              (Printf.sprintf "answered %.1f ms after a %.1f ms job" took_ms (exec_ms +. wait_ms))
+              true
+              (took_ms < exec_ms +. wait_ms +. 500.0)
+          | Ok other -> Alcotest.failf "result: %s" (Wire.encode_response other)
+          | Error e -> Alcotest.failf "await: %s" e);
+          check Alcotest.int "the replica held the request" 1
+            (List.length (Educhip_obs.Obs.histogram_samples c "serve.result_wait_ms"))))
+
 let suite =
   [
     Alcotest.test_case "ring determinism and order-independence" `Quick test_ring_basics;
@@ -516,4 +568,5 @@ let suite =
     Alcotest.test_case "router stash cap config" `Quick test_router_stash_config;
     Alcotest.test_case "router with unreachable replicas" `Quick test_router_dead_replicas;
     Alcotest.test_case "router wire hygiene over a socket" `Quick test_router_wire_hygiene;
+    Alcotest.test_case "held result through the router" `Quick test_router_held_result;
   ]

@@ -10,6 +10,7 @@ module Daemon = Educhip_serve.Daemon
 module Listener = Educhip_serve.Listener
 module Client = Educhip_serve.Client
 module Journal = Educhip_serve.Journal
+module Mclock = Educhip_util.Mclock
 
 let req_roundtrip r =
   match Wire.decode_request (Wire.encode_request r) with
@@ -42,7 +43,8 @@ let test_wire_request_roundtrip () =
       Wire.Submit full;
       Wire.Submit { (Wire.submit "counter") with Wire.trace = Some (Tracectx.generate ()) };
       Wire.Status "j-000042";
-      Wire.Result "j-000000";
+      Wire.Result { id = "j-000000"; wait_ms = None };
+      Wire.Result { id = "j-000007"; wait_ms = Some 250.0 };
       Wire.Health;
       Wire.Metrics;
       Wire.Stats;
@@ -360,7 +362,7 @@ let test_server_admission_pipeline () =
       (match Server.handle t (Wire.Status id1) with
       | Wire.Job_status { state = Wire.Queued; verdict = None; _ } -> ()
       | r -> Alcotest.failf "status: %s" (Wire.encode_response r));
-      (match Server.handle t (Wire.Result id1) with
+      (match Server.handle t (Wire.Result { id = id1; wait_ms = None }) with
       | Wire.Job_status { state = Wire.Queued; _ } -> ()
       | r -> Alcotest.failf "result of queued job: %s" (Wire.encode_response r));
       (match reject_reason (Server.handle t (Wire.Status "j-999999")) with
@@ -517,7 +519,7 @@ let test_server_journal_replay () =
             Alcotest.(check int) "nothing restored" 0 st.Server.restored_completed;
             Alcotest.(check int) "no drops" 0 st.Server.dropped_lines
           | None -> Alcotest.fail "journal configured: recover must report stats");
-          (match Server.handle t2 (Wire.Result id1) with
+          (match Server.handle t2 (Wire.Result { id = id1; wait_ms = None }) with
           | Wire.Job_result { id; verdict; _ } ->
             Alcotest.(check string) "original id preserved" id1 id;
             Alcotest.(check string) "replayed to completion" "ok" verdict
@@ -620,6 +622,254 @@ let test_server_deadline_expiry () =
           (match r.Runlog.queue_wait_ms with Some w -> w > 1.0 | None -> false)
       | None -> Alcotest.fail "ledger: no expired record")
 
+(* {2 Held results} *)
+
+let test_wire_result_wait () =
+  let line w = Printf.sprintf {|{"schema":1,"op":"result","id":"j-000007","wait_ms":%s}|} w in
+  Alcotest.(check string) "plain result line unchanged"
+    {|{"schema":1,"op":"result","id":"j-000007"}|}
+    (Wire.encode_request (Wire.Result { id = "j-000007"; wait_ms = None }));
+  Alcotest.(check string) "golden waiting line" (line "250.0")
+    (Wire.encode_request (Wire.Result { id = "j-000007"; wait_ms = Some 250.0 }));
+  let decoded w =
+    match Wire.decode_request (line w) with
+    | Ok (Wire.Result { id = "j-000007"; wait_ms }) -> Ok wait_ms
+    | Ok r -> Alcotest.failf "%s decoded to %s" w (Wire.encode_request r)
+    | Error e -> Error e
+  in
+  let check_wait name expect w =
+    match decoded w with
+    | Ok got -> Alcotest.(check (option (float 0.0))) name expect got
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  check_wait "negative: plain" None "-5";
+  check_wait "zero: plain" None "0";
+  check_wait "string: plain" None {|"100"|};
+  check_wait "null: plain" None "null";
+  check_wait "in range kept" (Some 40.5) "40.5";
+  check_wait "1e12 clamped" (Some Wire.max_wait_ms) "1e12";
+  check_wait "overflow to inf clamped" (Some Wire.max_wait_ms) "1e999";
+  (* JSON has no NaN: the line is malformed, which a server answers
+     with a typed bad_request *)
+  Alcotest.(check bool) "NaN line is a decode error" true (Result.is_error (decoded "NaN"));
+  Alcotest.(check bool) "NaN encodes as a plain result" true
+    (req_roundtrip (Wire.Result { id = "j-1"; wait_ms = None })
+    && Wire.decode_request (Wire.encode_request (Wire.Result { id = "j-1"; wait_ms = Some nan }))
+       = Ok (Wire.Result { id = "j-1"; wait_ms = None }))
+
+(* an unstarted pool never runs what is queued: a job that never ends *)
+let with_stuck_server f =
+  let dir = Filename.temp_dir "educhip-hold" "" in
+  let socket = Filename.concat dir "s.sock" in
+  Obs.with_collector (Obs.create ()) (fun () ->
+      let t = Server.create Server.default_config in
+      let listen_fd = Listener.listen_unix ~path:socket in
+      let stop = Atomic.make false in
+      let thread =
+        Thread.create
+          (fun () ->
+            Listener.serve ~stop:(fun () -> Atomic.get stop) ~reject:ignore
+              ~handle:(Server.handle t) listen_fd)
+          ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          Thread.join thread;
+          Unix.close listen_fd;
+          Educhip_util.Files.rm_rf dir)
+        (fun () ->
+          let id =
+            match Server.handle t (Wire.Submit (Wire.submit "counter")) with
+            | Wire.Accepted { id; _ } -> id
+            | r -> Alcotest.failf "submit: %s" (Wire.encode_response r)
+          in
+          f t socket id))
+
+let test_await_timeout_bounds () =
+  with_stuck_server (fun t socket id ->
+      (* an old client's plain result is answered at once, as before *)
+      let t0 = Mclock.now_ms () in
+      (match Server.handle t (Wire.Result { id; wait_ms = None }) with
+      | Wire.Job_status { state = Wire.Queued; _ } as r ->
+        Alcotest.(check string) "plain answer bytes"
+          (Printf.sprintf {|{"schema":1,"type":"status","id":"%s","state":"queued"}|} id)
+          (Wire.encode_response r)
+      | r -> Alcotest.failf "plain result: %s" (Wire.encode_response r));
+      Alcotest.(check bool) "plain result does not hold" true (Mclock.elapsed_ms t0 < 20.0);
+      let c = Client.connect_unix socket in
+      let t0 = Mclock.now_ms () in
+      (match Client.await ~poll_ms:50.0 ~timeout_ms:100.0 c id with
+      | Error e -> Alcotest.(check bool) "timeout error" true (contains ~needle:"timeout" e)
+      | Ok r -> Alcotest.failf "stuck job answered %s" (Wire.encode_response r));
+      let took = Mclock.elapsed_ms t0 in
+      Alcotest.(check bool) (Printf.sprintf "within timeout + one poll (%.1f ms)" took) true
+        (took >= 100.0 && took < 150.0);
+      Client.close c;
+      (* the hold is cut to half the read timeout, so it never trips it *)
+      let c = Client.connect_unix ~read_timeout_ms:120.0 socket in
+      (match Client.await ~poll_ms:10.0 ~timeout_ms:400.0 c id with
+      | Error e ->
+        Alcotest.(check bool) ("a timeout, not a read error: " ^ e) true
+          (contains ~needle:"timeout: job" e)
+      | Ok r -> Alcotest.failf "stuck job answered %s" (Wire.encode_response r));
+      Client.close c;
+      Alcotest.(check (pair int int)) "nothing evicted" (1, 0) (Server.table_sizes t))
+
+(* a server from before held results: answers [running] at once and
+   ignores wait_ms; the client must not spin *)
+let test_await_old_server_polls () =
+  let dir = Filename.temp_dir "educhip-oldsrv" "" in
+  let socket = Filename.concat dir "s.sock" in
+  let listen_fd = Listener.listen_unix ~path:socket in
+  let seen = Atomic.make 0 and waited = Atomic.make 0 in
+  let server =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept listen_fd in
+        let pending = Buffer.create 64 in
+        let rec loop () =
+          match Listener.read_request_line fd ~pending ~timeout_ms:2000.0 with
+          | Listener.Line l ->
+            Atomic.incr seen;
+            (match Wire.decode_request l with
+            | Ok (Wire.Result { wait_ms = Some _; _ }) -> Atomic.incr waited
+            | _ -> ());
+            let out =
+              Wire.encode_response
+                (Wire.Job_status { id = "j-000001"; state = Wire.Running; verdict = None })
+              ^ "\n"
+            in
+            ignore (Unix.write_substring fd out 0 (String.length out));
+            loop ()
+          | _ -> Unix.close fd
+        in
+        loop ())
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join server;
+      Unix.close listen_fd;
+      Educhip_util.Files.rm_rf dir)
+    (fun () ->
+      let c = Client.connect_unix socket in
+      (match Client.await ~poll_ms:50.0 ~timeout_ms:250.0 c "j-000001" with
+      | Error e -> Alcotest.(check bool) "times out" true (contains ~needle:"timeout" e)
+      | Ok r -> Alcotest.failf "answered %s" (Wire.encode_response r));
+      Client.close c;
+      let n = Atomic.get seen in
+      Alcotest.(check bool) (Printf.sprintf "at most one request per poll (%d)" n) true
+        (n >= 3 && n <= 6);
+      (* the last one may find no time left to ask for *)
+      Alcotest.(check bool) "requests asked for a wait" true (Atomic.get waited >= n - 1))
+
+(* a held result answers when the job ends, not on the client's poll *)
+let test_await_answers_at_finish () =
+  let dir = Filename.temp_dir "educhip-held" "" in
+  let socket = Filename.concat dir "s.sock" in
+  let c = Obs.create () in
+  Fun.protect
+    ~finally:(fun () -> Educhip_util.Files.rm_rf dir)
+    (fun () ->
+      Obs.with_collector c (fun () ->
+          let t = Server.create { Server.default_config with Server.workers = 1 } in
+          let listen_fd = Listener.listen_unix ~path:socket in
+          let thread = Thread.create (fun () -> Server.serve t listen_fd) () in
+          let client = Client.connect_unix socket in
+          let spec =
+            {
+              (Wire.submit "alu8") with
+              Wire.preset = "commercial";
+              trace = Some (Tracectx.generate ());
+            }
+          in
+          let t0 = Mclock.now_ms () in
+          let r =
+            match Client.submit client spec with
+            | Ok (Wire.Accepted { id; _ }) -> Client.await ~poll_ms:2000.0 client id
+            | _ -> Alcotest.fail "submit"
+          in
+          let back_us = Mclock.now_us () in
+          ignore (Client.request client Wire.Drain);
+          Client.close client;
+          Thread.join thread;
+          Unix.close listen_fd;
+          match r with
+          | Ok (Wire.Job_result { trace_events; _ }) ->
+            Alcotest.(check bool) "well before the poll grid" true (Mclock.elapsed_ms t0 < 1500.0);
+            let ends name =
+              List.filter_map
+                (fun e ->
+                  if e.Tracectx.name = name then Some (e.Tracectx.ts_us +. e.Tracectx.dur_us)
+                  else None)
+                trace_events
+            in
+            (match (ends "flow.run", ends "serve.result_wait") with
+            | [ run_end ], [ _ ] ->
+              let late_ms = (back_us -. run_end) /. 1000.0 in
+              Alcotest.(check bool) (Printf.sprintf "answered %.1f ms after the run" late_ms) true
+                (late_ms < 50.0)
+            | _ -> Alcotest.fail "expected one flow.run and one serve.result_wait event");
+            Alcotest.(check int) "one held request observed" 1
+              (List.length (Obs.histogram_samples c "serve.result_wait_ms"))
+          | Ok r -> Alcotest.failf "result: %s" (Wire.encode_response r)
+          | Error e -> Alcotest.failf "await: %s" e))
+
+(* cache hits add an entry each; past the cap the least recently used
+   go, idempotency keys with them *)
+let test_server_finished_cap () =
+  let dir = Filename.temp_dir "educhip-cap" "" in
+  Fun.protect
+    ~finally:(fun () -> Educhip_util.Files.rm_rf dir)
+    (fun () ->
+      let cache = Educhip_sched.Cache.create ~dir () in
+      (match Server.validate_spec (Wire.submit "counter") with
+      | Ok job -> ignore (Educhip_sched.Sched.run_one ~cache job)
+      | Error e -> Alcotest.fail e);
+      let fast = { Ratelimit.rate_per_s = 1e6; burst = 1e6; max_inflight = 64; fair_weight = 1.0 } in
+      let cfg = { Server.default_config with Server.cache = Some cache; basic = fast } in
+      with_server cfg (fun t ->
+          let submit i =
+            let spec =
+              { (Wire.submit "counter") with Wire.idempotency_key = Some (Printf.sprintf "k-%d" i) }
+            in
+            match Server.handle t (Wire.Submit spec) with
+            | Wire.Accepted { id; cached = true; duplicate; _ } -> (id, duplicate)
+            | r -> Alcotest.failf "submit %d: %s" i (Wire.encode_response r)
+          in
+          let n = Server.max_finished + 100 in
+          let ids = Array.init Server.max_finished (fun i -> fst (submit i)) in
+          (* using the oldest keeps it past the next 100 *)
+          (match Server.handle t (Wire.Status ids.(0)) with
+          | Wire.Job_status { state = Wire.Done; _ } -> ()
+          | r -> Alcotest.failf "status: %s" (Wire.encode_response r));
+          let newest = ref "" in
+          for i = Server.max_finished to n - 1 do
+            newest := fst (submit i)
+          done;
+          Alcotest.(check (pair int int)) "tables at the cap"
+            (Server.max_finished, Server.max_finished) (Server.table_sizes t);
+          let answers id =
+            match Server.handle t (Wire.Result { id; wait_ms = None }) with
+            | Wire.Job_result _ -> `Result
+            | Wire.Rejected { reason = Wire.Unknown_id _; _ } -> `Unknown
+            | r -> Alcotest.failf "result %s: %s" id (Wire.encode_response r)
+          in
+          Alcotest.(check bool) "newest answers" true (answers !newest = `Result);
+          Alcotest.(check bool) "recently used oldest answers" true (answers ids.(0) = `Result);
+          Alcotest.(check bool) "least recently used evicted" true (answers ids.(1) = `Unknown);
+          Alcotest.(check bool) "status of evicted unknown" true
+            (match Server.handle t (Wire.Status ids.(1)) with
+            | Wire.Rejected { reason = Wire.Unknown_id _; _ } -> true
+            | _ -> false);
+          (match submit (n - 1) with
+          | id, true -> Alcotest.(check string) "held key still a duplicate" !newest id
+          | _ -> Alcotest.fail "held key must answer duplicate");
+          match submit 1 with
+          | _, false -> ()
+          | _ -> Alcotest.fail "an evicted key runs as a new job"))
+
 let suite =
   [
     Alcotest.test_case "wire request round-trip" `Quick test_wire_request_roundtrip;
@@ -639,4 +889,10 @@ let suite =
     Alcotest.test_case "server deadline expiry over a socket" `Quick
       test_server_deadline_expiry;
     Alcotest.test_case "daemon early death reported" `Quick test_daemon_early_death;
+    Alcotest.test_case "wire result wait" `Quick test_wire_result_wait;
+    Alcotest.test_case "await bounded by timeout and read timeout" `Quick
+      test_await_timeout_bounds;
+    Alcotest.test_case "await against an old server polls" `Quick test_await_old_server_polls;
+    Alcotest.test_case "held result answers at finish" `Quick test_await_answers_at_finish;
+    Alcotest.test_case "server finished-job cap" `Quick test_server_finished_cap;
   ]
