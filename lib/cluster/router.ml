@@ -397,7 +397,9 @@ let cluster_rows t =
    (2) wait until every job the router placed there is terminal,
    stashing each terminal result router-side; (3) only then drain the
    replica itself and remap its ring segment. Results of drained-away
-   jobs are served from the stash, so nothing accepted is ever lost. *)
+   jobs are served from the stash, so nothing accepted is ever lost.
+   A job the replica has already evicted from its own finished table
+   is not stashed: its result was not held anywhere to carry over. *)
 
 let pending_on t name =
   Mutex.protect t.mutex (fun () ->
@@ -418,6 +420,12 @@ let await_job t rep ~id ~local_id =
     | Ok (Wire.Job_result jr) ->
       Mutex.protect t.mutex (fun () ->
           stash_put_locked t id (Wire.Job_result { jr with id }));
+      Ok ()
+    | Ok (Wire.Rejected { reason = Wire.Unknown_id _; _ }) ->
+      (* a replica evicts only terminal entries ([Server.max_finished]),
+         so a live replica that no longer knows the id finished it and
+         its result was already there to fetch: nothing left to stash *)
+      Mutex.protect t.mutex (fun () -> Hashtbl.remove t.jobs id);
       Ok ()
     | Ok other -> Error ("await: unexpected " ^ Wire.encode_response other)
     | Error e -> Error e)

@@ -27,7 +27,10 @@
       replica, wait out every job the router sent it (stashing their
       terminal results so [result] keeps answering after the replica
       is gone), drain the replica itself, then remap its ring segment.
-      Zero accepted jobs are lost.
+      Zero accepted jobs are lost. Only the results the replica still
+      holds are stashed: one it had already evicted (it keeps the
+      {!Educhip_serve.Server.max_finished} most recently used) answers
+      [unknown_id] after the drain as it did before.
 
     Thread model: as under the server, {!Educhip_serve.Listener} runs
     a thread per client connection over {!handle}, which takes the

@@ -106,6 +106,12 @@ let run cfg =
   let t_start = Mclock.now_ms () in
   let n = List.length cfg.jobs in
   if n = 0 then invalid_arg "Chaos.run: empty job list";
+  (* past the daemon's finished-job cap the oldest ids are evicted by
+     design, and would score as lost *)
+  if n > Server.max_finished then
+    invalid_arg
+      (Printf.sprintf "Chaos.run: %d jobs, more than the daemon keeps (%d)" n
+         Server.max_finished);
   Files.mkdir_p cfg.state_dir;
   let socket = cfg.state_dir / "chaos.sock" in
   let log = cfg.state_dir / "daemon.log" in

@@ -32,7 +32,10 @@ type config = {
   workers : int;  (** daemon worker domains *)
   jobs : Wire.submit_spec list;
       (** the campaign; idempotency keys are overwritten with
-          [chaos-k<i>] so the harness controls identity *)
+          [chaos-k<i>] so the harness controls identity. At most
+          {!Server.max_finished} jobs: the daemon evicts older finished
+          ids (and their keys) by design, and the score would count
+          them as lost. *)
   kills : int;  (** SIGKILLs to deliver (clamped to the job count) *)
   seed : int;  (** drives kill-point selection and client backoff *)
   use_journal : bool;  (** [false] = control arm: no [--journal] *)
@@ -60,6 +63,8 @@ type stats = {
 
 val run : config -> stats
 (** Execute the campaign.
+    @raise Invalid_argument on an empty campaign or one larger than
+    {!Server.max_finished}.
     @raise Failure on harness-level trouble (daemon won't start, a
     submission rejected, suppression violated under a journal) — with
     the tail of the daemon log in the message where relevant. Job

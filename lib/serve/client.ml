@@ -67,6 +67,7 @@ let request t req =
   with
   | line -> Wire.decode_response line
   | exception End_of_file -> Error "connection closed by server"
+  | exception Sys_blocked_io -> Error "connection error: read timed out"
   | exception Sys_error msg -> Error ("connection error: " ^ msg)
   | exception Unix.Unix_error (e, _, _) ->
     Error ("connection error: " ^ Unix.error_message e)

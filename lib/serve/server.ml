@@ -62,8 +62,6 @@ let metric_names =
     "serve.conn_oversized";
   ]
 
-let histogram_names = [ "serve.request_ms"; "serve.result_wait_ms" ]
-
 let max_finished = 512
 
 type entry = {
@@ -681,21 +679,21 @@ let handle_submit t (spec : Wire.submit_spec) =
    pipe is closed on every path. Returns the ms held, [None] if the
    request did not wait. *)
 
-let hold_until_terminal t id wait_ms =
-  let wait_ms = Float.min wait_ms Wire.max_wait_ms in
+let hold t (req : Wire.request) =
   let parked =
-    if not (wait_ms > 0.0) then None
-    else
+    match req with
+    | Wire.Result { id; wait_ms = Some wait_ms } when wait_ms > 0.0 ->
       Mutex.protect t.mutex (fun () ->
           match Hashtbl.find_opt t.jobs id with
           | Some e when e.result = None ->
             let r, w = Unix.pipe ~cloexec:true () in
             e.waiters <- w :: e.waiters;
-            Some (e, r, w)
+            Some (e, r, w, Float.min wait_ms Wire.max_wait_ms)
           | Some _ | None -> None)
+    | _ -> None
   in
   Option.map
-    (fun (e, r, w) ->
+    (fun (e, r, w, wait_ms) ->
       let t0 = Mclock.now_ms () in
       let rec wait () =
         let left = wait_ms -. Mclock.elapsed_ms t0 in
@@ -726,15 +724,12 @@ let hold_until_terminal t id wait_ms =
       stop -. t0)
     parked
 
-let rec respond t (req : Wire.request) =
+(* the answer once any hold is over *)
+let answer t (req : Wire.request) =
   match req with
+  | Wire.Submit spec -> handle_submit t spec
   | Wire.Status id | Wire.Result { id; _ } ->
-    let held =
-      match req with
-      | Wire.Result { wait_ms = Some w; _ } -> hold_until_terminal t id w
-      | _ -> None
-    in
-    ( Mutex.protect t.mutex (fun () ->
+    Mutex.protect t.mutex (fun () ->
         match (Hashtbl.find_opt t.jobs id, req) with
         | None, _ ->
           count_reject t (Wire.Unknown_id id);
@@ -755,14 +750,7 @@ let rec respond t (req : Wire.request) =
         | Some e, _ ->
           if e.result <> None then touch_locked t e;
           Wire.Job_status
-            { id; state = e.state; verdict = Option.map (fun r -> r.Sched.verdict) e.result }),
-      held )
-  | _ -> (handle_other t req, None)
-
-and handle_other t (req : Wire.request) =
-  match req with
-  | Wire.Submit spec -> handle_submit t spec
-  | Wire.Status _ | Wire.Result _ -> fst (respond t req)
+            { id; state = e.state; verdict = Option.map (fun r -> r.Sched.verdict) e.result })
   | Wire.Health ->
     Mutex.protect t.mutex (fun () ->
         sync_metrics t;
@@ -843,7 +831,9 @@ and handle_other t (req : Wire.request) =
         retry_after_ms = None;
       }
 
-let handle t req = fst (respond t req)
+let handle t req =
+  ignore (hold t req);
+  answer t req
 
 (* {1 Recovery} *)
 
@@ -1004,7 +994,8 @@ let op_label = function
    any result hold excluded; the hold is observed on its own *)
 let handle_timed t req =
   let t0 = Mclock.now_ms () in
-  let resp, held = respond t req in
+  let held = hold t req in
+  let resp = answer t req in
   let total = Mclock.elapsed_ms t0 in
   Mutex.protect t.mutex (fun () ->
       Obs.observe ~labels:[ ("op", op_label req) ] "serve.request_ms"

@@ -98,7 +98,10 @@ type recovery_stats = {
   dropped_lines : int;  (** torn/corrupt lines discarded by the loader *)
   restored_completed : int;
       (** jobs that had finished before the crash, restored (normally
-          from the result cache; re-executed on a cache miss) *)
+          from the result cache; re-executed on a cache miss): the
+          newest {!max_finished} of them at most, since older ones
+          would be evicted at once. Replayed jobs count against the
+          same cap, so a large replay can evict restored ones. *)
   replayed : int;  (** accepted-but-unfinished jobs re-executed *)
   started_incomplete : int;
       (** of [replayed], how many the crash caught mid-execution *)
@@ -187,6 +190,3 @@ val metric_names : string list
     time in the server, its response write and any result hold
     excluded. The hold of a [Result] that waited goes to the
     [serve.result_wait_ms] histogram. *)
-
-val histogram_names : string list
-(** [serve.request_ms] and [serve.result_wait_ms]. *)

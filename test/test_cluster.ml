@@ -550,6 +550,78 @@ let test_router_held_result () =
           check Alcotest.int "the replica held the request" 1
             (List.length (Educhip_obs.Obs.histogram_samples c "serve.result_wait_ms"))))
 
+(* a rolling drain after the replica has evicted some of the jobs the
+   router placed on it: the evicted ones count as finished, the drain
+   completes, and the results the replica still held move to the stash *)
+let test_router_drain_past_replica_cap () =
+  let module Server = Educhip_serve.Server in
+  let dir = Filename.temp_dir "educhip-rdrain" "" in
+  let rsock = Filename.concat dir "r1.sock" in
+  Fun.protect
+    ~finally:(fun () -> Files.rm_rf dir)
+    (fun () ->
+      Educhip_obs.Obs.with_collector (Educhip_obs.Obs.create ()) (fun () ->
+          let cache = Educhip_sched.Cache.create ~dir:(Filename.concat dir "cache") () in
+          (match Server.validate_spec (Wire.submit "counter") with
+          | Ok job -> ignore (Educhip_sched.Sched.run_one ~cache job)
+          | Error e -> Alcotest.fail e);
+          let fast =
+            {
+              Educhip_serve.Ratelimit.rate_per_s = 1e6;
+              burst = 1e6;
+              max_inflight = 64;
+              fair_weight = 1.0;
+            }
+          in
+          let server =
+            Server.create
+              { Server.default_config with Server.workers = 1; cache = Some cache; basic = fast }
+          in
+          let rfd = Listener.listen_unix ~path:rsock in
+          let replica = Thread.create (fun () -> Server.serve server rfd) () in
+          let r =
+            Router.create
+              {
+                (Router.config { Spec.default with Spec.replicas = [ ("r1", rsock) ] }) with
+                Router.read_timeout_ms = 500.0;
+              }
+          in
+          let ids =
+            Array.init (Server.max_finished + 40) (fun i ->
+                match Router.handle r (Wire.Submit (Wire.submit "counter")) with
+                | Wire.Accepted { id; cached = true; _ } -> id
+                | resp -> Alcotest.failf "submit %d: %s" i (Wire.encode_response resp))
+          in
+          let newest = ids.(Array.length ids - 1) in
+          let result id =
+            match Router.handle r (Wire.Result { id; wait_ms = None }) with
+            | Wire.Job_result { id = got; _ } -> `Result got
+            | Wire.Rejected { reason = Wire.Unknown_id _; _ } -> `Unknown
+            | resp -> Alcotest.failf "result %s: %s" id (Wire.encode_response resp)
+          in
+          check Alcotest.bool "oldest already evicted by the replica" true
+            (result ids.(0) = `Unknown);
+          let drained = ref None in
+          let drainer =
+            Thread.create
+              (fun () -> drained := Some (Router.handle r (Wire.Drain_replica "r1")))
+              ()
+          in
+          (* once drained the replica stops serving, and the router's
+             health probe of it times out after [read_timeout_ms] *)
+          Thread.join drainer;
+          ignore (Server.handle server Wire.Drain);
+          Thread.join replica;
+          Unix.close rfd;
+          (match !drained with
+          | Some (Wire.Cluster_report { replicas = [ row ] }) ->
+            check Alcotest.bool "replica drained away" false row.Wire.r_up
+          | Some resp -> Alcotest.failf "drain: %s" (Wire.encode_response resp)
+          | None -> Alcotest.fail "drain did not answer");
+          check Alcotest.bool "held result served from the stash" true
+            (result newest = `Result newest);
+          check Alcotest.bool "evicted id still unknown" true (result ids.(0) = `Unknown)))
+
 let suite =
   [
     Alcotest.test_case "ring determinism and order-independence" `Quick test_ring_basics;
@@ -569,4 +641,6 @@ let suite =
     Alcotest.test_case "router with unreachable replicas" `Quick test_router_dead_replicas;
     Alcotest.test_case "router wire hygiene over a socket" `Quick test_router_wire_hygiene;
     Alcotest.test_case "held result through the router" `Quick test_router_held_result;
+    Alcotest.test_case "drain past the replica's finished cap" `Quick
+      test_router_drain_past_replica_cap;
   ]

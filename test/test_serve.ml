@@ -764,6 +764,23 @@ let test_await_old_server_polls () =
       (* the last one may find no time left to ask for *)
       Alcotest.(check bool) "requests asked for a wait" true (Atomic.get waited >= n - 1))
 
+(* a server that never answers: the socket's read timeout comes back
+   as an error, not an exception *)
+let test_request_read_timeout () =
+  let dir = Filename.temp_dir "educhip-mute" "" in
+  let socket = Filename.concat dir "s.sock" in
+  let listen_fd = Listener.listen_unix ~path:socket in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listen_fd;
+      Educhip_util.Files.rm_rf dir)
+    (fun () ->
+      let c = Client.connect_unix ~read_timeout_ms:50.0 socket in
+      (match Client.request c Wire.Health with
+      | Error e -> Alcotest.(check bool) e true (contains ~needle:"timed out" e)
+      | Ok r -> Alcotest.failf "answered %s" (Wire.encode_response r));
+      Client.close c)
+
 (* a held result answers when the job ends, not on the client's poll *)
 let test_await_answers_at_finish () =
   let dir = Filename.temp_dir "educhip-held" "" in
@@ -893,6 +910,7 @@ let suite =
     Alcotest.test_case "await bounded by timeout and read timeout" `Quick
       test_await_timeout_bounds;
     Alcotest.test_case "await against an old server polls" `Quick test_await_old_server_polls;
+    Alcotest.test_case "request read timeout is an error" `Quick test_request_read_timeout;
     Alcotest.test_case "held result answers at finish" `Quick test_await_answers_at_finish;
     Alcotest.test_case "server finished-job cap" `Quick test_server_finished_cap;
   ]
