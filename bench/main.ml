@@ -1329,11 +1329,23 @@ let chaos_bench () =
   end
 
 (* Incremental artifacts: populate a content-addressed store with one
-   cold flow, then edit a late-step knob (the clock constraint) and
-   compare a cold rerun against a warm rerun resuming from the artifact
-   prefix -> BENCH_incr.json. Gates: the warm rerun is >= 10x faster
-   (median over the reps) and bit-identical to cold in everything but
-   wall-clock. *)
+   cold flow, then edit a late-step knob (the power simulation length)
+   and compare a cold rerun against a warm rerun resuming from the
+   artifact prefix -> BENCH_incr.json. Gates: the warm rerun is >= 10x
+   faster (median over the reps) and bit-identical to cold in everything
+   but wall-clock. The warm run's time in the memo's probes (read and
+   decode the warm prefix) and saves (encode and write the suffix) is
+   reported beside it. *)
+type incr_rep = {
+  depth : int;  (* leading stored steps the warm run replayed *)
+  cold_ms : float;
+  warm_ms : float;
+  decode_ms : float;  (* of [warm_ms]: the memo's probes *)
+  encode_ms : float;  (* of [warm_ms]: the memo's saves *)
+  speedup : float;
+  bit_identical : bool;
+}
+
 (* The cold populate and the edit reps against a store in [dir]; writes
    BENCH_incr.json and returns what the gates check. *)
 let incr_measure ~dir =
@@ -1387,31 +1399,45 @@ let incr_measure ~dir =
         ~retries:2
     in
     let cold_ms, cold = timed (fun () -> unwrap (Flow.run_guarded netlist edited)) in
-    let warm_ms, warm =
-      timed (fun () -> unwrap (Flow.run_guarded ~memo:(memo_for edited) netlist edited))
+    let decode_ms = ref 0.0 and encode_ms = ref 0.0 in
+    let memo =
+      let m = memo_for edited in
+      let add acc f =
+        let ms, r = timed f in
+        acc := !acc +. ms;
+        r
+      in
+      {
+        Flow.memo_probe = (fun step -> add decode_ms (fun () -> m.Flow.memo_probe step));
+        memo_save = (fun step s -> add encode_ms (fun () -> m.Flow.memo_save step s));
+      }
     in
+    let warm_ms, warm = timed (fun () -> unwrap (Flow.run_guarded ~memo netlist edited)) in
     let bit_identical = identical cold warm in
     let speedup = if warm_ms > 0.0 then cold_ms /. warm_ms else 0.0 in
     Printf.printf
-      "edit %d: resume at %-9s (%d/%d warm)  cold %8.2f ms  warm %7.2f ms  %6.1fx  %s\n%!"
+      "edit %d: resume at %-9s (%d/%d warm)  cold %8.2f ms  warm %7.2f ms (decode %.2f, encode %.2f)  %6.1fx  %s\n%!"
       (k + 1)
       (if depth < n_steps then List.nth Flow.stored_step_names depth else "-")
-      depth n_steps cold_ms warm_ms speedup
+      depth n_steps cold_ms warm_ms !decode_ms !encode_ms speedup
       (if bit_identical then "bit-identical" else "MISMATCH");
-    (depth, cold_ms, warm_ms, speedup, bit_identical)
+    { depth; cold_ms; warm_ms; decode_ms = !decode_ms; encode_ms = !encode_ms; speedup;
+      bit_identical }
   in
   let results = List.init reps rep in
   let med f = Stats.percentile 50.0 (List.map f results) in
-  let cold_med = med (fun (_, c, _, _, _) -> c) in
-  let warm_med = med (fun (_, _, w, _, _) -> w) in
+  let cold_med = med (fun r -> r.cold_ms) in
+  let warm_med = med (fun r -> r.warm_ms) in
+  let decode_med = med (fun r -> r.decode_ms) in
+  let encode_med = med (fun r -> r.encode_ms) in
   let speedup_med = if warm_med > 0.0 then cold_med /. warm_med else 0.0 in
-  let all_identical = List.for_all (fun (_, _, _, _, b) -> b) results in
-  let depths = List.map (fun (d, _, _, _, _) -> d) results in
+  let all_identical = List.for_all (fun r -> r.bit_identical) results in
+  let depths = List.map (fun r -> r.depth) results in
   let partial_resume = List.for_all (fun d -> d >= 1 && d < n_steps) depths in
   let limit = 10.0 in
   Printf.printf
-    "median: cold %8.2f ms  warm %7.2f ms  speedup %5.1fx (limit %.0fx)  %s\n%!"
-    cold_med warm_med speedup_med limit
+    "median: cold %8.2f ms  warm %7.2f ms (decode %.2f, encode %.2f)  speedup %5.1fx (limit %.0fx)  %s\n%!"
+    cold_med warm_med decode_med encode_med speedup_med limit
     (if all_identical then "all bit-identical" else "MISMATCH");
   Jsonout.write_file ~path:"BENCH_incr.json"
     (Jsonout.Obj
@@ -1424,16 +1450,20 @@ let incr_measure ~dir =
          ( "reps",
            Jsonout.List
              (List.map
-                (fun (depth, cold_ms, warm_ms, speedup, bit_identical) ->
+                (fun r ->
                   Jsonout.Obj
-                    [ ("warm_prefix_depth", Jsonout.Int depth);
-                      ("cold_ms", Jsonout.Float cold_ms);
-                      ("warm_ms", Jsonout.Float warm_ms);
-                      ("speedup", Jsonout.Float speedup);
-                      ("bit_identical", Jsonout.Bool bit_identical) ])
+                    [ ("warm_prefix_depth", Jsonout.Int r.depth);
+                      ("cold_ms", Jsonout.Float r.cold_ms);
+                      ("warm_ms", Jsonout.Float r.warm_ms);
+                      ("warm_decode_ms", Jsonout.Float r.decode_ms);
+                      ("warm_encode_ms", Jsonout.Float r.encode_ms);
+                      ("speedup", Jsonout.Float r.speedup);
+                      ("bit_identical", Jsonout.Bool r.bit_identical) ])
                 results) );
          ("cold_median_ms", Jsonout.Float cold_med);
          ("warm_median_ms", Jsonout.Float warm_med);
+         ("warm_decode_median_ms", Jsonout.Float decode_med);
+         ("warm_encode_median_ms", Jsonout.Float encode_med);
          ("speedup_median", Jsonout.Float speedup_med);
          ("speedup_limit", Jsonout.Float limit);
          ("all_bit_identical", Jsonout.Bool all_identical) ]);

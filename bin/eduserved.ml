@@ -36,10 +36,11 @@ let run socket tcp_port workers max_queue no_cache cache_dir cache_max artifact_
     exit 2
   end;
   (* install the export collector before Server.create so the server
-     adopts it and the at_exit writers see the serve.* families *)
+     adopts it and the at_exit writers see the serve.* families; it keeps
+     the served flows' span trees only when a trace is to be written *)
   ignore
-    (Obs.export_on_exit ?trace:trace_path ?metrics:metrics_path ?metrics_text:prom_path
-       ());
+    (Obs.export_on_exit ~spans:(trace_path <> None) ?trace:trace_path ?metrics:metrics_path
+       ?metrics_text:prom_path ());
   let tweak (l : Ratelimit.limits) rate burst inflight =
     {
       l with

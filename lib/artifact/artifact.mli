@@ -33,7 +33,13 @@ val memo :
 (** Build the memoization hook for one run of [netlist] under [cfg] with
     the given fault configuration. Probes restore snapshots (quarantining
     entries that pass their checksum but fail to decode); saves serialize
-    and store freshly computed steps. *)
+    and store freshly computed steps.
+
+    With an [Educhip_obs.Obs] collector installed, each probe of a
+    stored step is an [artifact.decode] span and each save an
+    [artifact.encode] span, both with [step] and [bytes] (the state's
+    encoded size; 0 on a miss) attributes, and their times land in the
+    [artifact.decode_ms] and [artifact.encode_ms] histograms. *)
 
 val warm_prefix :
   store:Store.t ->

@@ -1,4 +1,3 @@
-module Jsonout = Educhip_obs.Jsonout
 module Obs = Educhip_obs.Obs
 module Crc32 = Educhip_util.Crc32
 module Files = Educhip_util.Files
@@ -29,49 +28,42 @@ let counters =
 
 let metric_names ~family = List.map (fun c -> family ^ "." ^ c) counters
 let counter t c = t.family ^ "." ^ c
-let entry_path t key = Filename.concat t.dir (key ^ ".json")
+
+(* The suffix predates byte payloads. Keeping it keeps entries written
+   by older builds in the listing, so they count against the cap, age
+   out, or fail verification at their first read and are quarantined. *)
+let suffix = ".json"
+let entry_path t key = Filename.concat t.dir (key ^ suffix)
 let quarantine_dir t = Filename.concat t.dir "quarantine"
 
-(* On-disk form: the payload object with a [crc] member spliced in front
-   of its closing brace, holding the CRC-32 of the payload bytes without
-   that member. The member is always last and fixed-width, so a reader
-   recovers the checksummed bytes by cutting it off again. *)
-let crc_open = {|,"crc":"|}
-let crc_member_len = String.length crc_open + 8 + String.length {|"}|}
+(* On-disk form: the payload bytes, then a fixed-width trailer holding
+   the CRC-32 of those bytes: "\ncrc32 " and 8 hex digits, then "\n". *)
+let trailer_head = "\ncrc32 "
+let trailer crc = trailer_head ^ Crc32.to_hex crc ^ "\n"
+let trailer_len = String.length trailer_head + 9
 
-let to_disk payload =
-  let payload = Jsonout.to_string payload in
-  let crc = Crc32.to_hex (Crc32.digest payload) in
-  String.sub payload 0 (String.length payload - 1) ^ crc_open ^ crc ^ "\"}\n"
-
-(* The payload bytes of an entry's text, or [None] when the trailing crc
-   member is missing, malformed, or does not match them. *)
-let verified_payload text =
-  let n = String.length text in
-  let n = if n > 0 && text.[n - 1] = '\n' then n - 1 else n in
-  let m = n - crc_member_len in
-  if m < 1 || String.sub text m (String.length crc_open) <> crc_open
-     || String.sub text (n - 2) 2 <> {|"}|}
+(* The payload's length in [text], or [None] when the trailer is missing,
+   malformed, or does not match the bytes before it. *)
+let verified_len text =
+  let m = String.length text - trailer_len in
+  if m < 0
+     || String.sub text m (String.length trailer_head) <> trailer_head
+     || text.[String.length text - 1] <> '\n'
   then None
   else
-    match Crc32.of_hex (String.sub text (m + String.length crc_open) 8) with
-    | None -> None
-    | Some crc ->
-      let payload = String.sub text 0 m ^ "}" in
-      if Crc32.digest payload = crc then Some payload else None
+    match Crc32.of_hex (String.sub text (m + String.length trailer_head) 8) with
+    | Some crc when Crc32.digest_sub text ~pos:0 ~len:m = crc -> Some m
+    | Some _ | None -> None
 
 let decode_text ~decode text =
-  match verified_payload text with
+  match verified_len text with
   | None -> None
-  | Some payload -> (
-    match decode (Jsonout.of_string payload) with
-    | v -> Some v
-    | exception Failure _ -> None)
+  | Some len -> ( match decode text ~len with v -> Some v | exception Failure _ -> None)
 
-let json_files dir =
+let entry_files dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
-  | names -> Array.to_list names |> List.filter (fun n -> Filename.check_suffix n ".json")
+  | names -> Array.to_list names |> List.filter (fun n -> Filename.check_suffix n suffix)
 
 (* never below 0: a clear or a quarantine can remove an entry another
    store wrote, which this count has not seen *)
@@ -82,7 +74,7 @@ let lose_one t = t.count <- Option.map (fun n -> max 0 (n - 1)) t.count
    that listing. *)
 let evict_locked t =
   Obs.incr_counter (counter t "listings");
-  let files = json_files t.dir in
+  let files = entry_files t.dir in
   let listed = List.length files in
   t.count <- Some listed;
   let excess = listed - t.max_entries in
@@ -107,28 +99,27 @@ let evict_locked t =
 let tmp_seq = Atomic.make 0
 
 let put t key payload =
-  (match payload with
-  | Jsonout.Obj (_ :: _) -> ()
-  | _ -> invalid_arg "Kv.put: payload must be a non-empty object");
-  let text = to_disk payload in
+  let trailer = trailer (Crc32.digest payload) in
   Mutex.protect t.mutex (fun () ->
       Files.mkdir_p t.dir;
       let path = entry_path t key in
       let tmp =
         Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) (Atomic.fetch_and_add tmp_seq 1)
       in
-      Out_channel.with_open_bin tmp (fun oc -> output_string oc text);
+      Out_channel.with_open_bin tmp (fun oc ->
+          output_string oc payload;
+          output_string oc trailer);
       let created = not (Sys.file_exists path) in
       Sys.rename tmp path;
       Obs.incr_counter (counter t "stores");
-      Obs.add_counter (counter t "bytes_written") (String.length text);
+      Obs.add_counter (counter t "bytes_written") (String.length payload + trailer_len);
       match t.count with
       | Some _ when not created -> ()
       | Some n when n < t.max_entries -> t.count <- Some (n + 1)
       | Some _ | None -> evict_locked t)
 
 (* Corrupt entries are evidence (bit rot, a torn copy, a bad deploy), not
-   garbage: moved aside for inspection, out of sight of [json_files]. *)
+   garbage: moved aside for inspection, out of sight of [entry_files]. *)
 let quarantine_locked t path =
   let qdir = quarantine_dir t in
   Files.mkdir_p qdir;
@@ -168,8 +159,8 @@ let probe t key ~decode =
       | None -> false
       | Some text -> Option.is_some (decode_text ~decode text))
 
-let entries t = Mutex.protect t.mutex (fun () -> List.length (json_files t.dir))
-let quarantined t = Mutex.protect t.mutex (fun () -> List.length (json_files (quarantine_dir t)))
+let entries t = Mutex.protect t.mutex (fun () -> List.length (entry_files t.dir))
+let quarantined t = Mutex.protect t.mutex (fun () -> List.length (entry_files (quarantine_dir t)))
 
 let clear t =
   Mutex.protect t.mutex (fun () ->
@@ -178,4 +169,4 @@ let clear t =
           match Sys.remove (Filename.concat t.dir n) with
           | () -> lose_one t
           | exception Sys_error _ -> ())
-        (json_files t.dir))
+        (entry_files t.dir))

@@ -1,15 +1,25 @@
-(** A directory of CRC-guarded JSON entries keyed by string.
+(** A directory of CRC-guarded byte entries keyed by string.
 
     The one storage layer under both the whole-job result cache
-    ([Educhip_sched.Cache]) and the per-step artifact store ({!Store});
-    each of those is only an entry codec over this module.
+    ([Educhip_sched.Cache], JSON text) and the per-step artifact store
+    ({!Store}, {!Codec}'s binary form); each of those is only an entry
+    codec over this module.
 
-    - {b Format.} One file [<key>.json] per entry: the serialized payload
-      object with a trailing [crc] member spliced in before its closing
-      brace — the CRC-32 of the payload bytes {e without} that member —
-      then a newline. A file whose bytes do not end in a valid [crc]
-      member matching the rest is corrupt; so is one that fails to parse
-      or whose [decode] raises [Failure].
+    - {b Format.} One file [<key>.json] per entry (the name predates
+      byte payloads): the payload bytes, then a fixed-width 16-byte
+      trailer, ["
+crc32 "], the CRC-32 of the payload as 8 lowercase hex
+      digits, and ["
+"]. A file that does not end in such a trailer
+      matching the bytes before it is corrupt; so is one whose [decode]
+      raises [Failure]. The check reads the payload in place, without
+      copying it.
+    - {b Older builds} wrote the payload as a JSON object with the CRC
+      spliced in as a last [crc] member. Such an entry fails
+      verification at its first read, is quarantined, and the caller
+      recomputes it, bit-identically; entries that are never read again
+      (the artifact store's keys changed with the format) age out under
+      the cap.
     - {b Writes} are temp file + rename, so concurrent readers — worker
       domains in one process, or several processes sharing the
       directory — never observe a torn entry.
@@ -54,17 +64,17 @@ val create : family:string -> ?max_entries:int -> dir:string -> unit -> t
 
 val dir : t -> string
 
-val put : t -> string -> Educhip_obs.Jsonout.t -> unit
+val put : t -> string -> string -> unit
 (** [put t key payload] writes [payload] under [key]; if that takes the
-    entry count past the cap, lists the directory and evicts down to it.
-    @raise Invalid_argument unless [payload] is a non-empty object. *)
+    entry count past the cap, lists the directory and evicts down to it. *)
 
-val get : t -> string -> decode:(Educhip_obs.Jsonout.t -> 'a) -> 'a option
-(** Verified read: [decode] sees the payload without its [crc] member.
-    A hit refreshes the entry's mtime. A missing file is a miss; a
-    corrupt one is quarantined and is a miss. *)
+val get : t -> string -> decode:(string -> len:int -> 'a) -> 'a option
+(** Verified read: [decode text ~len] reads the payload, the first [len]
+    bytes of the file's [text] (the trailer follows them). A hit
+    refreshes the entry's mtime. A missing file is a miss; a corrupt one
+    is quarantined and is a miss. *)
 
-val probe : t -> string -> decode:(Educhip_obs.Jsonout.t -> 'a) -> bool
+val probe : t -> string -> decode:(string -> len:int -> 'a) -> bool
 (** Would {!get} hit? Read-only: no counters, no mtime touch, no
     quarantine — dry-run predictions must not mutate the store they are
     predicting against. *)

@@ -5,12 +5,11 @@ module Synth = Educhip_synth.Synth
 module Place = Educhip_place.Place
 module Route = Educhip_route.Route
 
-(* Bump on any change to snapshot semantics or key derivation; the step
-   list is folded in so reordering the template also invalidates keys.
-   It names the whole template, [gds] included, although [gds] is no
-   longer stored: keeping the string keeps every stored step's key, and
-   so every existing store, valid. *)
-let version = "educhip-artifact/1:" ^ String.concat "," Flow.step_names
+(* Bump on any change to snapshot semantics, the stored encoding or key
+   derivation; the step list is folded in so reordering the template
+   also invalidates keys. It names the whole template, [gds] included,
+   although [gds] is not stored. Version 2 is {!Codec}'s binary form. *)
+let version = "educhip-artifact/2:" ^ String.concat "," Flow.step_names
 
 (* [Flow.config_signature] renders every config field as "key=value"
    joined by ';'. Splitting it — rather than re-rendering fields here —

@@ -26,24 +26,25 @@ val create : ?max_entries:int -> dir:string -> unit -> t
 
 val dir : t -> string
 
-type entry = {
+type entry = Codec.entry = {
   key : string;  (** the chained content key — also the filename stem *)
   step : string;
-  tag : string;  (** {!Codec.state_to_json} dispatch tag *)
-  state : Educhip_obs.Jsonout.t;
-      (** raw snapshot payload; decoding is deferred to [Artifact], which
+  tag : string;  (** {!Codec.encode_state} dispatch tag *)
+  state : string;
+      (** raw snapshot bytes; decoding is deferred to [Artifact], which
           holds the upstream context a decode needs *)
   report : Educhip_flow.Flow.step_report;
   exec : Educhip_flow.Flow.step_exec;
 }
+(** Stored as {!Codec.encode_entry}'s bytes in a {!Kv} entry. *)
 
 val store : t -> entry -> unit
 (** Write (temp + rename), evict down to the cap. *)
 
 val lookup : t -> string -> entry option
 (** Verified read. A hit refreshes the entry's mtime (LRU). A file that
-    fails its checksum or doesn't parse is quarantined and reported as a
-    miss. *)
+    fails its checksum or whose entry does not decode is quarantined and
+    reported as a miss. *)
 
 val probe : t -> string -> bool
 (** Would {!lookup} hit? Read-only: no counters, no LRU touch, no

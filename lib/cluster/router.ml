@@ -34,17 +34,73 @@ type replica = {
 
 type job = { rep : string; local_id : string }
 
+(* {1 Bounded tables}
+
+   A table keyed by global id, capped at [cap] entries: a put past the
+   cap evicts the least recently touched. Each put or hit stamps its
+   entry from a monotone clock and queues (stamp, id), so the queue's
+   front holds the oldest stamps; a pair whose entry was touched again
+   or removed since is skipped. The queue is rebuilt from the table
+   whenever stale pairs could outnumber live ones, so it stays within
+   about twice the cap. Callers hold the router mutex. *)
+module Lru = struct
+  type 'a t = {
+    cap : int;
+    tbl : (string, int * 'a) Hashtbl.t;
+    order : (int * string) Queue.t;
+    mutable clock : int;
+  }
+
+  let create cap = { cap; tbl = Hashtbl.create 64; order = Queue.create (); clock = 0 }
+  let length t = Hashtbl.length t.tbl
+  let remove t id = Hashtbl.remove t.tbl id
+  let fold f t acc = Hashtbl.fold (fun id (_, v) acc -> f id v acc) t.tbl acc
+
+  let stamp t id v =
+    t.clock <- t.clock + 1;
+    Hashtbl.replace t.tbl id (t.clock, v);
+    Queue.push (t.clock, id) t.order;
+    if Queue.length t.order > (2 * t.cap) + 16 then begin
+      let live = Hashtbl.fold (fun id (stamp, _) acc -> (stamp, id) :: acc) t.tbl [] in
+      Queue.clear t.order;
+      List.iter (fun p -> Queue.push p t.order) (List.sort compare live)
+    end
+
+  let find t id =
+    match Hashtbl.find_opt t.tbl id with
+    | None -> None
+    | Some (_, v) ->
+      stamp t id v;
+      Some v
+
+  (* the number of entries evicted *)
+  let put t id v =
+    stamp t id v;
+    let evicted = ref 0 in
+    while Hashtbl.length t.tbl > t.cap do
+      let stamp, id = Queue.pop t.order in
+      match Hashtbl.find_opt t.tbl id with
+      | Some (current, _) when current = stamp ->
+        Hashtbl.remove t.tbl id;
+        incr evicted
+      | Some _ | None -> ()
+    done;
+    !evicted
+end
+
 type t = {
   cfg : config;
   mutex : Mutex.t;
   mutable ring : Ring.t;
   replicas : replica list;  (* spec order *)
-  jobs : (string, job) Hashtbl.t;  (* global id -> placement *)
-  finished : (string, int * Wire.response) Hashtbl.t;
-      (* global id -> (LRU stamp, terminal [Job_result]), stashed by a
-         rolling drain so results outlive their replica; bounded by
-         [cfg.stash_max], least-recently-touched evicted first *)
-  mutable stash_seq : int;  (* monotone LRU clock for [finished] *)
+  jobs : (string, job) Hashtbl.t;
+      (* global id -> placement, for every job not yet seen terminal *)
+  terminal : job Lru.t;
+      (* placements whose terminal answer has passed through the router:
+         a rolling drain still stashes their results *)
+  finished : Wire.response Lru.t;
+      (* global id -> terminal [Job_result], stashed by a rolling drain
+         so results outlive their replica *)
   mutable stash_evicted : int;
   rejects : (string, int) Hashtbl.t;  (* router-local, by reason name *)
   start_ms : float;
@@ -71,8 +127,8 @@ let create cfg =
     ring = Spec.ring cfg.spec;
     replicas;
     jobs = Hashtbl.create 64;
-    finished = Hashtbl.create 16;
-    stash_seq = 0;
+    terminal = Lru.create cfg.stash_max;
+    finished = Lru.create cfg.stash_max;
     stash_evicted = 0;
     rejects = Hashtbl.create 8;
     start_ms = Mclock.now_ms ();
@@ -114,37 +170,33 @@ let connect_to t rep =
 
 (* {1 Result stash}
 
-   The stash would otherwise grow without bound on a long-lived router —
-   every drained-away result, forever. It is LRU-capped instead: each
-   put or hit restamps the entry with a monotone clock, and a put past
-   [stash_max] evicts the least-recently-touched entries. An evicted
-   job's id leaves [jobs] too (it was terminal — keeping it would skew
-   the pending arithmetic), so a later request for it answers
-   [Unknown_id]: bounded memory traded against indefinitely replayable
-   history, with the eviction count exported as
+   The stash and the terminal placements would otherwise grow without
+   bound on a long-lived router — every job it ever placed. Both are
+   capped at [stash_max], least recently touched out first. An evicted
+   result answers [Unknown_id] later: bounded memory traded against
+   indefinitely replayable history, with the eviction count exported as
    [cluster_stash_evicted_total] so operators can see the trade happen.
-   All three helpers expect the router mutex held. *)
+   An evicted terminal placement only means a later rolling drain does
+   not carry that result over. The helpers expect the router mutex
+   held. *)
+
+(* [id] is no longer a placement the router tracks *)
+let forget_locked t id =
+  Hashtbl.remove t.jobs id;
+  Lru.remove t.terminal id
 
 let stash_put_locked t id resp =
-  t.stash_seq <- t.stash_seq + 1;
-  Hashtbl.replace t.finished id (t.stash_seq, resp);
-  let excess = Hashtbl.length t.finished - t.cfg.stash_max in
-  if excess > 0 then
-    Hashtbl.fold (fun id (seq, _) acc -> (seq, id) :: acc) t.finished []
-    |> List.sort compare
-    |> List.filteri (fun i _ -> i < excess)
-    |> List.iter (fun (_, id) ->
-           Hashtbl.remove t.finished id;
-           Hashtbl.remove t.jobs id;
-           t.stash_evicted <- t.stash_evicted + 1)
+  forget_locked t id;
+  t.stash_evicted <- t.stash_evicted + Lru.put t.finished id resp
 
-let stash_find_locked t id =
-  match Hashtbl.find_opt t.finished id with
-  | None -> None
-  | Some (_, resp) ->
-    t.stash_seq <- t.stash_seq + 1;
-    Hashtbl.replace t.finished id (t.stash_seq, resp);
-    Some resp
+(* A terminal answer for [id] passed through: its placement leaves the
+   pending set, or is touched if it already had. *)
+let settled_locked t id =
+  match Hashtbl.find_opt t.jobs id with
+  | Some job ->
+    Hashtbl.remove t.jobs id;
+    ignore (Lru.put t.terminal id job)
+  | None -> ignore (Lru.find t.terminal id)
 
 let gid rep local = rep.name ^ "/" ^ local
 
@@ -267,7 +319,7 @@ let status_of_result ~id resp =
 (* A held [result] must come back before this router's read timeout
    on the replica connection fires: forward at most half of it. *)
 let proxy_job t ?wait_ms ~want_result id =
-  match Mutex.protect t.mutex (fun () -> stash_find_locked t id) with
+  match Mutex.protect t.mutex (fun () -> Lru.find t.finished id) with
   | Some stashed -> if want_result then stashed else status_of_result ~id stashed
   | None -> (
     match split_gid id with
@@ -300,8 +352,18 @@ let proxy_job t ?wait_ms ~want_result id =
               reason = Wire.Overloaded;
               retry_after_ms = Some t.cfg.spec.Spec.probe_interval_ms;
             }
-        | Ok (Wire.Job_status s) -> Wire.Job_status { s with id }
-        | Ok (Wire.Job_result r) -> Wire.Job_result { r with id }
+        | Ok (Wire.Job_status s) ->
+          if s.state = Wire.Done || s.state = Wire.Failed then
+            Mutex.protect t.mutex (fun () -> settled_locked t id);
+          Wire.Job_status { s with id }
+        | Ok (Wire.Job_result r) ->
+          Mutex.protect t.mutex (fun () -> settled_locked t id);
+          Wire.Job_result { r with id }
+        | Ok (Wire.Rejected { reason = Wire.Unknown_id _; _ } as other) ->
+          (* a replica evicts only terminal entries: a job it no longer
+             knows is finished, and its result is not held to carry over *)
+          Mutex.protect t.mutex (fun () -> forget_locked t id);
+          other
         | Ok other -> other)))
 
 (* {1 Aggregated views} *)
@@ -350,9 +412,13 @@ let router_exposition t =
     (fun rep ->
       Printf.bprintf buf "cluster_routed_total{target=\"%s\"} %d\n" rep.name rep.routed)
     t.replicas;
-  let stash_size, evicted =
-    Mutex.protect t.mutex (fun () -> (Hashtbl.length t.finished, t.stash_evicted))
+  let stash_size, evicted, pending, terminal =
+    Mutex.protect t.mutex (fun () ->
+        (Lru.length t.finished, t.stash_evicted, Hashtbl.length t.jobs, Lru.length t.terminal))
   in
+  Buffer.add_string buf "# TYPE cluster_placements gauge\n";
+  Printf.bprintf buf "cluster_placements{state=\"pending\"} %d\n" pending;
+  Printf.bprintf buf "cluster_placements{state=\"terminal\"} %d\n" terminal;
   Buffer.add_string buf "# TYPE cluster_stash_size gauge\n";
   Printf.bprintf buf "cluster_stash_size %d\n" stash_size;
   Buffer.add_string buf "# TYPE cluster_stash_evicted_total counter\n";
@@ -401,13 +467,11 @@ let cluster_rows t =
    A job the replica has already evicted from its own finished table
    is not stashed: its result was not held anywhere to carry over. *)
 
+(* every placement on [name] whose result is not stashed yet, terminal
+   or not *)
 let pending_on t name =
-  Mutex.protect t.mutex (fun () ->
-      Hashtbl.fold
-        (fun id job acc ->
-          if job.rep = name && not (Hashtbl.mem t.finished id) then (id, job) :: acc
-          else acc)
-        t.jobs [])
+  let on_rep id job acc = if job.rep = name then (id, job) :: acc else acc in
+  Mutex.protect t.mutex (fun () -> Hashtbl.fold on_rep t.jobs (Lru.fold on_rep t.terminal []))
 
 let await_job t rep ~id ~local_id =
   match connect_to t rep with
@@ -425,7 +489,7 @@ let await_job t rep ~id ~local_id =
       (* a replica evicts only terminal entries ([Server.max_finished]),
          so a live replica that no longer knows the id finished it and
          its result was already there to fetch: nothing left to stash *)
-      Mutex.protect t.mutex (fun () -> Hashtbl.remove t.jobs id);
+      Mutex.protect t.mutex (fun () -> forget_locked t id);
       Ok ()
     | Ok other -> Error ("await: unexpected " ^ Wire.encode_response other)
     | Error e -> Error e)
@@ -487,9 +551,7 @@ let drain_replica t name =
 
 (* {1 Dispatch} *)
 
-let pending_total t =
-  Mutex.protect t.mutex (fun () ->
-      Hashtbl.length t.jobs - Hashtbl.length t.finished)
+let pending_total t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.jobs)
 
 let request_drain t = Atomic.set t.drain_flag true
 
@@ -505,7 +567,7 @@ let handle t req =
     request_drain t;
     (* router drain stops new routing; replicas (possibly shared with
        other routers) keep running their accepted jobs *)
-    Wire.Drain_ack { pending = max 0 (pending_total t) }
+    Wire.Drain_ack { pending = pending_total t }
   | Wire.Cluster_status -> Wire.Cluster_report { replicas = cluster_rows t }
   | Wire.Drain_replica name -> drain_replica t name
 

@@ -30,7 +30,9 @@
       Zero accepted jobs are lost. Only the results the replica still
       holds are stashed: one it had already evicted (it keeps the
       {!Educhip_serve.Server.max_finished} most recently used) answers
-      [unknown_id] after the drain as it did before.
+      [unknown_id] after the drain as it did before, and so does one
+      whose terminal placement the router itself evicted (it keeps
+      [stash_max]).
 
     Thread model: as under the server, {!Educhip_serve.Listener} runs
     a thread per client connection over {!handle}, which takes the
@@ -57,7 +59,14 @@ type config = {
           least-recently-touched results are evicted (counted by the
           [cluster_stash_evicted_total] metric) and later requests for
           them answer [Unknown_id] — bounded router memory over
-          indefinitely replayable history *)
+          indefinitely replayable history. The same bound holds the
+          placements of jobs whose terminal answer ([result], or a
+          [status] of [done]/[failed]) has passed through the router: a
+          rolling drain stashes the results of those it still holds.
+          Only placements not yet seen terminal count as pending
+          ([drain]'s [pending], the [cluster_placements] gauge with
+          [state="pending"]); one a live replica answers [unknown_id]
+          for (it evicted the finished entry) is dropped. *)
 }
 
 val config : Spec.t -> config

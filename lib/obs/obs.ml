@@ -47,16 +47,18 @@ let hist_samples h =
 
 type collector = {
   epoch : float;
-  mutable roots : span list; (* newest first *)
+  keep_spans : bool;
+  mutable roots : span list; (* newest first; always empty without [keep_spans] *)
   mutable stack : span list; (* innermost first *)
   counters : (metric_key, int ref) Hashtbl.t;
   gauges : (metric_key, float ref) Hashtbl.t;
   histograms : (metric_key, hist) Hashtbl.t;
 }
 
-let create () =
+let create ?(spans = true) () =
   {
     epoch = Mclock.now_s ();
+    keep_spans = spans;
     roots = [];
     stack = [];
     counters = Hashtbl.create 32;
@@ -98,7 +100,7 @@ let timed ?(attrs = []) name f =
     in
     (match c.stack with
     | parent :: _ -> parent.children <- span :: parent.children
-    | [] -> c.roots <- span :: c.roots);
+    | [] -> if c.keep_spans then c.roots <- span :: c.roots);
     c.stack <- span :: c.stack;
     let v =
       Fun.protect
@@ -130,6 +132,7 @@ let set_attr key v =
     | span :: _ -> span.attrs <- (key, v) :: span.attrs)
 
 let root_spans c = List.rev c.roots
+let keeps_spans c = c.keep_spans
 let span_name s = s.name
 let span_children s = List.rev s.children
 let epoch_s c = c.epoch
@@ -218,6 +221,7 @@ let registry_copy c =
   let c' =
     {
       epoch = c.epoch;
+      keep_spans = c.keep_spans;
       roots = [];
       stack = [];
       counters = Hashtbl.create (Hashtbl.length c.counters);
@@ -280,7 +284,7 @@ let merge ~into:dst src =
       children = List.map rebase span.children;
     }
   in
-  dst.roots <- List.map rebase src.roots @ dst.roots
+  if dst.keep_spans then dst.roots <- List.map rebase src.roots @ dst.roots
 
 (* {1 Export} *)
 
@@ -572,11 +576,11 @@ let write_metrics_text c ~path =
    process exit — also on early [exit] paths (DRC violations,
    verification failure), hence [at_exit]. *)
 
-let export_on_exit ?trace ?metrics ?metrics_text:text_path () =
+let export_on_exit ?spans ?trace ?metrics ?metrics_text:text_path () =
   match (trace, metrics, text_path) with
   | None, None, None -> None
   | _ ->
-    let c = create () in
+    let c = create ?spans () in
     install c;
     let written = ref false in
     at_exit (fun () ->

@@ -27,7 +27,15 @@ type collector
     from the monotonic clock ([Educhip_util.Mclock]) so they stay
     comparable across domains and immune to wall-clock steps. *)
 
-val create : unit -> collector
+val create : ?spans:bool -> unit -> collector
+(** [spans] (default [true]) keeps every completed top-level span for
+    {!root_spans} and the trace exports. With [~spans:false] spans are
+    still timed and nested ({!timed} returns their wall time) and every
+    metric is kept, but each span tree is dropped when its root closes:
+    a long-lived process that exports no trace would otherwise hold the
+    span tree of every job it ever ran. *)
+
+val keeps_spans : collector -> bool
 
 val install : collector -> unit
 (** Make [collector] the telemetry sink for every probe {e in the
@@ -209,13 +217,18 @@ val write_metrics : collector -> path:string -> unit
 val write_metrics_text : collector -> path:string -> unit
 
 val export_on_exit :
-  ?trace:string -> ?metrics:string -> ?metrics_text:string -> unit -> collector option
-(** CLI plumbing shared by the [eduflow] and [enablement] binaries: when
-    any path is given, install a fresh collector and arrange (via
-    [at_exit], idempotently) for each requested file to be written
-    exactly once — announced on stdout — even when the process exits
-    early. Returns the installed collector, [None] when every path is
-    absent. *)
+  ?spans:bool ->
+  ?trace:string ->
+  ?metrics:string ->
+  ?metrics_text:string ->
+  unit ->
+  collector option
+(** CLI plumbing shared by the [eduflow], [enablement] and [eduserved]
+    binaries: when any path is given, install a fresh collector (made
+    with {!create}'s [?spans]) and arrange (via [at_exit],
+    idempotently) for each requested file to be written exactly once —
+    announced on stdout — even when the process exits early. Returns
+    the installed collector, [None] when every path is absent. *)
 
 val pp_trace : Format.formatter -> collector -> unit
 (** Human-readable span tree: one line per span with its wall time and

@@ -88,9 +88,12 @@ let entry_of_json j =
     record = Runlog.of_json (need "record" (Jsonout.member "record" j));
   }
 
-let store t e = Kv.put t e.key (entry_to_json e)
-let lookup t key = Kv.get t key ~decode:entry_of_json
-let probe t key = Kv.probe t key ~decode:entry_of_json
+(* the payload is the entry's JSON text *)
+let encode e = Jsonout.to_string (entry_to_json e)
+let decode text ~len = entry_of_json (Jsonout.of_string (String.sub text 0 len))
+let store t e = Kv.put t e.key (encode e)
+let lookup t key = Kv.get t key ~decode
+let probe t key = Kv.probe t key ~decode
 let entries = Kv.entries
 let quarantined = Kv.quarantined
 let clear = Kv.clear

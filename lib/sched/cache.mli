@@ -11,10 +11,11 @@
     hit is bit-identical to a fresh run's QoR.
 
     Storage is an {!Educhip_artifact.Kv} store (counter family
-    [cache.*]): one CRC-guarded JSON file per key under the cache
-    directory, evicted LRU by file mtime ({!lookup} touches on hit) once
-    the entry count exceeds the cap, with internal locking. An
-    unreadable, unparsable, checksum-failing or crc-less entry behaves
+    [cache.*]): one file per key under the cache directory, the entry's
+    JSON text followed by Kv's CRC trailer, evicted LRU by file mtime
+    ({!lookup} touches on hit) once the entry count exceeds the cap,
+    with internal locking. An unreadable, unparsable, checksum-failing
+    or trailer-less entry (such as one an older build wrote) behaves
     as a miss and is moved to the [quarantine/] subdirectory for
     inspection (counted by [cache.quarantined]) rather than silently
     deleted, since a corrupt entry is evidence of bit rot or a torn

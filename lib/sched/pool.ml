@@ -71,6 +71,8 @@ let work t f worker =
 let start t ~workers f =
   let telemetry = Obs.enabled () in
   t.into <- Obs.installed ();
+  (* a worker keeps its span trees only if the merge will *)
+  let spans = Option.fold ~none:true ~some:Obs.keeps_spans t.into in
   Atomic.set t.live workers;
   t.domains <-
     List.init workers (fun worker ->
@@ -80,7 +82,7 @@ let start t ~workers f =
               (fun () ->
                 ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigint; Sys.sigterm ]);
                 if telemetry then begin
-                  let c = Obs.create () in
+                  let c = Obs.create ~spans () in
                   Obs.with_collector c (fun () -> work t f worker);
                   Some c
                 end

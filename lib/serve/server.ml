@@ -142,7 +142,8 @@ let create cfg =
     match Obs.installed () with
     | Some c -> c
     | None ->
-      let c = Obs.create () in
+      (* metrics only: nothing exports this collector's spans *)
+      let c = Obs.create ~spans:false () in
       Obs.install c;
       c
   in

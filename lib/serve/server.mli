@@ -66,7 +66,10 @@ val create : config -> t
 (** Build the server state. If the calling domain has no
     {!Educhip_obs.Obs} collector installed, one is created and
     installed — the service is always observable; [serve.*] metrics and
-    worker flow telemetry accumulate there.
+    worker flow telemetry accumulate there. That collector keeps no span
+    trees (nothing exports them), so a long-lived server's memory does
+    not grow with the jobs it has run; traced requests still get their
+    spans.
     @raise Invalid_argument on [workers < 1] or [max_queue < 0]. *)
 
 val serve : t -> Unix.file_descr -> unit

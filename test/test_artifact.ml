@@ -49,24 +49,24 @@ let test_chain_shape () =
     (List.length (List.sort_uniq compare keys));
   check Alcotest.(list string) "deterministic" keys (List.map snd (chain_of cfg))
 
-(* Stores written while [gds] was still stored keyed the other nine
-   steps with exactly these strings: matching them keeps such stores
-   warm, and their orphaned [gds] entries age out under the LRU cap. *)
+(* The keys of one chain, pinned: a change to any of them orphans every
+   stored artifact, so it must come with a [Stepkey.version] bump on
+   purpose. Version 2 moved the stored bytes to [Codec]'s binary form. *)
 let test_chain_keys_pinned () =
   let cfg = Flow.config ~node:node130 Flow.Open_flow in
   check
     Alcotest.(list (pair string string))
     "counter/open/edu130 keys"
     [
-      ("synthesis", "cccf5af59f62b59c77bff4baa42e5c34");
-      ("sizing", "a50ac3f852960a95809cc6d5dcf58e94");
-      ("buffering", "05b382dd0e014afcba997d00640d9ffc");
-      ("placement", "72889659ae65dee733182ffb7bb25b66");
-      ("cts", "d0c5058fa06f13760a282dd92186fc52");
-      ("routing", "f092f628de9671c630096ec17ea95532");
-      ("sta", "9aa2b7e7cb343748201e651e77e1bfb9");
-      ("power", "87e3cf061801e1d028d9d3076899158f");
-      ("drc", "b91146b6d4f0bd01189591fffa4ca9c0");
+      ("synthesis", "9817c960cfa0ded895b56ce5843c9d90");
+      ("sizing", "307cbe75d7ead633e808ee7922736c0a");
+      ("buffering", "790f0e5c8e437781e6e6d589504e25ef");
+      ("placement", "56cc8b775988202630259b1970bc3a25");
+      ("cts", "545e2995dec072598798e38de0406173");
+      ("routing", "bb485b44a0be6ca7e00619e017314297");
+      ("sta", "eadec4a91506434894480504b93fc78c");
+      ("power", "a61f013f07bc51e0eda78982b8e9c782");
+      ("drc", "0f1002282c263d662bc321a5da97413a");
     ]
     (chain_of cfg)
 
@@ -339,27 +339,32 @@ let test_corrupt_artifact_quarantined () =
 
 (* {2 Kv} *)
 
-let kv_payload key v = Jsonout.Obj [ ("key", Jsonout.String key); ("v", Jsonout.Int v) ]
+let kv_payload key v = Jsonout.to_string (Jsonout.Obj [ ("key", Jsonout.String key); ("v", Jsonout.Int v) ])
 
-let kv_decode j =
+let kv_decode text ~len =
+  let j = Jsonout.of_string (String.sub text 0 len) in
   match (Jsonout.member "key" j, Jsonout.member "v" j) with
   | Some (Jsonout.String k), Some (Jsonout.Int v) -> (k, v)
   | _ -> failwith "kv test entry"
 
-(* the byte format both stores have always written: payload object,
-   then a trailing crc member over the payload bytes, then a newline *)
+(* the byte format both stores write: the payload bytes, then a 16-byte
+   trailer holding the CRC-32 of the payload *)
 let test_kv_disk_format () =
   with_store_dir @@ fun dir ->
   let kv = Kv.create ~family:"t" ~dir () in
   Kv.put kv "a" (kv_payload "a" 1);
   let payload = {|{"key":"a","v":1}|} in
-  let expected =
-    Printf.sprintf {|{"key":"a","v":1,"crc":"%s"}|} (Crc32.to_hex (Crc32.digest payload)) ^ "\n"
-  in
+  let expected = Printf.sprintf "%s\ncrc32 %s\n" payload (Crc32.to_hex (Crc32.digest payload)) in
   check Alcotest.string "on-disk bytes" expected
     (In_channel.with_open_bin (Filename.concat dir "a.json") In_channel.input_all);
   check Alcotest.(option (pair string int)) "round trip" (Some ("a", 1))
-    (Kv.get kv "a" ~decode:kv_decode)
+    (Kv.get kv "a" ~decode:kv_decode);
+  (* an entry an older build wrote: the crc spliced into the JSON object *)
+  let old = Printf.sprintf {|{"key":"a","v":1,"crc":"%s"}|} (Crc32.to_hex (Crc32.digest payload)) in
+  Out_channel.with_open_bin (Filename.concat dir "a.json") (fun oc -> output_string oc (old ^ "\n"));
+  check Alcotest.(option (pair string int)) "older format misses" None
+    (Kv.get kv "a" ~decode:kv_decode);
+  check Alcotest.int "and is quarantined" 1 (Kv.quarantined kv)
 
 (* four domains hammer an overlapping key set on a store capped at 3:
    the internal lock must keep every read whole and the cap held *)
@@ -547,36 +552,186 @@ let test_kv_shared_directory () =
    not have decodes as corruption, not as a route. *)
 let test_route_decode_rejects_phantom_edge () =
   let r = Flow.run counter (Flow.config ~node:node130 Flow.Open_flow) in
-  let tag, json = Codec.state_to_json (Flow.S_route r.Flow.routed) in
+  let snap = Route.snapshot r.Flow.routed in
+  let tag, bytes = Codec.encode_state (Flow.S_route r.Flow.routed) in
+  check Alcotest.string "encode_route writes the stored bytes" bytes (Codec.encode_route snap);
   let nx, _ = Route.grid_size r.Flow.routed in
-  let phantom = Jsonout.List [ Jsonout.Int (2 * (nx - 1)) ] in
-  let tamper_first_net = function
-    | Jsonout.Obj net :: rest ->
-      Jsonout.Obj (List.map (fun (k, v) -> if k = "edges" then (k, phantom) else (k, v)) net)
-      :: rest
-    | _ -> Alcotest.fail "routing state has no nets"
-  in
-  let json =
-    match json with
-    | Jsonout.Obj fields ->
-      Jsonout.Obj
-        (List.map
-           (function
-             | "nets", Jsonout.List nets -> ("nets", Jsonout.List (tamper_first_net nets))
-             | field -> field)
-           fields)
-    | _ -> Alcotest.fail "routing state is not an object"
+  let nets =
+    match snap.Route.rs_nets with
+    | net :: rest -> { net with Route.rs_edges = [ 2 * (nx - 1) ] } :: rest
+    | [] -> Alcotest.fail "routing state has no nets"
   in
   let ctx =
     { Codec.design_name = "counter"; node = node130; netlist = Some r.Flow.mapped;
       placement = Some r.Flow.placement }
   in
-  match Codec.state_of_json ctx ~tag json with
+  check Alcotest.bool "the untampered state decodes" true
+    (Codec.decode_state ctx ~tag bytes <> None);
+  match Codec.decode_state ctx ~tag (Codec.encode_route { snap with Route.rs_nets = nets }) with
   | _ -> Alcotest.fail "phantom edge decoded"
   | exception Failure _ -> ()
 
+(* {2 Stored bytes}
+
+   A chain's entries as the store holds them, each with the decode
+   context the memo would have when it reaches that step. *)
+
+let stored_chain design preset =
+  with_store_dir @@ fun dir ->
+  let netlist = Designs.netlist (Designs.find design) in
+  let cfg = Flow.config ~node:node130 preset in
+  let store = Astore.create ~dir () in
+  let memo = Artifact.memo ~store ~netlist ~cfg ~inject:[] ~fault_seed:1 ~retries:2 in
+  (match Flow.run_guarded ~memo netlist cfg with
+  | Flow.Completed _ -> ()
+  | Flow.Aborted a -> Alcotest.failf "flow aborted: %s" a.Flow.failed_step);
+  let ctx = ref { Codec.design_name = design; node = node130; netlist = None; placement = None } in
+  List.map
+    (fun (step, key) ->
+      let e =
+        match Astore.lookup store key with
+        | Some e -> e
+        | None -> Alcotest.failf "%s %s: not stored" design step
+      in
+      let file = In_channel.with_open_bin (Filename.concat dir (key ^ ".json")) In_channel.input_all in
+      check Alcotest.string (step ^ " entry re-encodes to its stored bytes")
+        (String.sub file 0 (String.length file - 16))
+        (Codec.encode_entry e);
+      let here = !ctx in
+      (match Codec.decode_state here ~tag:e.Astore.tag e.Astore.state with
+      | Some (Flow.S_synth (n, _) | Flow.S_netlist n) -> ctx := { here with Codec.netlist = Some n }
+      | Some (Flow.S_place p) -> ctx := { here with Codec.placement = Some p }
+      | Some _ -> ()
+      | None -> Alcotest.failf "%s %s: no decode context" design step);
+      (step, e, here))
+    (Stepkey.chain ~netlist ~cfg ~inject:[] ~fault_seed:1 ~retries:2)
+
+(* The MD5 of every stored entry's bytes for counter/open: a change here
+   is a change of the on-disk format, and needs a [Stepkey.version] bump
+   so that no build reads another's bytes under one key. *)
+let test_encoding_pinned () =
+  check
+    Alcotest.(list (triple string string string))
+    "counter/open/edu130 entry bytes"
+    [
+      ("synthesis", "synth", "81fe21e747190b42a7a4056742db7f1b");
+      ("sizing", "netlist", "66154bf0c340b2528cd4e23afd878405");
+      ("buffering", "netlist", "e0bb968b116217ed49b3e509db1d7bc0");
+      ("placement", "place", "55cdfc2a585b496035ce0f6b230e4015");
+      ("cts", "cts", "97c3e4873b79f93c893e5ba0b4e7701c");
+      ("routing", "route", "bddcfb5f7b0eb2effc60fc12ea166521");
+      ("sta", "timing", "a67cd55100990f57b3446a563720f036");
+      ("power", "power", "1cf3af4369b0f29d082ef663342f628a");
+      ("drc", "drc", "55283b9e0d1c0aeedbd64d87bc29af0c");
+    ]
+    (List.map
+       (fun (step, e, _) -> (step, e.Astore.tag, Digest.to_hex (Digest.string (Codec.encode_entry e))))
+       (stored_chain "counter" Flow.Open_flow))
+
+(* {3 Hostile bytes} Starting from a valid entry of every tag, a
+   mutated entry, or a mutated state inside a valid entry, must decode
+   to [Failure] (the store quarantines it and counts a miss) or to a
+   state the kernels' [restore] validators accepted; no other exception
+   may escape. *)
+
+let hostile_entries =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (_, e, ctx) -> (e, ctx))
+          (stored_chain "counter" Flow.Open_flow @ stored_chain "alu8" Flow.Teaching_flow)))
+
+let entry_fails bytes =
+  match Codec.decode_entry bytes ~len:(String.length bytes) with
+  | _ -> false
+  | exception Failure _ -> true
+
+let state_fails ctx ~tag bytes =
+  match Codec.decode_state ctx ~tag bytes with
+  | _ -> false
+  | exception Failure _ -> true
+
+(* the offset just past the varint starting at [i] *)
+let rec varint_end bytes i =
+  if i < String.length bytes - 1 && Char.code bytes.[i] land 0x80 <> 0 then varint_end bytes (i + 1)
+  else i + 1
+
+(* [bytes] with the varint starting at [i] replaced by [max_int]'s *)
+let set_varint_max bytes i =
+  let j = varint_end bytes i in
+  String.sub bytes 0 i ^ "\xfc\xff\xff\xff\xff\xff\xff\xff\x7f"
+  ^ String.sub bytes j (String.length bytes - j)
+
+let mutate bytes ~mutation ~at =
+  let n = String.length bytes in
+  match mutation with
+  | 0 -> String.sub bytes 0 (at mod n)
+  | 1 ->
+    let b = Bytes.of_string bytes in
+    let i = at / 8 mod n in
+    Bytes.set b i (Char.chr (Char.code bytes.[i] lxor (1 lsl (at mod 8))));
+    Bytes.to_string b
+  | _ -> set_varint_max bytes (at mod n)
+
+let prop_hostile_bytes =
+  QCheck.Test.make ~name:"hostile artifact bytes fail or restore" ~count:3000
+    QCheck.(quad (int_bound 17) bool (int_bound 2) (int_bound 1_000_000))
+    (fun (which, in_state, mutation, at) ->
+      let e, ctx = (Lazy.force hostile_entries).(which) in
+      (if in_state then ignore (state_fails ctx ~tag:e.Codec.tag (mutate e.Codec.state ~mutation ~at))
+       else
+         let bytes = mutate (Codec.encode_entry e) ~mutation ~at in
+         match Codec.decode_entry bytes ~len:(String.length bytes) with
+         | e' -> ignore (state_fails ctx ~tag:e'.Codec.tag e'.Codec.state)
+         | exception Failure _ -> ());
+      true)
+
+(* The offset in a state's bytes of its first sequence length, for the
+   tags that have one at a fixed place in the layout. *)
+let first_count ~tag state =
+  match tag with
+  | "synth" | "netlist" | "drc" -> Some 0
+  | "place" -> Some (varint_end state 8) (* die width, rows, then xs *)
+  | "route" ->
+    (* nx, ny, tile width, capacity, then usage *)
+    Some (varint_end state (varint_end state (varint_end state 0) + 8))
+  | "timing" -> Some 32 (* four floats, then the critical path *)
+  | _ -> None
+
+(* Deterministic sweeps on top of the sampled property: every truncation
+   of every entry and of every state is corruption, and a [max_int]
+   length fails before anything is allocated for it. *)
+let test_hostile_sweeps () =
+  Array.iteri
+    (fun which ((e : Codec.entry), ctx) ->
+      let bytes = Codec.encode_entry e in
+      let tag = e.Codec.tag in
+      let state = e.Codec.state in
+      for k = 0 to String.length bytes - 1 do
+        if not (entry_fails (String.sub bytes 0 k)) then
+          Alcotest.failf "entry %d (%s) truncated to %d bytes decoded" which tag k
+      done;
+      for k = 0 to String.length state - 1 do
+        if not (state_fails ctx ~tag (String.sub state 0 k)) then
+          Alcotest.failf "%s state %d truncated to %d bytes decoded" tag which k
+      done;
+      (* the key's length is the varint after the layout byte; the state's
+         is the last one before the state bytes *)
+      let state_len_at = String.length (Codec.encode_entry { e with Codec.state = "" }) - 1 in
+      List.iter
+        (fun (what, i) ->
+          if not (entry_fails (set_varint_max bytes i)) then
+            Alcotest.failf "entry %d (%s): a max_int %s length decoded" which tag what)
+        [ ("key", 1); ("state", state_len_at) ];
+      Option.iter
+        (fun i ->
+          if not (state_fails ctx ~tag (set_varint_max state i)) then
+            Alcotest.failf "%s state %d: a max_int count decoded" tag which)
+        (first_count ~tag state))
+    (Lazy.force hostile_entries)
+
 let suite =
-  List.map QCheck_alcotest.to_alcotest [ prop_knob_splits_chain ]
+  List.map QCheck_alcotest.to_alcotest [ prop_knob_splits_chain; prop_hostile_bytes ]
   @ [
       ("chain shape", `Quick, test_chain_shape);
       ("chain keys pinned", `Quick, test_chain_keys_pinned);
@@ -595,4 +750,6 @@ let suite =
       ("kv count follows removals", `Quick, test_kv_count_follows_removals);
       ("kv shared directory", `Quick, test_kv_shared_directory);
       ("route decode rejects phantom edge", `Quick, test_route_decode_rejects_phantom_edge);
+      ("artifact encoding pinned", `Quick, test_encoding_pinned);
+      ("hostile bytes sweeps", `Quick, test_hostile_sweeps);
     ]

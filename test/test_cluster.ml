@@ -550,6 +550,15 @@ let test_router_held_result () =
           check Alcotest.int "the replica held the request" 1
             (List.length (Educhip_obs.Obs.histogram_samples c "serve.result_wait_ms"))))
 
+(* the router's own [cluster_placements] gauge for [state] *)
+let placements r state =
+  match Router.handle r Wire.Metrics with
+  | Wire.Metrics_text text ->
+    let prefix = Printf.sprintf "cluster_placements{state=\"%s\"} " state in
+    let line = List.find (String.starts_with ~prefix) (String.split_on_char '\n' text) in
+    int_of_string (String.sub line (String.length prefix) (String.length line - String.length prefix))
+  | resp -> Alcotest.failf "metrics: %s" (Wire.encode_response resp)
+
 (* a rolling drain after the replica has evicted some of the jobs the
    router placed on it: the evicted ones count as finished, the drain
    completes, and the results the replica still held move to the stash *)
@@ -601,6 +610,8 @@ let test_router_drain_past_replica_cap () =
           in
           check Alcotest.bool "oldest already evicted by the replica" true
             (result ids.(0) = `Unknown);
+          check Alcotest.int "an id the replica evicted is no longer pending"
+            (Array.length ids - 1) (placements r "pending");
           let drained = ref None in
           let drainer =
             Thread.create
@@ -621,6 +632,80 @@ let test_router_drain_past_replica_cap () =
           check Alcotest.bool "held result served from the stash" true
             (result newest = `Result newest);
           check Alcotest.bool "evicted id still unknown" true (result ids.(0) = `Unknown)))
+
+(* more cache-hit jobs than [stash_max] through the router, each result
+   fetched: the placements leave the pending set as their results pass,
+   the terminal ones stay within the cap, newest kept, and a drain then
+   carries exactly those over *)
+let test_router_terminal_placements_bounded () =
+  let module Server = Educhip_serve.Server in
+  let dir = Filename.temp_dir "educhip-rterm" "" in
+  let rsock = Filename.concat dir "r1.sock" in
+  let stash_max = 8 and jobs = 20 in
+  Fun.protect
+    ~finally:(fun () -> Files.rm_rf dir)
+    (fun () ->
+      let cache = Educhip_sched.Cache.create ~dir:(Filename.concat dir "cache") () in
+      (match Server.validate_spec (Wire.submit "counter") with
+      | Ok job -> ignore (Educhip_sched.Sched.run_one ~cache job)
+      | Error e -> Alcotest.fail e);
+      let fast =
+        { Educhip_serve.Ratelimit.rate_per_s = 1e6; burst = 1e6; max_inflight = 64; fair_weight = 1.0 }
+      in
+      let server =
+        Server.create
+          { Server.default_config with Server.workers = 1; cache = Some cache; basic = fast }
+      in
+      let rfd = Listener.listen_unix ~path:rsock in
+      let replica = Thread.create (fun () -> Server.serve server rfd) () in
+      let r =
+        Router.create
+          {
+            (Router.config { Spec.default with Spec.replicas = [ ("r1", rsock) ] }) with
+            Router.read_timeout_ms = 500.0;
+            stash_max;
+          }
+      in
+      let ids =
+        Array.init jobs (fun i ->
+            match Router.handle r (Wire.Submit (Wire.submit "counter")) with
+            | Wire.Accepted { id; cached = true; _ } -> id
+            | resp -> Alcotest.failf "submit %d: %s" i (Wire.encode_response resp))
+      in
+      check Alcotest.int "submitted jobs are pending" jobs (placements r "pending");
+      let result id =
+        match Router.handle r (Wire.Result { id; wait_ms = None }) with
+        | Wire.Job_result { id = got; _ } -> `Result got
+        | Wire.Rejected { reason = Wire.Unknown_id _; _ } -> `Unknown
+        | resp -> Alcotest.failf "result %s: %s" id (Wire.encode_response resp)
+      in
+      Array.iter (fun id -> check Alcotest.bool "result answers" true (result id = `Result id)) ids;
+      check Alcotest.int "none pending once all are done" 0 (placements r "pending");
+      check Alcotest.int "terminal placements held at the cap" stash_max (placements r "terminal");
+      let drained = ref None in
+      let drainer =
+        Thread.create (fun () -> drained := Some (Router.handle r (Wire.Drain_replica "r1"))) ()
+      in
+      Thread.join drainer;
+      ignore (Server.handle server Wire.Drain);
+      Thread.join replica;
+      Unix.close rfd;
+      (match !drained with
+      | Some (Wire.Cluster_report _) -> ()
+      | Some resp -> Alcotest.failf "drain: %s" (Wire.encode_response resp)
+      | None -> Alcotest.fail "drain did not answer");
+      Array.iteri
+        (fun i id ->
+          let newest = i >= jobs - stash_max in
+          check Alcotest.bool
+            (Printf.sprintf "job %d %s after the drain" i
+               (if newest then "answers from the stash" else "was evicted"))
+            true
+            (result id = if newest then `Result id else `Unknown))
+        ids;
+      match Router.handle r Wire.Drain with
+      | Wire.Drain_ack { pending } -> check Alcotest.int "drain ack pending" 0 pending
+      | resp -> Alcotest.failf "drain: %s" (Wire.encode_response resp))
 
 let suite =
   [
@@ -643,4 +728,6 @@ let suite =
     Alcotest.test_case "held result through the router" `Quick test_router_held_result;
     Alcotest.test_case "drain past the replica's finished cap" `Quick
       test_router_drain_past_replica_cap;
+    Alcotest.test_case "terminal placements bounded" `Quick
+      test_router_terminal_placements_bounded;
   ]

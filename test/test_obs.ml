@@ -28,6 +28,27 @@ let test_span_nesting () =
       check Alcotest.bool "duration non-negative" true (Obs.span_duration_ms s >= 0.0))
     roots
 
+(* a collector that keeps no spans still times and nests them and keeps
+   every metric, but holds no span tree once its root closes, nor one
+   merged into it *)
+let test_unkept_spans () =
+  let c = Obs.create ~spans:false () in
+  let (), ms =
+    Obs.with_collector c (fun () ->
+        Obs.timed "outer" (fun () ->
+            Obs.with_span "inner" (fun () -> Obs.observe "h" 1.0);
+            Obs.incr_counter "n"))
+  in
+  check Alcotest.bool "timed" true (Option.is_some ms);
+  check Alcotest.int "counter kept" 1 (Obs.counter_value c "n");
+  check Alcotest.(list (float 0.0)) "histogram kept" [ 1.0 ] (Obs.histogram_samples c "h");
+  check Alcotest.int "no span tree held" 0 (List.length (Obs.root_spans c));
+  let src = Obs.create () in
+  Obs.with_collector src (fun () -> Obs.with_span "worker" (fun () -> Obs.incr_counter "n"));
+  Obs.merge ~into:c src;
+  check Alcotest.int "merged counter" 2 (Obs.counter_value c "n");
+  check Alcotest.int "merged spans dropped" 0 (List.length (Obs.root_spans c))
+
 let test_span_exception_safety () =
   let c = Obs.create () in
   Obs.with_collector c (fun () ->
@@ -723,6 +744,7 @@ let suite =
   :: [
     Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safety;
+    Alcotest.test_case "unkept spans" `Quick test_unkept_spans;
     Alcotest.test_case "span attributes" `Quick test_span_attrs;
     Alcotest.test_case "unclosed span duration" `Quick test_unclosed_span_duration;
     Alcotest.test_case "merge rebases epochs monotonically" `Quick

@@ -216,8 +216,8 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
 (* a stored entry whose bytes were silently flipped (bit rot, partial
-   write) fails its embedded checksum and is quarantined the same way;
-   so is one with no [crc] member at all *)
+   write) fails its checksum and is quarantined the same way; so is one
+   with no crc trailer at all *)
 let test_cache_checksum_guard () =
   let flip_digit text =
     (* flip one digit inside the verdict/ppa region: still valid JSON,
@@ -234,12 +234,8 @@ let test_cache_checksum_guard () =
     Bytes.set bytes i (Char.chr (Char.code text.[i] + 1));
     Bytes.to_string bytes
   in
-  let strip_crc text =
-    match Jsonout.of_string text with
-    | Jsonout.Obj fields ->
-      Jsonout.to_string (Jsonout.Obj (List.filter (fun (name, _) -> name <> "crc") fields))
-    | _ -> Alcotest.fail "entry is not an object"
-  in
+  (* the payload alone: the file ends without Kv's 16-byte crc trailer *)
+  let strip_crc text = String.sub text 0 (String.length text - 16) in
   List.iter
     (fun (label, tamper) ->
       with_cache_dir (fun dir ->
@@ -369,6 +365,17 @@ let test_sched_telemetry_merge () =
        (fun s -> Obs.span_name s = "flow.run")
        (Obs.root_spans c))
 
+(* a caller whose collector keeps no spans gets the workers' metrics
+   and no span trees: the pool's workers keep none either *)
+let test_sched_unkept_spans () =
+  let c = Obs.create ~spans:false () in
+  let _, summary = Obs.with_collector c (fun () -> Sched.run ~workers:2 campaign_manifest) in
+  check Alcotest.int "completed counter" summary.Sched.completed
+    (Obs.counter_value c "sched.jobs_completed");
+  check Alcotest.bool "worker flow telemetry merged" true
+    (Obs.counter_value c "route.searches" > 0);
+  check Alcotest.int "no span trees" 0 (List.length (Obs.root_spans c))
+
 (* a stop that holds from the start dispatches nothing: every job comes
    back cancelled, in manifest order, and no flow or cache probe runs *)
 let test_sched_stop_cancels_everything () =
@@ -452,6 +459,8 @@ let suite =
       test_sched_worker_crash_requeues;
     Alcotest.test_case "sched: telemetry merges into the caller" `Quick
       test_sched_telemetry_merge;
+    Alcotest.test_case "sched: a caller that keeps no spans gets none" `Quick
+      test_sched_unkept_spans;
     Alcotest.test_case "sched: stop before dispatch cancels every job" `Quick
       test_sched_stop_cancels_everything;
     Alcotest.test_case "runlog: concurrent appends stay line-atomic" `Quick
